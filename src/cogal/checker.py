@@ -26,13 +26,17 @@ from .model import (
 __all__ = [
     "AnnouncementChoice", "BindingError", "Verdict", "Evaluator",
     "eval_formula", "extension", "check", "group_choices",
-    "choice_intersection",
+    "choice_intersection", "class_unions",
 ]
 
 # One set of states per group member; the joint announcement restricts the
 # model to the intersection of the sets. An empty mapping is the trivial
 # announcement of the empty group and denotes the full state set.
 AnnouncementChoice = Dict[str, FrozenSet[str]]
+
+# The one response a group quantifier leaves the other agents: no further
+# restriction, and no choice to report.
+_TRIVIAL_RESPONSE = ((None, None),)
 
 
 class BindingError(ValueError):
@@ -60,16 +64,26 @@ def choice_intersection(model: KripkeModel, choice: AnnouncementChoice) -> froze
     return out
 
 
-def _agent_options(model: KripkeModel, agent: str, w: str) -> List[frozenset]:
-    """Unions of the agent's classes that contain w's class, ordered by
-    increasing union cardinality, ties broken by block positions."""
+def class_unions(model: KripkeModel, agent: str,
+                 w: Optional[str] = None) -> List[frozenset]:
+    """Unions of the agent's equivalence classes, ordered by increasing
+    cardinality, ties broken by the positions of the blocks combined.
+
+    With a state `w`, only the unions containing w's class: the extensions
+    of what the agent can truthfully announce at w. Without, every union,
+    the empty one included: the extensions of all the agent's knowledge
+    formulas."""
     blocks = model.partitions[agent]
-    home = model.class_of(agent, w)
-    others = [(i, b) for i, b in enumerate(blocks) if b != home]
+    if w is None:
+        base = frozenset()
+        free = list(enumerate(blocks))
+    else:
+        base = model.class_of(agent, w)
+        free = [(i, b) for i, b in enumerate(blocks) if b != base]
     options = []
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            union = home
+    for r in range(len(free) + 1):
+        for combo in itertools.combinations(free, r):
+            union = base
             for _, b in combo:
                 union |= b
             options.append((len(union), tuple(i for i, _ in combo), union))
@@ -85,7 +99,7 @@ def group_choices(model: KripkeModel, w: str, group) -> Iterator[AnnouncementCho
     if w not in model._state_set:
         raise ModelError(f"unknown state {w!r}")
     members = [a for a in model.agents if a in frozenset(group)]
-    option_lists = [_agent_options(model, a, w) for a in members]
+    option_lists = [class_unions(model, a, w) for a in members]
     for combo in itertools.product(*option_lists):
         yield dict(zip(members, combo))
 
@@ -164,23 +178,22 @@ class Evaluator:
     """Evaluation engine for one root model.
 
     Holds the cache of contracted restrictions (keyed by the kept subset of
-    root states) and a memo table keyed per restriction instance. With
-    `certify=True` every distinct announcement choice enumerated by the
-    quantifier loops is checked against its realizing formula.
-    `recontract_inner=False` disables re-contraction after updates; it exists
-    only to demonstrate why the default is required and is unsound in general.
+    root states) and a memo table keyed per restriction instance. Every
+    restriction is contracted, so the quantifier rule enumerates exactly the
+    announcements expressible there. With `certify=True` every distinct
+    announcement choice enumerated by the quantifier rule is checked against
+    its realizing formula.
     """
 
     def __init__(self, model: KripkeModel, *, memoize: bool = True,
-                 certify: bool = False, recontract_inner: bool = True):
+                 certify: bool = False):
         self._root = model
         self._entries: Dict[frozenset, _Entry] = {}
         self._memo: Optional[dict] = {} if memoize else None
-        self._recontract_inner = recontract_inner
         self.certify = certify
         self.certificates = CertificateLog()
         self._cert_seen = set()
-        self._root_entry = self._entry(frozenset(model.states), outer=True)
+        self._root_entry = self._entry(frozenset(model.states))
 
     @property
     def model(self) -> KripkeModel:
@@ -190,11 +203,8 @@ class Evaluator:
 
     def eval(self, state: str, f: Formula) -> bool:
         """Truth of the formula at a state of the root model."""
-        if state not in self._root._state_set:
-            raise ModelError(f"unknown state {state!r}")
-        _check_bound(self._root, f)
         entry = self._root_entry
-        return self._eval(entry, entry.fwd[state], f)
+        return self._eval(entry, self._start(state, f), f)
 
     def extension(self, f: Formula) -> frozenset:
         """States of the root model satisfying the formula."""
@@ -206,38 +216,22 @@ class Evaluator:
     def check(self, state: str, f: Formula) -> Verdict:
         """Evaluate and extract witness or refutation evidence for a
         quantified diamond at the top of the formula."""
-        truth = self.eval(state, f)
+        if not isinstance(f, (GroupDia, CoalDia)):
+            return Verdict(self.eval(state, f))
         entry = self._root_entry
-        s = entry.fwd[state]
-        if isinstance(f, GroupDia) and truth:
-            for choice in group_choices(entry.model, s, f.group):
-                inter = choice_intersection(entry.model, choice)
-                if self._holds_after(entry, inter, s, f.body):
-                    return Verdict(truth,
-                                   witness_choice=self._pull_choice(entry, choice),
-                                   witness_formula=realize_choice(
-                                       entry.model, s, f.group, choice))
-        if isinstance(f, CoalDia):
+        s = self._start(state, f)
+        truth, won, defeat = self._quantify(entry, s, f)
+        if won is not None:
+            return Verdict(truth,
+                           witness_choice=self._pull_choice(entry, won),
+                           witness_formula=realize_choice(
+                               entry.model, s, f.group, won))
+        if defeat is not None:
             opponents = frozenset(self._root.agents) - f.group
-            if truth:
-                for choice in group_choices(entry.model, s, f.group):
-                    inter = choice_intersection(entry.model, choice)
-                    if all(self._holds_after(entry, inter & opp_set, s, f.body)
-                           for opp_set, _ in self._choice_sets(entry, s, opponents)):
-                        return Verdict(truth,
-                                       witness_choice=self._pull_choice(entry, choice),
-                                       witness_formula=realize_choice(
-                                           entry.model, s, f.group, choice))
-            else:
-                first = next(group_choices(entry.model, s, f.group))
-                inter = choice_intersection(entry.model, first)
-                for opp_choice in group_choices(entry.model, s, opponents):
-                    opp_set = choice_intersection(entry.model, opp_choice)
-                    if not self._holds_after(entry, inter & opp_set, s, f.body):
-                        return Verdict(truth,
-                                       refutation_choice=self._pull_choice(entry, opp_choice),
-                                       refutation_formula=realize_choice(
-                                           entry.model, s, opponents, opp_choice))
+            return Verdict(truth,
+                           refutation_choice=self._pull_choice(entry, defeat),
+                           refutation_formula=realize_choice(
+                               entry.model, s, opponents, defeat))
         return Verdict(truth)
 
     # -- internals ---------------------------------------------------------
@@ -245,18 +239,22 @@ class Evaluator:
     def _pull_choice(self, entry: _Entry, choice: AnnouncementChoice) -> AnnouncementChoice:
         return {agent: entry.pullback(states) for agent, states in choice.items()}
 
-    def _entry(self, subset: frozenset, outer: bool = False) -> _Entry:
+    def _start(self, state: str, f: Formula) -> str:
+        """Contracted root state for a public query, after checking the
+        state and the formula's bindings."""
+        if state not in self._root._state_set:
+            raise ModelError(f"unknown state {state!r}")
+        _check_bound(self._root, f)
+        return self._root_entry.fwd[state]
+
+    def _entry(self, subset: frozenset) -> _Entry:
         entry = self._entries.get(subset)
         if entry is not None:
             return entry
         restricted = (self._root if subset == frozenset(self._root.states)
                       else self._root.update(subset))
-        if outer or self._recontract_inner:
-            cm = bisim_contract(restricted)
-            entry = _Entry(len(self._entries), subset, cm.contracted, dict(cm.mapping))
-        else:
-            entry = _Entry(len(self._entries), subset, restricted,
-                           {s: s for s in restricted.states})
+        cm = bisim_contract(restricted)
+        entry = _Entry(len(self._entries), subset, cm.contracted, dict(cm.mapping))
         self._entries[subset] = entry
         return entry
 
@@ -277,7 +275,9 @@ class Evaluator:
         Built agent by agent with deduplication of partial intersections:
         equal partial intersections have identical continuations, so this
         yields the same sets in the same first-seen order as enumerating the
-        full product of per-agent options, at a fraction of the cost."""
+        full product of per-agent options (`group_choices`), at a fraction
+        of the cost. Each set's representative is the first product choice
+        that yields it."""
         key = (state, group)
         cached = entry._choice_sets.get(key)
         if cached is not None:
@@ -286,7 +286,7 @@ class Evaluator:
         members = [a for a in model.agents if a in group]
         partials = [(frozenset(model.states), {})]
         for agent in members:
-            options = _agent_options(model, agent, state)
+            options = class_unions(model, agent, state)
             refined = []
             seen = set()
             for inter, rep in partials:
@@ -302,6 +302,35 @@ class Evaluator:
                 self._certify(entry, state, group, choice)
         entry._choice_sets[key] = partials
         return partials
+
+    def _quantify(self, entry: _Entry, state: str, f: Formula):
+        """The one rule for group and coalition quantifiers, a box being the
+        dual of its diamond: the group wins with one of its choice sets if,
+        under every response of its opponents, the body takes the goal value
+        (true for diamonds, false for boxes). A group quantifier's only
+        response is the trivial one.
+
+        Returns (truth, won, defeat): the representative choice of the first
+        winning set, or else of the first response that beats the first set.
+        """
+        goal = isinstance(f, (GroupDia, CoalDia))
+        if isinstance(f, (CoalBox, CoalDia)):
+            opponents = frozenset(entry.model.agents) - f.group
+            responses = self._choice_sets(entry, state, opponents)
+        else:
+            responses = _TRIVIAL_RESPONSE
+        defeat = None
+        for i, (own, own_choice) in enumerate(
+                self._choice_sets(entry, state, f.group)):
+            for response, response_choice in responses:
+                kept = own if response is None else own & response
+                if self._holds_after(entry, kept, state, f.body) != goal:
+                    if i == 0:
+                        defeat = response_choice
+                    break
+            else:
+                return goal, own_choice, None
+        return not goal, None, defeat
 
     def _certify(self, entry: _Entry, state: str, group: frozenset,
                  choice: AnnouncementChoice) -> None:
@@ -374,24 +403,8 @@ class Evaluator:
             kept = frozenset(t for t in model.states
                              if self._eval(entry, t, f.announce))
             return self._holds_after(entry, kept, state, f.body)
-        if isinstance(f, GroupBox):
-            return all(self._holds_after(entry, kept, state, f.body)
-                       for kept, _ in self._choice_sets(entry, state, f.group))
-        if isinstance(f, GroupDia):
-            return any(self._holds_after(entry, kept, state, f.body)
-                       for kept, _ in self._choice_sets(entry, state, f.group))
-        if isinstance(f, CoalDia):
-            opponents = frozenset(model.agents) - f.group
-            opp_sets = self._choice_sets(entry, state, opponents)
-            return any(all(self._holds_after(entry, own & opp, state, f.body)
-                           for opp, _ in opp_sets)
-                       for own, _ in self._choice_sets(entry, state, f.group))
-        if isinstance(f, CoalBox):
-            opponents = frozenset(model.agents) - f.group
-            opp_sets = self._choice_sets(entry, state, opponents)
-            return all(any(self._holds_after(entry, own & opp, state, f.body)
-                           for opp, _ in opp_sets)
-                       for own, _ in self._choice_sets(entry, state, f.group))
+        if isinstance(f, (GroupBox, GroupDia, CoalBox, CoalDia)):
+            return self._quantify(entry, state, f)[0]
         raise TypeError(f"not a formula: {f!r}")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .checker import BindingError, Evaluator
@@ -25,19 +24,6 @@ from .translate import translate
 _EXIT_TRUE = 0
 _EXIT_FALSE = 1
 _EXIT_ERROR = 2
-
-
-def _thread_cap() -> int:
-    """COGAL_THREADS caps evaluation parallelism (0 = automatic). The engine
-    evaluates sequentially, which respects every cap."""
-    raw = os.environ.get("COGAL_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"COGAL_THREADS must be a non-negative integer, got {raw!r}")
-    if cap < 0:
-        raise ValueError(f"COGAL_THREADS must be non-negative, got {cap}")
-    return cap
 
 
 def _split_names(raw: str) -> tuple:
@@ -213,7 +199,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _thread_cap()
         return _COMMANDS[args.command](args)
     except (ParseError, ModelError, BindingError, ValueError, KeyError,
             OSError) as exc:

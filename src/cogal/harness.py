@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .checker import CertificateLog, Evaluator
+from .checker import CertificateLog, Evaluator, class_unions
 from .formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, Fragment, GroupBox, GroupDia,
     Hole, Iff, Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia, Top,
@@ -318,20 +318,12 @@ def prop4_verifies(model: KripkeModel, state: str) -> bool:
 def prop4_countermodel() -> Tuple[KripkeModel, str]:
     """Concrete 3-agent, 3-proposition model on which a combined coalition
     announcement achieves the goal but consecutive single-agent coalition
-    announcements cannot. Falls back to bounded search if the shipped
-    candidate ever fails its mechanical check."""
+    announcements cannot. Raises RuntimeError if the shipped model ever
+    fails its mechanical check."""
     model, state = _prop4_candidate()
-    if prop4_verifies(model, state):
-        return model, state
-    antecedent, consequent = _prop4_parts()
-    hit = find_countermodel(Imp(antecedent, consequent),
-                            GenParams(max_states=4,
-                                      agents=("a", "b", "c"),
-                                      props=("p", "q", "r"),
-                                      seed=0, count=5000))
-    if hit is None:
-        raise RuntimeError("no splitting countermodel found within bounds")
-    return hit.pointed.model, hit.pointed.point
+    if not prop4_verifies(model, state):
+        raise RuntimeError("the shipped splitting countermodel fails its check")
+    return model, state
 
 
 # --- suite ------------------------------------------------------------------
@@ -735,18 +727,7 @@ def _all_union_choices(model: KripkeModel, group: frozenset):
     empty union) to each group member: the extension shapes of all possible
     knowledge announcements, not anchored at any state."""
     members = [a for a in model.agents if a in group]
-    per_agent = []
-    for agent in members:
-        blocks = model.partitions[agent]
-        unions = []
-        for r in range(len(blocks) + 1):
-            for combo in itertools.combinations(range(len(blocks)), r):
-                union = frozenset()
-                for i in combo:
-                    union |= blocks[i]
-                unions.append((len(union), combo, union))
-        unions.sort(key=lambda t: (t[0], t[1]))
-        per_agent.append([u for _, _, u in unions])
+    per_agent = [class_unions(model, agent) for agent in members]
     for combo in itertools.product(*per_agent):
         yield dict(zip(members, combo))
 

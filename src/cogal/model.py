@@ -190,7 +190,8 @@ def validate(doc: dict) -> KripkeModel:
     partitions = {}
     for agent, blocks in doc["partitions"].items():
         if (not isinstance(blocks, list)
-                or not all(isinstance(b, list) for b in blocks)):
+                or not all(isinstance(b, list) for b in blocks)
+                or not all(isinstance(s, str) for b in blocks for s in b)):
             raise ModelError(f"partition of agent {agent!r} must be a list of "
                              "blocks (lists of state ids)")
         partitions[agent] = tuple(frozenset(b) for b in blocks)
@@ -200,13 +201,15 @@ def validate(doc: dict) -> KripkeModel:
                                  "repeats a state")
     valuation = {}
     for prop, states in doc["valuation"].items():
-        if not isinstance(states, list):
+        if (not isinstance(states, list)
+                or not all(isinstance(s, str) for s in states)):
             raise ModelError(f"valuation of {prop!r} must be a list of state ids")
         valuation[prop] = frozenset(states)
     model = KripkeModel(tuple(doc["states"]), tuple(doc["agents"]),
                         tuple(doc["props"]), partitions, valuation)
     designated = doc.get("designated")
-    if designated is not None and designated not in model._state_set:
+    if designated is not None and (not isinstance(designated, str)
+                                   or designated not in model._state_set):
         raise ModelError(f"designated state {designated!r} is not a state "
                          "of the model")
     return model

@@ -4,15 +4,17 @@ import random
 import pytest
 
 from cogal.checker import (
-    BindingError, Evaluator, check, choice_intersection, eval_formula,
-    extension, group_choices,
+    BindingError, Evaluator, Verdict, check, choice_intersection, class_unions,
+    eval_formula, extension, group_choices,
 )
 from cogal.formula import (
     And, Atom, CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Imp,
     Know, Not, PaBox, PaDia, Top, parse, render,
 )
 from cogal.harness import GenParams, instantiation_pool, random_formula, random_model
-from cogal.model import PointedModel, bisim_contract, realize_choice, validate
+from cogal.model import (
+    ModelError, PointedModel, bisim_contract, realize_choice, validate,
+)
 
 from conftest import naive_pal_eval
 
@@ -322,6 +324,98 @@ class TestVerdicts:
         assert replayed >= 300
 
 
+def product_walk_verdict(model, state, f):
+    """Verdict for a group or coalition diamond by walking the full product
+    of member choices in `group_choices` order, using public API only.
+
+    Each update set is evaluated by a fresh evaluator on the contracted
+    model restricted to it. The witness is the first group choice that
+    succeeds; the refutation is the first opponent choice that defeats the
+    first group choice."""
+    cm = bisim_contract(model)
+    top = cm.contracted
+    s = cm.mapping[state]
+    outcomes = {}
+
+    def holds(kept):
+        if kept not in outcomes:
+            outcomes[kept] = Evaluator(top.update(kept)).eval(s, f.body)
+        return outcomes[kept]
+
+    def pull(choice):
+        return {a: frozenset(t for t in model.states if cm.mapping[t] in chosen)
+                for a, chosen in choice.items()}
+
+    def witness(choice):
+        return Verdict(True, witness_choice=pull(choice),
+                       witness_formula=realize_choice(top, s, f.group, choice))
+
+    if isinstance(f, GroupDia):
+        for choice in group_choices(top, s, f.group):
+            if holds(choice_intersection(top, choice)):
+                return witness(choice)
+        return Verdict(False)
+    opponents = frozenset(model.agents) - f.group
+    responses = list(group_choices(top, s, opponents))
+    first_defeat = None
+    for i, choice in enumerate(group_choices(top, s, f.group)):
+        own = choice_intersection(top, choice)
+        defeat = next((c for c in responses
+                       if not holds(own & choice_intersection(top, c))), None)
+        if defeat is None:
+            return witness(choice)
+        if i == 0:
+            first_defeat = defeat
+    return Verdict(False, refutation_choice=pull(first_defeat),
+                   refutation_formula=realize_choice(top, s, opponents,
+                                                     first_defeat))
+
+
+class TestEvidenceAgainstProductWalk:
+    def test_check_matches_product_walk(self):
+        """Evidence read from the deduplicated choice sets equals the
+        evidence of the full product walk, diamonds true and false."""
+        params = GenParams(max_states=5, agents=("a", "b", "c"),
+                           props=("p", "q"), seed=97, count=120)
+        rng = random.Random("evidence")
+        true_diamonds = false_coalitions = 0
+        for i in range(params.count):
+            model = random_model(params, i)
+            ev = Evaluator(model)
+            for _ in range(3):
+                group = frozenset(a for a in model.agents if rng.random() < 0.5)
+                body = random_formula(rng, model.agents, model.props,
+                                      frag=Fragment.GAL, max_depth=2)
+                kind = CoalDia if rng.random() < 0.6 else GroupDia
+                f = kind(group, body)
+                for s in model.states:
+                    got = ev.check(s, f).to_doc()
+                    assert got == product_walk_verdict(model, s, f).to_doc(), \
+                        (model.to_doc(), s, render(f))
+                    true_diamonds += got["truth"]
+                    false_coalitions += kind is CoalDia and not got["truth"]
+        assert true_diamonds >= 200
+        assert false_coalitions >= 100
+
+    def test_refutation_defeats_the_first_group_set(self):
+        # Opponent a's first defeating response differs between {b,c}'s
+        # first choice and its third, so the refutation pins the order.
+        model = validate({
+            "agents": ["a", "b", "c"],
+            "props": ["p", "q"],
+            "states": ["s0", "s1", "s2", "s3", "s4"],
+            "partitions": {"a": [["s0"], ["s1"], ["s2"], ["s3"], ["s4"]],
+                           "b": [["s0"], ["s1", "s2"], ["s3", "s4"]],
+                           "c": [["s0", "s2", "s3", "s4"], ["s1"]]},
+            "valuation": {"p": ["s0", "s1", "s2", "s3"],
+                          "q": ["s0", "s1", "s4"]},
+        })
+        f = parse("<[{b,c}]> (K b ~q & K b K c ~q)")
+        got = Evaluator(model).check("s3", f).to_doc()
+        assert got == product_walk_verdict(model, "s3", f).to_doc()
+        assert got["refutation"]["choice"] == {"a": ["s3", "s4"]}
+
+
 class TestJsonVerdict:
     def test_round_trip_schema(self, train):
         import json
@@ -435,11 +529,17 @@ class TestRecontraction:
 
     def test_defensive_and_naive_modes_differ(self):
         model = self._model()
-        f = parse(self.FORMULA)
-        defensive = Evaluator(model).eval("s", f)
-        naive = Evaluator(model, recontract_inner=False).eval("s", f)
-        assert defensive is False
-        assert naive is True
+        assert Evaluator(model).eval("s", parse(self.FORMULA)) is False
+        # Without re-contraction, b could pick its class union {s, t0} of
+        # the updated model; that set splits bisimilar states, so no
+        # announcement denotes it.
+        child = model.update({"s", "s2", "t0", "t1"})
+        naive = frozenset({"s", "t0"})
+        assert naive in class_unions(child, "b", "s")
+        mapping = bisim_contract(child).mapping
+        closure = frozenset(t for t in child.states
+                            if mapping[t] in {mapping[u] for u in naive})
+        assert closure != naive
 
     def test_only_the_defensive_mode_passes_certification(self):
         model = self._model()
@@ -447,9 +547,9 @@ class TestRecontraction:
         good = Evaluator(model, certify=True)
         good.eval("s", f)
         assert good.certificates.ok and good.certificates.checked > 0
-        bad = Evaluator(model, certify=True, recontract_inner=False)
-        bad.eval("s", f)
-        assert not bad.certificates.ok
+        child = model.update({"s", "s2", "t0", "t1"})
+        with pytest.raises(ModelError):
+            realize_choice(child, "s", {"b"}, {"b": frozenset({"s", "t0"})})
 
 
 class TestEdgeGroups:

@@ -154,9 +154,12 @@ class TestContractDotTranslate:
         assert main(["translate", "[{a}] p"]) == 2
 
 
-class TestEnvironment:
-    def test_thread_cap_validated(self, train_file, capsys, monkeypatch):
-        monkeypatch.setenv("COGAL_THREADS", "not-a-number")
-        assert main(["check", train_file, "p"]) == 2
-        monkeypatch.setenv("COGAL_THREADS", "4")
-        assert main(["check", train_file, "~p"]) == 0
+class TestMalformedModel:
+    def test_unhashable_state_entries_exit_two(self, tmp_path, capsys):
+        model, _ = train_model()
+        doc = model.to_doc(designated="w")
+        doc["partitions"]["a"] = [[["w"]], ["v"]]
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path), "p"]) == 2
+        assert "state ids" in capsys.readouterr().err

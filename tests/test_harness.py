@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from cogal.harness import (
     find_countermodel, instantiation_pool, prop4_countermodel, prop4_formula,
     prop4_verifies, random_formula, random_model, set_partitions, train_model,
 )
-from cogal.harness import _modal_depth
+from cogal.harness import _modal_depth, _prop4_candidate
 from cogal.model import validate
 
 
@@ -278,6 +279,21 @@ class TestRandomFormula:
         for _ in range(50):
             assert random_formula(a, ("a", "b"), ("p", "q")) \
                 == random_formula(b, ("a", "b"), ("p", "q"))
+
+
+class TestShippedModelFiles:
+    """The files under models/ duplicate the models built in code."""
+
+    MODELS = Path(__file__).resolve().parents[1] / "models"
+
+    @pytest.mark.parametrize("name, build", [
+        ("prop4.json", _prop4_candidate),
+        ("train.json", train_model),
+    ])
+    def test_file_matches_code(self, name, build):
+        model, state = build()
+        doc = json.loads((self.MODELS / name).read_text(encoding="utf-8"))
+        assert doc == model.to_doc(designated=state)
 
 
 class TestTrainModel:

@@ -49,8 +49,23 @@ class TestValidate:
         with pytest.raises(ModelError, match="exactly the agent set"):
             validate(train_doc)
 
+    def test_nested_list_in_partition_block(self, train_doc):
+        train_doc["partitions"]["a"] = [[["w"]], ["v"]]
+        with pytest.raises(ModelError, match="lists of state ids"):
+            validate(train_doc)
+
+    def test_object_in_valuation_list(self, train_doc):
+        train_doc["valuation"]["p"] = [{"x": 1}]
+        with pytest.raises(ModelError, match="list of state ids"):
+            validate(train_doc)
+
     def test_unknown_designated(self, train_doc):
         train_doc["designated"] = "zz"
+        with pytest.raises(ModelError, match="designated"):
+            validate(train_doc)
+
+    def test_list_designated(self, train_doc):
+        train_doc["designated"] = ["w"]
         with pytest.raises(ModelError, match="designated"):
             validate(train_doc)
 

@@ -17,7 +17,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, GroupBox, GroupDia, Iff, Imp,
-    Know, Not, Or, PaBox, PaDia, Top, agents_of, atoms, render,
+    Know, Not, Or, PaBox, PaDia, Top, agents_of, atoms, render, _mask,
+    _vocab_mask,
 )
 from .model import (
     KripkeModel, ModelError, PointedModel, bisim_contract, realize_choice,
@@ -43,7 +44,11 @@ class BindingError(ValueError):
     """Formula mentions agents or propositions the model does not declare."""
 
 
-def _check_bound(model: KripkeModel, f: Formula) -> None:
+def _check_bound(model: KripkeModel, vocab: int, f: Formula) -> None:
+    """Raise unless the model declares every name the formula mentions;
+    `vocab` is the mask of the model's names."""
+    if not _mask(f) & ~vocab:
+        return
     bad_agents = sorted(agents_of(f) - set(model.agents))
     bad_props = sorted(atoms(f) - set(model.props))
     problems = []
@@ -51,8 +56,7 @@ def _check_bound(model: KripkeModel, f: Formula) -> None:
         problems.append("agents " + ", ".join(bad_agents))
     if bad_props:
         problems.append("propositions " + ", ".join(bad_props))
-    if problems:
-        raise BindingError("formula mentions unbound " + " and ".join(problems))
+    raise BindingError("formula mentions unbound " + " and ".join(problems))
 
 
 def choice_intersection(model: KripkeModel, choice: AnnouncementChoice) -> frozenset:
@@ -188,6 +192,7 @@ class Evaluator:
     def __init__(self, model: KripkeModel, *, memoize: bool = True,
                  certify: bool = False):
         self._root = model
+        self._vocab = _vocab_mask(model.agents, model.props)
         self._entries: Dict[frozenset, _Entry] = {}
         self._memo: Optional[dict] = {} if memoize else None
         self.certify = certify
@@ -208,7 +213,7 @@ class Evaluator:
 
     def extension(self, f: Formula) -> frozenset:
         """States of the root model satisfying the formula."""
-        _check_bound(self._root, f)
+        _check_bound(self._root, self._vocab, f)
         entry = self._root_entry
         return frozenset(s for s in self._root.states
                          if self._eval(entry, entry.fwd[s], f))
@@ -244,7 +249,7 @@ class Evaluator:
         state and the formula's bindings."""
         if state not in self._root._state_set:
             raise ModelError(f"unknown state {state!r}")
-        _check_bound(self._root, f)
+        _check_bound(self._root, self._vocab, f)
         return self._root_entry.fwd[state]
 
     def _entry(self, subset: frozenset) -> _Entry:

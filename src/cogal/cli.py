@@ -205,6 +205,11 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return _EXIT_ERROR
+    except RecursionError:
+        # parse reports its own overflow; evaluation and rendering recurse
+        # once per nesting level too
+        print("error: formula nested too deeply", file=sys.stderr)
+        return _EXIT_ERROR
 
 
 if __name__ == "__main__":

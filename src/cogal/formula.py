@@ -7,8 +7,9 @@ and necessity forms (formula contexts with a single hole).
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping
 
@@ -33,20 +34,91 @@ def _require_ident(name: str, role: str) -> None:
                          f"other than the reserved words 'top' and 'bot'")
 
 
-def _cached_hash(self):
-    try:
-        return object.__getattribute__(self, "_hash")
-    except AttributeError:
-        value = hash((self.__class__,)
-                     + tuple(getattr(self, f.name) for f in fields(self)))
-        object.__setattr__(self, "_hash", value)
-        return value
+# Vocabulary registry: each ("p", proposition) or ("a", agent) name gets
+# one bit the first time a node or a model mentions it, so a node's
+# vocabulary is an int mask. The registry is process-wide because masks of
+# any formula and any model must be comparable; entries are only ever
+# added. A racing first mention may draw an index that is never used, but
+# `setdefault` keeps one bit per name, and the index is decodable before
+# any mask can carry it. Bit order and `str` hashes differ between
+# processes, so nodes pickle through their constructor (`__reduce__`).
+_PROP, _AGENT = "p", "a"
+_VOCAB_BITS: dict = {}
+_VOCAB_KEYS: dict = {}
+_next_index = itertools.count()
+
+
+def _bit(key: tuple) -> int:
+    bit = _VOCAB_BITS.get(key)
+    if bit is None:
+        index = next(_next_index)
+        _VOCAB_KEYS[index] = key
+        bit = _VOCAB_BITS.setdefault(key, 1 << index)
+    return bit
+
+
+def _vocab_mask(agents: Iterable[str] = (), props: Iterable[str] = ()) -> int:
+    """Mask of the given agent and proposition names, comparable with the
+    `_mask` every formula node carries."""
+    mask = 0
+    for name in agents:
+        mask |= _bit((_AGENT, name))
+    for name in props:
+        mask |= _bit((_PROP, name))
+    return mask
+
+
+def _stored_hash(self) -> int:
+    return self._hash
+
+
+# Node fields that hold names rather than subnodes, and the names' kind.
+_VOCAB_FIELDS = {"name": _PROP, "agent": _AGENT, "group": _AGENT}
 
 
 def _node(cls):
-    """Frozen dataclass node with a lazily cached structural hash."""
+    """Frozen dataclass node whose structural facts are computed once, at
+    construction, from the values already stored on its subnodes.
+
+    `_hash` is the hash of the class and the fields, a subnode entering
+    by its own `_hash`. `_mask` is the vocabulary, the atoms and agents
+    the node mentions (see `_vocab_mask`): the OR of the subnodes' masks
+    and the node's own name, agent or group. Nodes pickle and copy
+    through their constructor, so both are rebuilt in the receiving
+    process."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    plan = tuple((n, _VOCAB_FIELDS.get(n)) for n in names)
+    check = cls.__dict__.get("__post_init__")
+    # not through `__dict__`, which would give each node a dict object
+    setter = object.__setattr__
+
+    def __post_init__(self):
+        if check is not None:
+            check(self)
+        key = [cls]
+        mask = 0
+        for n, kind in plan:
+            value = getattr(self, n)
+            if kind is None:
+                try:
+                    key.append(value._hash)
+                    mask |= value._mask
+                except AttributeError:
+                    raise TypeError(f"not a formula: {value!r}") from None
+            else:
+                key.append(value)
+                for name in ((value,) if isinstance(value, str) else value):
+                    mask |= _bit((kind, name))
+        setter(self, "_hash", hash(tuple(key)))
+        setter(self, "_mask", mask)
+
+    def __reduce__(self):
+        return cls, tuple([getattr(self, n) for n in names])
+
+    cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = _cached_hash
+    cls.__hash__ = _stored_hash
+    cls.__reduce__ = __reduce__
     return cls
 
 
@@ -203,30 +275,32 @@ def _parts(f: Formula) -> tuple:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _mask(f: Formula) -> int:
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return f._mask
+
+
+def _names(f: Formula, kind: str) -> frozenset:
+    mask = _mask(f)
+    out = []
+    while mask:
+        low = mask & -mask
+        key = _VOCAB_KEYS[low.bit_length() - 1]
+        if key[0] == kind:
+            out.append(key[1])
+        mask ^= low
+    return frozenset(out)
+
+
 def atoms(f: Formula) -> frozenset:
     """All proposition names occurring in the formula."""
-    out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            out.add(g.name)
-        stack.extend(_parts(g))
-    return frozenset(out)
+    return _names(f, _PROP)
 
 
 def agents_of(f: Formula) -> frozenset:
     """All agent names occurring in the formula, including group members."""
-    out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Know):
-            out.add(g.agent)
-        elif isinstance(g, _GROUPED):
-            out.update(g.group)
-        stack.extend(_parts(g))
-    return frozenset(out)
+    return _names(f, _AGENT)
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
@@ -710,7 +784,12 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse the ASCII surface syntax into a formula AST."""
-    return _Parser(_tokenize(text)).parse()
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser._peek()
+        raise ParseError("formula nested too deeply", tok.line, tok.column) from None
 
 
 # Precedence levels, tighter binds higher.

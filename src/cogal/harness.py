@@ -249,10 +249,11 @@ def find_countermodel(f: Formula, params: GenParams, *,
     assignments = ([{}] if not schematic else
                    [dict(zip(schematic, combo))
                     for combo in itertools.product(pool, repeat=len(schematic))])
+    instances = [(assignment, substitute(f, assignment))
+                 for assignment in assignments]
     for model in models:
         ev = Evaluator(model)
-        for assignment in assignments:
-            g = substitute(f, assignment)
+        for assignment, g in instances:
             for state in model.states:
                 if not ev.eval(state, g):
                     return SearchHit(PointedModel(model, state), dict(assignment))

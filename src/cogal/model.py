@@ -271,8 +271,11 @@ def _blocks_by_signature(states, signature) -> dict:
 def bisim_contract(model: KripkeModel) -> ContractionMap:
     """Quotient by the coarsest bisimulation respecting the valuation and all
     agent relations. Contracted states are named by their first original
-    state in document order."""
+    state in document order. An already contracted model is its own
+    quotient, under the identity mapping."""
     final = _refinement_levels(model)[-1]
+    if len(set(final.values())) == len(model.states):
+        return ContractionMap(model, model, {s: s for s in model.states})
     rep_of_block = {}
     for s in model.states:
         rep_of_block.setdefault(final[s], s)

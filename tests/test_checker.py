@@ -235,6 +235,63 @@ class TestBinding:
         with pytest.raises(BindingError, match="agents d"):
             eval_formula(model, w, parse("[{a,d}] p"))
 
+    @pytest.mark.parametrize("text, message", [
+        # p holds at v, so evaluation alone would never reach K z q
+        ("p | K z q", "formula mentions unbound agents z and propositions q"),
+        ("<{a,z}> p", "formula mentions unbound agents z"),
+        ("[K z p] q", "formula mentions unbound agents z and propositions q"),
+    ])
+    def test_unbound_name_anywhere_in_the_formula(self, train, text, message):
+        model, _ = train
+        ev = Evaluator(model)
+        f = parse(text)
+        for query in (lambda: ev.eval("v", f), lambda: ev.eval("w", f),
+                      lambda: ev.extension(f), lambda: ev.check("v", f)):
+            with pytest.raises(BindingError) as err:
+                query()
+            assert str(err.value) == message
+
+    def test_bound_names_are_learned_by_the_model_first(self):
+        # the model's names may be new to every formula built so far
+        model = validate({"agents": ["agent_new"], "props": ["prop_new"],
+                          "states": ["s"], "partitions": {"agent_new": [["s"]]},
+                          "valuation": {"prop_new": ["s"]}})
+        ev = Evaluator(model)
+        assert ev.eval("s", parse("K agent_new prop_new"))
+        with pytest.raises(BindingError, match="propositions prop_other"):
+            ev.eval("s", parse("prop_other"))
+
+    def test_binding_check_never_walks_the_formula(self, train, monkeypatch):
+        """Count-based guard: once built, a large formula is checked for
+        bindings without visiting its nodes."""
+        import cogal.formula as formula_module
+
+        model, w = train
+        leaves = [Know("abc"[i % 3], Atom("p") if i % 2 else Not(Atom("p")))
+                  for i in range(700)]
+        while len(leaves) > 1:  # balanced, so evaluation stays shallow
+            leaves = [And(*leaves[i:i + 2]) if i + 1 < len(leaves) else leaves[i]
+                      for i in range(0, len(leaves), 2)]
+        f = leaves[0]
+        assert _node_count(f) >= 2000
+        ev = Evaluator(model)
+        ev.eval(w, f)
+        calls = []
+        real_parts = formula_module._parts
+        monkeypatch.setattr(formula_module, "_parts",
+                            lambda g: calls.append(g) or real_parts(g))
+        for i in range(1000):
+            ev.eval("wv"[i % 2], f)
+        assert calls == []
+        formula_module.fragment(f)  # the counter does see walks
+        assert len(calls) >= 2000
+
+
+def _node_count(f):
+    return 1 + sum(_node_count(getattr(f, fld))
+                   for fld in ("body", "left", "right", "announce")
+                   if hasattr(f, fld))
+
 
 class TestVerdicts:
     def test_trivial_announcement_witness(self, train):

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cogal
 from cogal.cli import main
 from cogal.checker import eval_formula
-from cogal.formula import parse
+from cogal.formula import ParseError, parse
 from cogal.harness import train_model
 from cogal.model import save_model, validate
 
@@ -140,6 +145,22 @@ class TestContractDotTranslate:
         assert doc["states"] == ["x"]
         assert doc["designated"] == "x"
 
+    def test_contract_of_a_contracted_model_is_the_same_document(
+            self, tmp_path, capsys):
+        model = validate({
+            "agents": ["a", "b"], "props": ["p"], "states": ["x", "y", "z"],
+            "partitions": {"a": [["x", "y"], ["z"]], "b": [["x"], ["y", "z"]]},
+            "valuation": {"p": ["x", "y"]},
+        })
+        path = tmp_path / "m.json"
+        save_model(path, model, designated="y")
+        assert main(["contract", str(path)]) == 0
+        first = capsys.readouterr().out
+        again = tmp_path / "contracted.json"
+        again.write_text(first, encoding="utf-8")
+        assert main(["contract", str(again)]) == 0
+        assert capsys.readouterr().out == first
+
     def test_dot_output(self, train_file, capsys):
         assert main(["dot", train_file]) == 0
         out = capsys.readouterr().out
@@ -163,3 +184,35 @@ class TestMalformedModel:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["check", str(path), "p"]) == 2
         assert "state ids" in capsys.readouterr().err
+
+
+class TestDeepFormula:
+    """Deep nesting must end in a clean exit 2, never in a traceback and
+    exit 1, which scripts read as "false"."""
+
+    def run_check(self, train_file, tmp_path, depth):
+        ffile = tmp_path / "deep.cogal"
+        ffile.write_text("~" * depth + "p", encoding="utf-8")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cogal.__file__).resolve().parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "cogal.cli", "check", train_file,
+             "--formula-file", str(ffile)],
+            capture_output=True, text=True, env=env, timeout=60)
+
+    def test_too_deep_to_parse(self, train_file, tmp_path):
+        done = self.run_check(train_file, tmp_path, 3000)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: formula nested too deeply at line 1")
+
+    def test_parses_but_too_deep_to_evaluate(self, train_file, tmp_path):
+        parse("~" * 600 + "p")
+        done = self.run_check(train_file, tmp_path, 600)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr == "error: formula nested too deeply\n"
+
+    def test_parse_error_in_process(self):
+        with pytest.raises(ParseError, match="formula nested too deeply"):
+            parse("~" * 3000 + "p")

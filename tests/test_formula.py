@@ -1,15 +1,26 @@
+import copy
+import dataclasses
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cogal
+from cogal.checker import BindingError, Evaluator
 from cogal.formula import (
-    And, Atom, Bot, CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Hole,
-    Iff, Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia, ParseError,
-    Top, conjoin, depth_ca, depth_pa, fragment, instantiate,
-    is_group_announcement, normalize, order_lt, parse, render, resugar, size,
-    substitute,
+    And, Atom, Bot, CoalBox, CoalDia, Formula, Fragment, GroupBox, GroupDia,
+    Hole, Iff, Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia,
+    ParseError, Top, agents_of, atoms, conjoin, depth_ca, depth_pa, fragment,
+    instantiate, is_group_announcement, normalize, order_lt, parse, render,
+    resugar, size, substitute,
 )
+from cogal.harness import train_model
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -330,3 +341,140 @@ class TestConstructors:
 
     def test_conjoin_empty_is_top(self):
         assert conjoin([]) == Top()
+
+
+def walked_vocabulary(f):
+    """(atoms, agents) by a plain recursive walk over the dataclass fields,
+    independent of the facts cached on the nodes."""
+    props, agents = set(), set()
+
+    def walk(g):
+        if isinstance(g, Atom):
+            props.add(g.name)
+        elif isinstance(g, Know):
+            agents.add(g.agent)
+        elif isinstance(g, (GroupBox, GroupDia, CoalBox, CoalDia)):
+            agents.update(g.group)
+        for fld in dataclasses.fields(g):
+            value = getattr(g, fld.name)
+            if isinstance(value, Formula):
+                walk(value)
+
+    walk(f)
+    return frozenset(props), frozenset(agents)
+
+
+def _replace_first_child(f):
+    """`dataclasses.replace` the first subformula (or the atom's name) with
+    a fresh name, so the rebuilt node's vocabulary must change."""
+    if isinstance(f, Atom):
+        return dataclasses.replace(f, name="s9")
+    for fld in dataclasses.fields(f):
+        if isinstance(getattr(f, fld.name), Formula):
+            return dataclasses.replace(f, **{fld.name: Know("d9", Atom("s9"))})
+    return f
+
+
+contexts = st.recursive(
+    st.just(Hole()),
+    lambda tails: st.one_of(st.builds(ImpCtx, formulas, tails),
+                            st.builds(KnowCtx, _agent_names, tails),
+                            st.builds(PaCtx, formulas, tails)),
+    max_leaves=4)
+
+
+class TestCachedFacts:
+    """Hash and vocabulary are computed once per node at construction; they
+    must agree with the structure however the node was built."""
+
+    def assert_facts(self, f):
+        assert (atoms(f), agents_of(f)) == walked_vocabulary(f)
+        g = parse(render(f))
+        assert f == g
+        assert hash(f) == hash(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas, formulas, contexts)
+    def test_facts_of_derived_nodes(self, f, g, form):
+        self.assert_facts(f)
+        self.assert_facts(substitute(f, {"p": g, "q": Know("z", Atom("y"))}))
+        self.assert_facts(instantiate(form, f))
+        self.assert_facts(normalize(f))
+        self.assert_facts(resugar(normalize(f)))
+        self.assert_facts(_replace_first_child(f))
+        for h in (copy.deepcopy(f), copy.copy(f), pickle.loads(pickle.dumps(f))):
+            assert h == f
+            assert hash(h) == hash(f)
+            self.assert_facts(h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(contexts)
+    def test_contexts_hash_structurally(self, form):
+        assert hash(pickle.loads(pickle.dumps(form))) == hash(form)
+        assert hash(copy.deepcopy(form)) == hash(form)
+
+    def test_non_formula_child_rejected(self):
+        with pytest.raises(TypeError, match="not a formula"):
+            And(p, "q")
+        with pytest.raises(TypeError, match="not a formula"):
+            atoms(Hole())
+
+    def test_concurrent_first_mentions_get_one_bit_each(self):
+        names = [f"race{i}" for i in range(300)]
+        built = [None] * 8
+        start = threading.Barrier(8, timeout=60)
+
+        def build(slot):
+            start.wait()
+            built[slot] = ([Atom(n) for n in names]
+                           + [Know(n, Top()) for n in names])
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        masks = [f._mask for f in built[0]]
+        assert all(m and not m & (m - 1) for m in masks)  # one bit each
+        assert len(set(masks)) == len(masks)
+        for nodes in built[1:]:
+            assert [f._mask for f in nodes] == masks
+        assert atoms(conjoin(built[5][:300])) == frozenset(names)
+        assert agents_of(conjoin(built[2][300:])) == frozenset(names)
+
+    def test_unpickled_in_a_fresh_interpreter(self):
+        """Bit order and string hashes differ between processes: a formula
+        pickled here must rebuild its facts there, after other names took
+        the low bits."""
+        f = parse("<[{b,c}]> (K a (p & q0) | [K c ~r] <{a}> top)")
+        script = (
+            "import pickle, sys\n"
+            "from cogal.formula import agents_of, atoms, parse, render\n"
+            "from cogal.checker import BindingError, Evaluator\n"
+            "from cogal.harness import train_model\n"
+            "parse('K zz1 y1 & K zz2 y2 & [{zz3}] y3 & q0')\n"
+            "f = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert hash(f) == hash(parse(render(f)))\n"
+            "print(sorted(atoms(f)), sorted(agents_of(f)))\n"
+            "model, w = train_model()\n"
+            "try:\n"
+            "    Evaluator(model).eval(w, f)\n"
+            "except BindingError as exc:\n"
+            "    print(exc)\n")
+        env = dict(os.environ, PYTHONHASHSEED="4321",
+                   PYTHONPATH=str(Path(cogal.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script],
+                              input=pickle.dumps(f), capture_output=True,
+                              env=env, timeout=60, check=True)
+        model, w = train_model()
+        with pytest.raises(BindingError) as err:
+            Evaluator(model).eval(w, f)
+        assert str(err.value) == "formula mentions unbound propositions q0, r"
+        assert done.stdout.decode().splitlines() == [
+            f"{sorted(atoms(f))} {sorted(agents_of(f))}", str(err.value)]

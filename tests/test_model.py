@@ -145,6 +145,16 @@ class TestContraction:
             assert again.contracted.to_doc() == contracted.to_doc()
             assert is_contracted(contracted)
 
+    def test_contracted_model_is_its_own_contraction(self):
+        params = GenParams(max_states=6, agents=("a", "b"), props=("p",),
+                           seed=3, count=40)
+        for i in range(40):
+            contracted = bisim_contract(random_model(params, i)).contracted
+            cm = bisim_contract(contracted)
+            assert cm.original is contracted
+            assert cm.contracted is contracted
+            assert cm.mapping == {s: s for s in contracted.states}
+
     def test_truth_preserved_at_mapped_points(self):
         params = GenParams(max_states=5, agents=("a", "b"), props=("p",),
                            seed=5, count=40)

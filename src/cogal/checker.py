@@ -7,13 +7,17 @@ unions of equivalence classes, so the evaluator enumerates such unions
 instead of formulas. Models are contracted before evaluation and re-contracted
 after every update so the enumeration stays complete at every nesting level;
 `realize_choice` certifies each enumerated choice as an actual announcement.
+
+Inside the evaluator every set of states is an int mask over the root
+model's states (state i is bit i, in document order), so restricting,
+contracting and intersecting choices are bit operations on ints.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional
 
 from .formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, GroupBox, GroupDia, Iff, Imp,
@@ -21,7 +25,8 @@ from .formula import (
     _vocab_mask,
 )
 from .model import (
-    KripkeModel, ModelError, PointedModel, bisim_contract, realize_choice,
+    KripkeModel, ModelError, PointedModel, _bits, _quotient, _refine,
+    _refinement, realize_choice,
 )
 
 __all__ = [
@@ -68,6 +73,31 @@ def choice_intersection(model: KripkeModel, choice: AnnouncementChoice) -> froze
     return out
 
 
+def _unions(classes, sizes, anchor=None) -> list:
+    """Unions of the class masks, ordered by increasing size (the sum of
+    `sizes` over the classes combined), ties broken by the positions of the
+    classes combined. With an anchor position, only the unions containing
+    that class."""
+    free = [i for i in range(len(classes)) if i != anchor]
+    base, weight = (0, 0) if anchor is None else (classes[anchor], sizes[anchor])
+    if not free:
+        return [base]
+    found = [(weight, base)]
+
+    def extend(start, union, weight):
+        # depth first: unions arrive in lexicographic order of the positions
+        # combined, which the stable sort below keeps among equal sizes
+        for j in range(start, len(free)):
+            i = free[j]
+            grown = union | classes[i]
+            found.append((weight + sizes[i], grown))
+            extend(j + 1, grown, weight + sizes[i])
+
+    extend(0, base, weight)
+    found.sort(key=lambda item: item[0])
+    return [union for _, union in found]
+
+
 def class_unions(model: KripkeModel, agent: str,
                  w: Optional[str] = None) -> List[frozenset]:
     """Unions of the agent's equivalence classes, ordered by increasing
@@ -77,22 +107,15 @@ def class_unions(model: KripkeModel, agent: str,
     of what the agent can truthfully announce at w. Without, every union,
     the empty one included: the extensions of all the agent's knowledge
     formulas."""
-    blocks = model.partitions[agent]
-    if w is None:
-        base = frozenset()
-        free = list(enumerate(blocks))
-    else:
-        base = model.class_of(agent, w)
-        free = [(i, b) for i, b in enumerate(blocks) if b != base]
-    options = []
-    for r in range(len(free) + 1):
-        for combo in itertools.combinations(free, r):
-            union = base
-            for _, b in combo:
-                union |= b
-            options.append((len(union), tuple(i for i, _ in combo), union))
-    options.sort(key=lambda item: (item[0], item[1]))
-    return [union for _, _, union in options]
+    classes = model._class_masks[agent]
+    anchor = None
+    if w is not None:
+        bit = 1 << model._position[w]
+        anchor = next(i for i, c in enumerate(classes) if c & bit)
+    sizes = [c.bit_count() for c in classes]
+    names = model.states
+    return [frozenset(names[i] for i in _bits(union))
+            for union in _unions(classes, sizes, anchor)]
 
 
 def group_choices(model: KripkeModel, w: str, group) -> Iterator[AnnouncementChoice]:
@@ -154,34 +177,71 @@ class CertificateLog:
 class _Entry:
     """A reachable restriction of the root model, contracted on construction.
 
-    `subset` is the kept set of *root* states; `fwd` maps each kept root
-    state to its contracted representative.
+    Every set is a mask over the root's states. `kept` is the restriction's
+    state set. Its coarsest-bisimulation blocks are listed as (rep, block)
+    pairs, a block named by its lowest state `rep`; the evaluator addresses a
+    state of the contracted restriction by that rep, and `rep_of` maps each
+    kept root state to the rep of its block. `classes` holds each agent's
+    classes as unions of blocks. The contracted `KripkeModel` is built only
+    when `model` is first read.
     """
 
-    __slots__ = ("serial", "subset", "model", "fwd", "back", "_choice_sets")
+    __slots__ = ("serial", "kept", "blocks", "reps", "rep_of", "classes",
+                 "choice_sets", "_unions", "_root", "_model")
 
-    def __init__(self, serial, subset, model, fwd):
+    def __init__(self, serial: int, kept: int, root: KripkeModel, refined):
+        levels, classes = refined
         self.serial = serial
-        self.subset = subset
-        self.model = model
-        self.fwd = fwd
-        back = {s: set() for s in model.states}
-        for root_state, rep in fwd.items():
-            back[rep].add(root_state)
-        self.back = {s: frozenset(pre) for s, pre in back.items()}
-        self._choice_sets = {}
+        self.kept = kept
+        self.blocks = sorted(((b & -b).bit_length() - 1, b) for b in levels[-1])
+        self.reps = 0
+        self.rep_of = list(range(len(root.states)))
+        for rep, block in self.blocks:
+            self.reps |= 1 << rep
+            for i in _bits(block ^ 1 << rep):
+                self.rep_of[i] = rep
+        self.classes = dict(zip(root.agents, classes))
+        self.choice_sets = {}
+        self._unions = {}
+        self._root = root
+        self._model = None
 
-    def pullback(self, contracted_states) -> frozenset:
-        out = set()
-        for s in contracted_states:
-            out |= self.back[s]
-        return frozenset(out)
+    @property
+    def model(self) -> KripkeModel:
+        """The contracted restriction, states named by their reps."""
+        if self._model is None:
+            self._model = _quotient(self._root, [b for _, b in self.blocks],
+                                    list(self.classes.values()))
+        return self._model
+
+    def reps_meeting(self, mask: int) -> int:
+        """Reps of the blocks that meet a mask of kept states."""
+        if self.reps == self.kept:
+            return mask
+        out = 0
+        for i in _bits(mask):
+            out |= 1 << self.rep_of[i]
+        return out
+
+    def unions(self, agent: str, rep: int) -> list:
+        """The agent's class unions containing the state's class, ordered as
+        `class_unions` orders them (a class weighs its number of blocks);
+        computed once per class."""
+        classes = self.classes[agent]
+        k = 0
+        while not classes[k] >> rep & 1:
+            k += 1
+        found = self._unions.get((agent, k))
+        if found is None:
+            sizes = [(c & self.reps).bit_count() for c in classes]
+            found = self._unions[agent, k] = _unions(classes, sizes, k)
+        return found
 
 
 class Evaluator:
     """Evaluation engine for one root model.
 
-    Holds the cache of contracted restrictions (keyed by the kept subset of
+    Holds the cache of contracted restrictions (keyed by the kept mask of
     root states) and a memo table keyed per restriction instance. Every
     restriction is contracted, so the quantifier rule enumerates exactly the
     announcements expressible there. With `certify=True` every distinct
@@ -193,12 +253,16 @@ class Evaluator:
                  certify: bool = False):
         self._root = model
         self._vocab = _vocab_mask(model.agents, model.props)
-        self._entries: Dict[frozenset, _Entry] = {}
+        self._truth = model._truth_masks
+        self._class_at = model._class_at
+        self._agent_set = frozenset(model.agents)
+        self._full = (1 << len(model.states)) - 1
+        self._entries: Dict[int, _Entry] = {}
         self._memo: Optional[dict] = {} if memoize else None
         self.certify = certify
         self.certificates = CertificateLog()
         self._cert_seen = set()
-        self._root_entry = self._entry(frozenset(model.states))
+        self._root_entry = self._entry(self._full)
 
     @property
     def model(self) -> KripkeModel:
@@ -214,9 +278,7 @@ class Evaluator:
     def extension(self, f: Formula) -> frozenset:
         """States of the root model satisfying the formula."""
         _check_bound(self._root, self._vocab, f)
-        entry = self._root_entry
-        return frozenset(s for s in self._root.states
-                         if self._eval(entry, entry.fwd[s], f))
+        return self._states(self._where(self._root_entry, f))
 
     def check(self, state: str, f: Formula) -> Verdict:
         """Evaluate and extract witness or refutation evidence for a
@@ -226,54 +288,68 @@ class Evaluator:
         entry = self._root_entry
         s = self._start(state, f)
         truth, won, defeat = self._quantify(entry, s, f)
+        point = self._root.states[s]
         if won is not None:
             return Verdict(truth,
-                           witness_choice=self._pull_choice(entry, won),
+                           witness_choice=self._choice(f.group, won),
                            witness_formula=realize_choice(
-                               entry.model, s, f.group, won))
+                               entry.model, point, f.group,
+                               self._choice(f.group, won, entry.reps)))
         if defeat is not None:
-            opponents = frozenset(self._root.agents) - f.group
+            opponents = self._agent_set - f.group
             return Verdict(truth,
-                           refutation_choice=self._pull_choice(entry, defeat),
+                           refutation_choice=self._choice(opponents, defeat),
                            refutation_formula=realize_choice(
-                               entry.model, s, opponents, defeat))
+                               entry.model, point, opponents,
+                               self._choice(opponents, defeat, entry.reps)))
         return Verdict(truth)
 
     # -- internals ---------------------------------------------------------
 
-    def _pull_choice(self, entry: _Entry, choice: AnnouncementChoice) -> AnnouncementChoice:
-        return {agent: entry.pullback(states) for agent, states in choice.items()}
+    def _states(self, mask: int) -> frozenset:
+        names = self._root.states
+        return frozenset(names[i] for i in _bits(mask))
 
-    def _start(self, state: str, f: Formula) -> str:
-        """Contracted root state for a public query, after checking the
+    def _choice(self, group: frozenset, masks: tuple,
+                within: int = -1) -> AnnouncementChoice:
+        """A choice's masks (one per member, in model order) as state sets;
+        `within` limits them to the states of a contracted restriction."""
+        members = [a for a in self._root.agents if a in group]
+        return {a: self._states(m & within) for a, m in zip(members, masks)}
+
+    def _start(self, state: str, f: Formula) -> int:
+        """Rep of a root state in the contracted root, after checking the
         state and the formula's bindings."""
         if state not in self._root._state_set:
             raise ModelError(f"unknown state {state!r}")
         _check_bound(self._root, self._vocab, f)
-        return self._root_entry.fwd[state]
+        return self._root_entry.rep_of[self._root._position[state]]
 
-    def _entry(self, subset: frozenset) -> _Entry:
-        entry = self._entries.get(subset)
-        if entry is not None:
-            return entry
-        restricted = (self._root if subset == frozenset(self._root.states)
-                      else self._root.update(subset))
-        cm = bisim_contract(restricted)
-        entry = _Entry(len(self._entries), subset, cm.contracted, dict(cm.mapping))
-        self._entries[subset] = entry
+    def _entry(self, kept: int) -> _Entry:
+        entry = self._entries.get(kept)
+        if entry is None:
+            refined = (_refinement(self._root) if kept == self._full
+                       else _refine(self._root, kept))
+            entry = self._entries[kept] = _Entry(len(self._entries), kept,
+                                                 self._root, refined)
         return entry
 
-    def _descend(self, entry: _Entry, kept, state: str) -> Tuple[_Entry, str]:
-        child = self._entry(entry.pullback(kept))
-        root_rep = next(iter(entry.back[state] & child.subset))
-        return child, child.fwd[root_rep]
+    def _where(self, entry: _Entry, f: Formula) -> int:
+        """The union of the entry's blocks at which the formula holds."""
+        out = 0
+        for rep, block in entry.blocks:
+            if self._eval(entry, rep, f):
+                out |= block
+        return out
 
-    def _holds_after(self, entry: _Entry, kept: frozenset, state: str,
+    def _holds_after(self, entry: _Entry, kept: int, state: int,
                      body: Formula) -> bool:
-        child, new_state = self._descend(entry, kept, state)
-        return self._eval(child, new_state, body)
+        """Truth of the body at the state after restricting to `kept`, a
+        union of the entry's blocks containing the state."""
+        child = self._entry(kept)
+        return self._eval(child, child.rep_of[state], body)
 
-    def _choice_sets(self, entry: _Entry, state: str, group: frozenset):
+    def _choice_sets(self, entry: _Entry, state: int, group: frozenset):
         """Distinct update sets achievable by the group at the state, each with
         a representative choice, in order of first appearance.
 
@@ -282,16 +358,20 @@ class Evaluator:
         yields the same sets in the same first-seen order as enumerating the
         full product of per-agent options (`group_choices`), at a fraction
         of the cost. Each set's representative is the first product choice
-        that yields it."""
+        that yields it, as a tuple of masks, one per member in model order."""
         key = (state, group)
-        cached = entry._choice_sets.get(key)
+        cached = entry.choice_sets.get(key)
         if cached is not None:
             return cached
-        model = entry.model
-        members = [a for a in model.agents if a in group]
-        partials = [(frozenset(model.states), {})]
-        for agent in members:
-            options = class_unions(model, agent, state)
+        partials = None
+        for agent in self._root.agents:
+            if agent not in group:
+                continue
+            options = entry.unions(agent, state)
+            if partials is None:
+                # the first member's options: distinct sets of kept states
+                partials = [(option, (option,)) for option in options]
+                continue
             refined = []
             seen = set()
             for inter, rep in partials:
@@ -300,15 +380,17 @@ class Evaluator:
                     if cut in seen:
                         continue
                     seen.add(cut)
-                    refined.append((cut, {**rep, agent: option}))
+                    refined.append((cut, rep + (option,)))
             partials = refined
+        if partials is None:
+            partials = [(entry.kept, ())]
         if self.certify:
             for _, choice in partials:
                 self._certify(entry, state, group, choice)
-        entry._choice_sets[key] = partials
+        entry.choice_sets[key] = partials
         return partials
 
-    def _quantify(self, entry: _Entry, state: str, f: Formula):
+    def _quantify(self, entry: _Entry, state: int, f: Formula):
         """The one rule for group and coalition quantifiers, a box being the
         dual of its diamond: the group wins with one of its choice sets if,
         under every response of its opponents, the body takes the goal value
@@ -320,8 +402,8 @@ class Evaluator:
         """
         goal = isinstance(f, (GroupDia, CoalDia))
         if isinstance(f, (CoalBox, CoalDia)):
-            opponents = frozenset(entry.model.agents) - f.group
-            responses = self._choice_sets(entry, state, opponents)
+            responses = self._choice_sets(entry, state,
+                                          self._agent_set - f.group)
         else:
             responses = _TRIVIAL_RESPONSE
         defeat = None
@@ -337,29 +419,32 @@ class Evaluator:
                 return goal, own_choice, None
         return not goal, None, defeat
 
-    def _certify(self, entry: _Entry, state: str, group: frozenset,
-                 choice: AnnouncementChoice) -> None:
-        key = (entry.serial, group, tuple(sorted(
-            (a, tuple(sorted(s))) for a, s in choice.items())))
+    def _certify(self, entry: _Entry, state: int, group: frozenset,
+                 choice: tuple) -> None:
+        key = (entry.serial, group, choice)
         if key in self._cert_seen:
             return
         self._cert_seen.add(key)
         self.certificates.checked += 1
-        expected = choice_intersection(entry.model, choice)
+        expected = entry.kept
+        for part in choice:
+            expected &= part
+        named = self._choice(group, choice, entry.reps)
         try:
-            realized = realize_choice(entry.model, state, group, choice)
-            got = frozenset(s for s in entry.model.states
-                            if self._eval(entry, s, realized))
+            realized = realize_choice(entry.model, self._root.states[state],
+                                      group, named)
+            got = self._where(entry, realized)
         except ModelError as exc:
             self.certificates.mismatches.append(
-                (entry.subset, dict(choice), f"realization failed: {exc}"))
+                (self._states(entry.kept), named, f"realization failed: {exc}"))
             return
         if got != expected:
             self.certificates.mismatches.append(
-                (entry.subset, dict(choice),
-                 f"extension {sorted(got)} != choice intersection {sorted(expected)}"))
+                (self._states(entry.kept), named,
+                 f"extension {sorted(self._states(got & entry.reps))} != "
+                 f"choice intersection {sorted(self._states(expected & entry.reps))}"))
 
-    def _eval(self, entry: _Entry, state: str, f: Formula) -> bool:
+    def _eval(self, entry: _Entry, state: int, f: Formula) -> bool:
         memo = self._memo
         if memo is not None:
             key = (entry.serial, state, f)
@@ -371,10 +456,9 @@ class Evaluator:
             memo[key] = value
         return value
 
-    def _eval_raw(self, entry: _Entry, state: str, f: Formula) -> bool:
-        model = entry.model
+    def _eval_raw(self, entry: _Entry, state: int, f: Formula) -> bool:
         if isinstance(f, Atom):
-            return state in model.truth_set(f.name)
+            return self._truth[f.name] >> state & 1 == 1
         if isinstance(f, Top):
             return True
         if isinstance(f, Bot):
@@ -394,20 +478,21 @@ class Evaluator:
             return (self._eval(entry, state, f.left)
                     == self._eval(entry, state, f.right))
         if isinstance(f, Know):
-            return all(self._eval(entry, t, f.body)
-                       for t in model.class_of(f.agent, state))
-        if isinstance(f, PaBox):
+            # the agent's class in the contracted restriction: the blocks
+            # its root class meets there
+            peers = entry.reps_meeting(
+                self._class_at[f.agent][state] & entry.kept)
+            while peers:
+                low = peers & -peers
+                if not self._eval(entry, low.bit_length() - 1, f.body):
+                    return False
+                peers ^= low
+            return True
+        if isinstance(f, (PaBox, PaDia)):
             if not self._eval(entry, state, f.announce):
-                return True
-            kept = frozenset(t for t in model.states
-                             if self._eval(entry, t, f.announce))
-            return self._holds_after(entry, kept, state, f.body)
-        if isinstance(f, PaDia):
-            if not self._eval(entry, state, f.announce):
-                return False
-            kept = frozenset(t for t in model.states
-                             if self._eval(entry, t, f.announce))
-            return self._holds_after(entry, kept, state, f.body)
+                return isinstance(f, PaBox)
+            return self._holds_after(entry, self._where(entry, f.announce),
+                                     state, f.body)
         if isinstance(f, (GroupBox, GroupDia, CoalBox, CoalDia)):
             return self._quantify(entry, state, f)[0]
         raise TypeError(f"not a formula: {f!r}")

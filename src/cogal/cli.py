@@ -3,7 +3,7 @@
 Subcommands: check a formula on a model, run the axiom suite, search for a
 countermodel, contract a model, export DOT, translate announcement formulas.
 Exit codes: 0 success/true, 1 false or countermodel-dependent negative,
-2 usage or input error.
+2 usage or input error, or an internal error (reported, never a traceback).
 """
 
 from __future__ import annotations
@@ -209,6 +209,12 @@ def main(argv=None) -> int:
         # parse reports its own overflow; evaluation and rendering recurse
         # once per nesting level too
         print("error: formula nested too deeply", file=sys.stderr)
+        return _EXIT_ERROR
+    except Exception as exc:
+        # a fault of the program, not of the input; still never a traceback
+        # or exit 1, which scripts read as "false"
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return _EXIT_ERROR
 
 

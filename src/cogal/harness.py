@@ -755,6 +755,10 @@ def _quantifier_rule_item(coalition: bool) -> Callable:
             return 0, [], None
         contracted = bisim_contract(model).contracted
         anchor = contracted.states[0]
+
+        def everywhere(f):
+            return all(ev.eval(s, f) for s in model.states)
+
         instances = 0
         failures = []
         groups = [g for g in _subsets(model.agents) if len(g) <= 2]
@@ -768,16 +772,15 @@ def _quantifier_rule_item(coalition: bool) -> Callable:
                 for goal in (Top(), _draw(rng, pool)):
                     if coalition:
                         premise_ok = all(
-                            any(all(ev.eval(s, instantiate(
+                            any(everywhere(instantiate(
                                     form, Imp(psi, PaDia(And(psi, chi), goal))))
-                                    for s in model.states)
                                 for chi in other)
                             for psi in own)
                         conclusion = instantiate(form, CoalBox(group, goal))
                     else:
                         premise_ok = all(
-                            ev.eval(s, instantiate(form, PaBox(psi, goal)))
-                            for psi in own for s in model.states)
+                            everywhere(instantiate(form, PaBox(psi, goal)))
+                            for psi in own)
                         conclusion = instantiate(form, GroupBox(group, goal))
                     if not premise_ok:
                         continue

@@ -46,8 +46,8 @@ class KripkeModel:
     def __post_init__(self):
         if not self.states:
             raise ModelError("empty model: the state set must be non-empty")
-        state_set = set(self.states)
-        if len(state_set) != len(self.states):
+        position = {s: i for i, s in enumerate(self.states)}
+        if len(position) != len(self.states):
             raise ModelError("duplicate state identifiers")
         if len(set(self.agents)) != len(self.agents):
             raise ModelError("duplicate agent identifiers")
@@ -60,35 +60,53 @@ class KripkeModel:
         if set(self.partitions) != set(self.agents):
             raise ModelError("partitions must cover exactly the agent set")
         class_index = {}
+        class_masks = {}
+        class_at = {}
         for agent in self.agents:
-            seen = set()
             index = {}
+            masks = []
+            at = [0] * len(position)
             for block in self.partitions[agent]:
                 if not block:
                     raise ModelError(f"empty partition block for agent {agent!r}")
+                mask = 0
                 for s in block:
-                    if s not in state_set:
+                    i = position.get(s)
+                    if i is None:
                         raise ModelError(f"partition of agent {agent!r} mentions "
                                          f"unknown state {s!r}")
                     if s in index:
                         raise ModelError(f"overlapping partition blocks for agent "
                                          f"{agent!r} at state {s!r}")
                     index[s] = block
-                seen.update(block)
-            if seen != state_set:
-                missing = sorted(state_set - seen)
+                    mask |= 1 << i
+                masks.append(mask)
+                for s in block:
+                    at[position[s]] = mask
+            if len(index) != len(position):
+                missing = sorted(set(position) - set(index))
                 raise ModelError(f"partition of agent {agent!r} does not cover "
                                  f"states {missing}")
             class_index[agent] = index
+            class_masks[agent] = tuple(masks)
+            class_at[agent] = at
+        truth_masks = dict.fromkeys(self.props, 0)
         for prop, extent in self.valuation.items():
-            if prop not in self.props:
+            if prop not in truth_masks:
                 raise ModelError(f"valuation mentions unknown proposition {prop!r}")
             for s in extent:
-                if s not in state_set:
+                if s not in position:
                     raise ModelError(f"valuation of {prop!r} mentions unknown "
                                      f"state {s!r}")
+                truth_masks[prop] |= 1 << position[s]
         object.__setattr__(self, "_class_index", class_index)
-        object.__setattr__(self, "_state_set", frozenset(state_set))
+        object.__setattr__(self, "_state_set", frozenset(position))
+        # State i is bit i; every class and truth set as an int mask, and
+        # per agent the class mask of each state.
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_class_masks", class_masks)
+        object.__setattr__(self, "_class_at", class_at)
+        object.__setattr__(self, "_truth_masks", truth_masks)
 
     def class_of(self, agent: str, state: str) -> frozenset:
         """Equivalence class of the state under the agent's relation."""
@@ -236,36 +254,93 @@ def update(model: KripkeModel, keep: Iterable[str]) -> KripkeModel:
 
 
 # --- bisimulation contraction -------------------------------------------------
+#
+# Contraction works on int masks over a model's states (state i is bit i, in
+# document order). A block of the coarsest bisimulation is named after its
+# lowest state, so block order by lowest bit is the document order of the
+# contracted states.
 
-def _refinement_levels(model: KripkeModel) -> list:
-    """Partition-refinement ladder: state -> block id per level, from
-    valuation equality down to the coarsest bisimulation."""
-    signature = {s: model.props_at(s) for s in model.states}
-    level = _blocks_by_signature(model.states, signature)
-    levels = [level]
-    while True:
-        current = levels[-1]
-        signature = {
-            s: (current[s],)
-            + tuple(frozenset(current[t] for t in model.class_of(a, s))
-                    for a in model.agents)
-            for s in model.states
-        }
-        refined = _blocks_by_signature(model.states, signature)
-        if len(set(refined.values())) == len(set(current.values())):
-            return levels
-        levels.append(refined)
-
-
-def _blocks_by_signature(states, signature) -> dict:
-    ids = {}
-    out = {}
-    for s in states:
-        sig = signature[s]
-        if sig not in ids:
-            ids[sig] = len(ids)
-        out[s] = ids[sig]
+def _bits(mask: int) -> list:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
+
+
+def _refine(model: KripkeModel, kept: int) -> tuple:
+    """Partition refinement of the model restricted to the states in `kept`.
+
+    Returns (levels, classes). `levels` is the ladder of block-mask lists
+    from valuation equality (level 0) down to the coarsest bisimulation: each
+    level splits a block wherever two of its states' classes, for some agent,
+    meet different blocks of the level before. `classes` holds, per agent in
+    model order, the agent's classes in the quotient as saturated masks (the
+    union of the blocks a class meets), deduplicated in partition order."""
+    classes = [[cut for c in agent_classes if (cut := c & kept)]
+               for agent_classes in model._class_masks.values()]
+    blocks = [kept]
+    for truth in model._truth_masks.values():
+        blocks = [part for b in blocks for part in (b & truth, b & ~truth)
+                  if part]
+    levels = [blocks]
+    while True:
+        # only blocks of two or more states can split, or widen a class
+        big = [b for b in blocks if b & (b - 1)]
+        if not big:
+            return levels, [tuple(agent_classes) for agent_classes in classes]
+        saturated = []
+        for agent_classes in classes:
+            # classes that meet the same blocks fall into one group
+            groups = {}
+            for c in agent_classes:
+                met = c
+                for b in big:
+                    if b & c:
+                        met |= b
+                groups[met] = groups.get(met, 0) | c
+            saturated.append(groups)
+        parts = big
+        for groups in saturated:
+            if len(groups) > 1:
+                parts = [part for r in parts for g in groups.values()
+                         if (part := r & g)]
+        if len(parts) == len(big):
+            return levels, [tuple(groups) for groups in saturated]
+        blocks = [b for b in blocks if not b & (b - 1)] + parts
+        levels.append(blocks)
+
+
+def _refinement(model: KripkeModel) -> tuple:
+    """`_refine` over every state of the model, computed once per model."""
+    try:
+        return model._refinement
+    except AttributeError:
+        refined = _refine(model, (1 << len(model.states)) - 1)
+        object.__setattr__(model, "_refinement", refined)
+        return refined
+
+
+def _quotient(model: KripkeModel, blocks: list, classes: list) -> KripkeModel:
+    """The quotient named by lowest states, from `_refine`'s final blocks and
+    classes; the model itself when every state is its own block."""
+    if len(blocks) == len(model.states):
+        return model
+    reps = 0
+    for b in blocks:
+        reps |= b & -b
+    names = model.states
+
+    def decode(mask):
+        return frozenset(names[i] for i in _bits(mask & reps))
+
+    partitions = {agent: tuple(decode(c) for c in agent_classes)
+                  for agent, agent_classes in zip(model.agents, classes)}
+    valuation = {p: decode(truth) for p, truth in model._truth_masks.items()}
+    return KripkeModel(tuple(names[i] for i in _bits(reps)), model.agents,
+                       model.props, partitions, valuation)
 
 
 def bisim_contract(model: KripkeModel) -> ContractionMap:
@@ -273,34 +348,20 @@ def bisim_contract(model: KripkeModel) -> ContractionMap:
     agent relations. Contracted states are named by their first original
     state in document order. An already contracted model is its own
     quotient, under the identity mapping."""
-    final = _refinement_levels(model)[-1]
-    if len(set(final.values())) == len(model.states):
-        return ContractionMap(model, model, {s: s for s in model.states})
-    rep_of_block = {}
-    for s in model.states:
-        rep_of_block.setdefault(final[s], s)
-    mapping = {s: rep_of_block[final[s]] for s in model.states}
-    reps = tuple(s for s in model.states if mapping[s] == s)
-    partitions = {}
-    for agent in model.agents:
-        blocks = []
-        seen = set()
-        for block in model.partitions[agent]:
-            image = frozenset(mapping[t] for t in block)
-            if image not in seen:
-                seen.add(image)
-                blocks.append(image)
-        partitions[agent] = tuple(blocks)
-    valuation = {p: frozenset(mapping[s] for s in model.valuation.get(p, frozenset()))
-                 for p in model.props}
-    contracted = KripkeModel(reps, model.agents, model.props, partitions, valuation)
-    return ContractionMap(model, contracted, mapping)
+    levels, classes = _refinement(model)
+    blocks = levels[-1]
+    rep_of = [0] * len(model.states)
+    for b in blocks:
+        rep = model.states[(b & -b).bit_length() - 1]
+        for i in _bits(b):
+            rep_of[i] = rep
+    return ContractionMap(model, _quotient(model, blocks, classes),
+                          dict(zip(model.states, rep_of)))
 
 
 def is_contracted(model: KripkeModel) -> bool:
     """Whether no two distinct states are bisimilar."""
-    final = _refinement_levels(model)[-1]
-    return len(set(final.values())) == len(model.states)
+    return len(_refinement(model)[0][-1]) == len(model.states)
 
 
 # --- characteristic formulas ---------------------------------------------------
@@ -313,10 +374,17 @@ def _char_table(model: KripkeModel) -> dict:
         return _CHAR_CACHE[model]
     except KeyError:
         pass
-    levels = _refinement_levels(model)
-    if len(set(levels[-1].values())) != len(model.states):
+    if not is_contracted(model):
         raise ModelError("model is not bisimulation-contracted; distinct "
                          "bisimilar states admit no distinguishing formula")
+    # per level, state -> block id, blocks numbered by lowest state
+    levels = []
+    for level in _refinement(model)[0]:
+        ids = {}
+        for k, b in enumerate(sorted(level, key=lambda b: b & -b)):
+            for i in _bits(b):
+                ids[model.states[i]] = k
+        levels.append(ids)
     memo = {}
 
     def sep_level(s, t):

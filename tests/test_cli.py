@@ -216,3 +216,19 @@ class TestDeepFormula:
     def test_parse_error_in_process(self):
         with pytest.raises(ParseError, match="formula nested too deeply"):
             parse("~" * 3000 + "p")
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_two_without_traceback(
+            self, train_file, monkeypatch, capsys):
+        import cogal.cli as cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "check", broken)
+        assert main(["check", train_file, "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: internal error: RuntimeError: boom\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -78,14 +79,26 @@ class TestEquivalence:
 
 
 class TestTermination:
-    def test_weight_decreases_on_each_rewrite(self):
-        # every translate call asserts the decrease internally; drive it
+    def test_weight_decreases_on_each_rewrite(self, monkeypatch):
+        # check the decrease at every rewrite step translate takes, driven
         # through deeply nested announcements
+        module = sys.modules["cogal.translate"]
+        real_step = module._step
+        steps = []
+
+        def checked_step(f):
+            out = real_step(f)
+            assert _weight(out) < _weight(f), render(f)
+            steps.append(f)
+            return out
+
+        monkeypatch.setattr(module, "_step", checked_step)
         rng = random.Random("t-weight")
         for _ in range(200):
             f = random_formula(rng, ("a", "b"), ("p", "q"),
                                frag=Fragment.PAL, max_depth=4)
             translate(f)
+        assert len(steps) >= 1000
 
     def test_weight_orders_the_rewrites(self):
         outer = normalize(parse("[p] [q] r"))

@@ -249,8 +249,7 @@ class Evaluator:
     its realizing formula.
     """
 
-    def __init__(self, model: KripkeModel, *, memoize: bool = True,
-                 certify: bool = False):
+    def __init__(self, model: KripkeModel, *, certify: bool = False):
         self._root = model
         self._vocab = _vocab_mask(model.agents, model.props)
         self._truth = model._truth_masks
@@ -258,7 +257,7 @@ class Evaluator:
         self._agent_set = frozenset(model.agents)
         self._full = (1 << len(model.states)) - 1
         self._entries: Dict[int, _Entry] = {}
-        self._memo: Optional[dict] = {} if memoize else None
+        self._memo = {}
         self.certify = certify
         self.certificates = CertificateLog()
         self._cert_seen = set()
@@ -446,15 +445,11 @@ class Evaluator:
 
     def _eval(self, entry: _Entry, state: int, f: Formula) -> bool:
         memo = self._memo
-        if memo is not None:
-            key = (entry.serial, state, f)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-        value = self._eval_raw(entry, state, f)
-        if memo is not None:
-            memo[key] = value
-        return value
+        key = (entry.serial, state, f)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = self._eval_raw(entry, state, f)
+        return hit
 
     def _eval_raw(self, entry: _Entry, state: int, f: Formula) -> bool:
         if isinstance(f, Atom):

@@ -28,10 +28,20 @@ _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 _RESERVED = frozenset({"top", "bot"})
 
 
+# Names that passed `_require_ident`. Only exact `str` objects are looked
+# up, so no other type reaches the set and no lookup needs a hash of an
+# arbitrary object; entries are only ever added.
+_ACCEPTED = set()
+
+
 def _require_ident(name: str, role: str) -> None:
+    if type(name) is str and name in _ACCEPTED:
+        return
     if not isinstance(name, str) or not _IDENT_RE.fullmatch(name) or name in _RESERVED:
         raise ValueError(f"invalid {role} name {name!r}: expected [a-z][a-z0-9_]* "
                          f"other than the reserved words 'top' and 'bot'")
+    if type(name) is str:
+        _ACCEPTED.add(name)
 
 
 # Vocabulary registry: each ("p", proposition) or ("a", agent) name gets

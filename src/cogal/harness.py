@@ -28,7 +28,8 @@ from .formula import (
     agents_of, atoms, conjoin, instantiate, parse, render, size, substitute,
 )
 from .model import (
-    KripkeModel, PointedModel, bisim_contract, realize_choice, validate,
+    KripkeModel, PointedModel, _bisim_key, bisim_contract, realize_choice,
+    validate,
 )
 from .translate import translate
 
@@ -103,8 +104,11 @@ def set_partitions(items: tuple) -> Iterator[list]:
 
 
 def enumerate_models(agents, props, max_states: int) -> Iterator[KripkeModel]:
-    """Every model with 1..max_states states over the vocabulary, up to state
-    renaming. Intended for small exhaustive sweeps (max_states <= 3)."""
+    """Every model with 1..max_states states over the vocabulary, states named
+    s0, s1, ... in order. Models are not identified up to renaming: each is
+    yielded once per labelling, so an isomorphism class of n-state models
+    appears up to n! times. Intended for small exhaustive sweeps
+    (max_states <= 3)."""
     agents = tuple(agents)
     props = tuple(props)
     for n in range(1, max_states + 1):
@@ -232,6 +236,11 @@ def find_countermodel(f: Formula, params: GenParams, *,
     Exhaustive over all models up to `max_states` states when that bound is
     at most 3, otherwise over `count` seeded random models. Atoms listed in
     `schematic` are instantiated with every combination from the pool.
+
+    Truth is invariant under bisimulation and renaming, so a candidate whose
+    quotient is isomorphic to that of an earlier candidate, which held
+    everywhere, is skipped unevaluated: the first hit is the one a candidate
+    by candidate search finds.
     """
     schematic = tuple(schematic)
     agents = tuple(params.agents) + tuple(
@@ -251,12 +260,17 @@ def find_countermodel(f: Formula, params: GenParams, *,
                     for combo in itertools.product(pool, repeat=len(schematic))])
     instances = [(assignment, substitute(f, assignment))
                  for assignment in assignments]
+    held = set()
     for model in models:
+        key = _bisim_key(model)
+        if key in held:
+            continue
         ev = Evaluator(model)
         for assignment, g in instances:
             for state in model.states:
                 if not ev.eval(state, g):
                     return SearchHit(PointedModel(model, state), dict(assignment))
+        held.add(key)
     return None
 
 

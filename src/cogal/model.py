@@ -323,6 +323,56 @@ def _refinement(model: KripkeModel) -> tuple:
         return refined
 
 
+def _bisim_key(model: KripkeModel) -> tuple:
+    """Name-free key of the model's bisimulation quotient: two models over
+    the same vocabulary get equal keys exactly when their quotients are
+    isomorphic.
+
+    Colour refinement over the final blocks of `_refinement`. A block's
+    level-0 colour is its truth vector; at each later level, its own colour
+    plus, per agent, the set of colours of the blocks in its class. Each
+    level's colours are numbered by rank in sorted order, so the numbering is
+    name-free too. The quotient is contracted, so the colours come apart;
+    one round later, each block's truth vector and signature (own colour and
+    per-agent colour sets, as bits of one int) spell out the quotient up to
+    renaming."""
+    levels, classes = _refinement(model)
+    blocks = levels[-1]
+    n = len(blocks)
+    truths = [0] * n
+    for j, truth in enumerate(model._truth_masks.values()):
+        for i, b in enumerate(blocks):
+            if b & truth:
+                truths[i] |= 1 << j
+    around = []  # per agent, per block: the positions of its class's blocks
+    for agent_classes in classes:
+        at = [None] * n
+        for c in agent_classes:
+            inside = [i for i, b in enumerate(blocks) if b & c]
+            for i in inside:
+                at[i] = inside
+        around.append(at)
+    rank = {t: r for r, t in enumerate(sorted(set(truths)))}
+    colour = [rank[t] for t in truths]
+    while True:
+        signatures = []
+        for i in range(n):
+            signature = 1 << colour[i]
+            shift = n
+            for at in around:
+                for j in at[i]:
+                    signature |= 1 << (colour[j] + shift)
+                shift += n
+            signatures.append(signature)
+        if len(rank) == n:
+            return tuple(sorted(zip(truths, signatures)))
+        distinct = sorted(set(signatures))
+        if len(distinct) == len(rank):
+            raise AssertionError("the blocks of a contracted model must separate")
+        rank = {s: r for r, s in enumerate(distinct)}
+        colour = [rank[s] for s in signatures]
+
+
 def _quotient(model: KripkeModel, blocks: list, classes: list) -> KripkeModel:
     """The quotient named by lowest states, from `_refine`'s final blocks and
     classes; the model itself when every state is its own block."""

@@ -363,8 +363,11 @@ class Evaluator:
             return (self._eval(entry, state, f.left)
                     == self._eval(entry, state, f.right))
         if isinstance(f, Know):
+            # document order, as the mask engine visits the class: which
+            # quantifiers get evaluated, and so certified, depends on it
+            peers = model.class_of(f.agent, state)
             return all(self._eval(entry, t, f.body)
-                       for t in model.class_of(f.agent, state))
+                       for t in model.states if t in peers)
         if isinstance(f, (PaBox, PaDia)):
             if not self._eval(entry, state, f.announce):
                 return isinstance(f, PaBox)

@@ -206,17 +206,18 @@ class TestGroupQuantifierAgainstRealAnnouncements:
 
 class TestMemo:
     def test_memoized_and_fresh_agree(self):
+        # One evaluator shared across formulas, its memo and restrictions
+        # warmed by every earlier query, against a fresh one per query.
         params = GenParams(max_states=4, agents=("a", "b"), props=("p",),
                            seed=23, count=25)
         rng = random.Random("memo")
         for i in range(25):
             model = random_model(params, i)
-            plain = Evaluator(model, memoize=False)
-            cached = Evaluator(model)
+            warm = Evaluator(model)
             for _ in range(4):
                 f = random_formula(rng, model.agents, model.props, max_depth=2)
                 for s in model.states:
-                    assert plain.eval(s, f) == cached.eval(s, f)
+                    assert warm.eval(s, f) == Evaluator(model).eval(s, f)
 
 
 class TestBinding:

@@ -333,6 +333,17 @@ class TestConstructors:
         with pytest.raises(ValueError):
             GroupBox({"a", "1x"}, p)
 
+    @pytest.mark.parametrize("bad", [1, None, b"p", ["p"], {"p": 1}, "P",
+                                     "top", "p q", ""])
+    def test_accepted_names_do_not_admit_lookalikes(self, bad):
+        # accepted names are remembered; nothing equal-looking, unhashable
+        # or non-string passes on their strength
+        Know("a", p)
+        with pytest.raises(ValueError, match="invalid proposition name"):
+            Atom(bad)
+        with pytest.raises(ValueError, match="invalid agent name"):
+            Know(bad, p)
+
     def test_operator_sugar(self):
         assert (p & q) == And(p, q)
         assert (p | q) == Or(p, q)

@@ -1,0 +1,164 @@
+"""Countermodel search evaluates one candidate per class of models whose
+bisimulation quotients are isomorphic.
+
+`model._bisim_key` names the class; these tests hold it to a brute-force
+canonical form, and `find_countermodel` to the candidate-by-candidate loop
+it replaced."""
+
+import itertools
+
+import pytest
+
+import cogal.harness as harness
+from cogal.checker import Evaluator
+from cogal.formula import Atom, Know, agents_of, atoms, parse, substitute
+from cogal.harness import (
+    GenParams, enumerate_models, find_countermodel, instantiation_pool,
+    random_model,
+)
+from cogal.model import KripkeModel, PointedModel, _bisim_key, bisim_contract
+
+AGENTS = ("a", "b", "c")
+PROPS = ("p", "q")
+EXHAUSTIVE = GenParams(max_states=3, agents=AGENTS, props=PROPS)
+
+
+def brute_canonical(model: KripkeModel) -> tuple:
+    """The least encoding of the contracted quotient over every renaming of
+    its states to 0..n-1."""
+    q = bisim_contract(model).contracted
+    best = None
+    for perm in itertools.permutations(range(len(q.states))):
+        name = dict(zip(q.states, perm))
+        code = (len(q.states),
+                tuple(tuple(sorted(tuple(sorted(name[s] for s in block))
+                                   for block in q.partitions[a]))
+                      for a in q.agents),
+                tuple(tuple(sorted(name[s] for s in q.valuation[p]))
+                      for p in q.props))
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def partition(keys) -> list:
+    """The positions grouped by equal key, as a sorted list of lists."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return sorted(groups.values())
+
+
+class TestKey:
+    def test_exhaustive_classes_match_brute_force(self):
+        models = list(enumerate_models(AGENTS, PROPS, 3))
+        assert len(models) == 8132
+        by_key = partition([_bisim_key(m) for m in models])
+        assert by_key == partition([brute_canonical(m) for m in models])
+        assert len(by_key) == 1140
+
+    def test_random_classes_match_brute_force(self):
+        # beyond the exhaustive bound: the random branch draws up to 4 states
+        params = GenParams(max_states=4, agents=AGENTS, props=PROPS, seed=11)
+        models = [random_model(params, i) for i in range(400)]
+        assert partition([_bisim_key(m) for m in models]) \
+            == partition([brute_canonical(m) for m in models])
+
+
+def plain_countermodel(f, params, *, schematic=(), pool=None):
+    """Every candidate evaluated in turn: the search before it skipped
+    candidates by class."""
+    schematic = tuple(schematic)
+    agents = tuple(params.agents) + tuple(
+        sorted(agents_of(f) - set(params.agents)))
+    concrete_atoms = atoms(f) - set(schematic)
+    props = tuple(params.props) + tuple(sorted(concrete_atoms - set(params.props)))
+    gen = GenParams(max_states=params.max_states, agents=agents, props=props,
+                    seed=params.seed, count=params.count)
+    if params.max_states <= 3:
+        models = enumerate_models(agents, props, params.max_states)
+    else:
+        models = (random_model(gen, i) for i in range(params.count))
+    pool = tuple(pool) if pool is not None else instantiation_pool(agents, props)
+    assignments = ([{}] if not schematic else
+                   [dict(zip(schematic, combo))
+                    for combo in itertools.product(pool, repeat=len(schematic))])
+    instances = [(a, substitute(f, a)) for a in assignments]
+    for model in models:
+        ev = Evaluator(model)
+        for assignment, g in instances:
+            for state in model.states:
+                if not ev.eval(state, g):
+                    return harness.SearchHit(PointedModel(model, state),
+                                             dict(assignment))
+    return None
+
+
+def hit_doc(hit):
+    if hit is None:
+        return None
+    return (hit.pointed.model.to_doc(), hit.pointed.point, hit.assignment)
+
+
+@pytest.fixture()
+def evaluators(monkeypatch):
+    """Counts the evaluators `find_countermodel` builds."""
+    built = []
+
+    class Counting(Evaluator):
+        def __init__(self, model, **kwargs):
+            built.append(model)
+            super().__init__(model, **kwargs)
+
+    monkeypatch.setattr(harness, "Evaluator", Counting)
+    return built
+
+
+A11 = "<[{a}]> (K a p) -> <{a}> [{b,c}] (K a p)"
+C4 = "<[{a,b}]> ((K a p) & (K b ~q)) -> <[{a,b}]> (K a p)"
+# a's class must show three valuations: no model of fewer states refutes it
+THREE_STATES = "~(~K a ~(p & q) & ~K a ~(p & ~q) & ~K a p)"
+RANDOM = GenParams(max_states=4, agents=AGENTS, props=PROPS, seed=3, count=300)
+
+
+class TestAgainstPlainLoop:
+    @pytest.mark.parametrize("text", [A11, C4])
+    def test_valid_instances(self, text, evaluators):
+        f = parse(text)
+        assert find_countermodel(f, EXHAUSTIVE) is None
+        # one evaluator per class of the 8,132 candidates
+        assert len(evaluators) == 1140
+        assert plain_countermodel(f, EXHAUSTIVE) is None
+
+    @pytest.mark.parametrize("text", ["p -> K a p", "K a p -> K b p",
+                                      "~K c p -> K c ~p", THREE_STATES])
+    def test_invalid_formulas(self, text):
+        f = parse(text)
+        hit = find_countermodel(f, EXHAUSTIVE)
+        assert hit is not None
+        assert hit_doc(hit) == hit_doc(plain_countermodel(f, EXHAUSTIVE))
+
+    def test_first_hit_with_three_states(self, evaluators):
+        hit = find_countermodel(parse(THREE_STATES), EXHAUSTIVE)
+        assert len(hit.pointed.model.states) == 3
+        target = hit.pointed.model.to_doc()
+        position = next(i for i, m in enumerate(enumerate_models(AGENTS, PROPS, 3))
+                        if m.to_doc() == target)
+        # candidates of a class that already held were skipped on the way
+        assert len(evaluators) < position + 1
+
+    @pytest.mark.parametrize("text", ["K a x -> K b x", "K a x -> x"])
+    def test_schematic_atoms_with_a_pool(self, text):
+        f = parse(text)
+        pool = (Atom("p"), Know("c", Atom("q")), parse("p & ~q"))
+        kwargs = {"schematic": ("x",), "pool": pool}
+        assert hit_doc(find_countermodel(f, EXHAUSTIVE, **kwargs)) \
+            == hit_doc(plain_countermodel(f, EXHAUSTIVE, **kwargs))
+
+    @pytest.mark.parametrize("text, refuted", [(A11, False), (THREE_STATES, True)])
+    def test_random_branch(self, text, refuted, evaluators):
+        f = parse(text)
+        hit = find_countermodel(f, RANDOM)
+        assert (hit is not None) == refuted
+        assert hit_doc(hit) == hit_doc(plain_countermodel(f, RANDOM))
+        assert 0 < len(evaluators) < RANDOM.count

@@ -131,6 +131,109 @@ def group_choices(model: KripkeModel, w: str, group) -> Iterator[AnnouncementCho
         yield dict(zip(members, combo))
 
 
+def _positive(f: Formula) -> bool:
+    """Whether the formula is positive: built from atoms, negated atoms, top,
+    bottom, `&`, `|`, `K`, `[chi] phi` with a negative announcement chi and
+    `[G] phi`, where phi is positive and chi is the negation of a positive
+    formula, an atom, top or bottom. Computed once per node, on first
+    request, and stored on the node.
+
+    Lemma (van Ditmarsch and Kooi, "The secret of my success", Synthese
+    2006). Let phi be positive, M a model, w a state and S a set of M's
+    states with w in S. If (M, w) |= phi, then (M|S, w) |= phi, where M|S
+    is M restricted to S and then contracted, as `Evaluator._entry` builds
+    it.
+
+    Proof. Contraction first. The evaluator reads a restriction at its
+    bisimulation contraction. The quotient map is a bisimulation, and truth
+    is invariant under it: the quantifiers range over the extensions of
+    announcement formulas, which are invariant too. So M|S may be read
+    uncontracted, each quantifier ranging over the pullbacks of the unions
+    of classes its contraction offers. The key step: an agent's classes in
+    M|S are S intersected with its classes in M, so a union of its classes
+    in M|S is S intersected with a union of its classes in M. A pullback of
+    a union of the contraction's classes is such a union. So every choice
+    set of a group at (M|S, w) is a subset of S that contains w, and
+    restricting M|S to it is restricting M to it. Then by induction on phi:
+
+    - A literal, top or bottom: the valuation at w does not change.
+    - `&` and `|`: by induction.
+    - `K a psi`: w's a-class in M|S is S intersected with its a-class in M.
+      Every t in it satisfies psi in M, so in M|S by induction (t in S).
+    - `[chi] psi`, chi negative: if chi fails at (M|S, w), the box holds.
+      Otherwise chi holds at (M, w), since a negative formula that holds
+      after a restriction held before it (induction on the positive formula
+      it negates; a literal, top or bottom keeps its value). So psi holds at
+      (M|T, w) with T the extension of chi in M. By the same argument, the
+      extension U of chi in M|S is a subset of T, and it contains w. So
+      (M|S)|U is (M|T)|U, and psi holds there by induction, applied to M|T.
+    - `[G] psi`: the whole state set is a choice set of G (each member
+      announces the union of all its classes), so psi holds at (M, w).
+      Every choice set A of G at (M|S, w) is a subset of S containing w, and
+      (M|S)|A is M|A, so psi holds there by induction. So [G] psi holds at
+      (M|S, w).
+
+    The case of `[G] psi` also shows that `[G] psi` is equivalent to psi
+    when psi is positive. `Evaluator._deciding_group` turns the lemma into
+    a rule that decides a quantifier with one announcement.
+    """
+    try:
+        return f._positive
+    except AttributeError:
+        pass
+    if isinstance(f, (Atom, Top, Bot)):
+        out = True
+    elif isinstance(f, Not):
+        out = isinstance(f.body, Atom)
+    elif isinstance(f, (And, Or)):
+        out = _positive(f.left) and _positive(f.right)
+    elif isinstance(f, (Know, GroupBox)):
+        out = _positive(f.body)
+    elif isinstance(f, PaBox):
+        announce = f.announce
+        out = (_positive(f.body)
+               and (isinstance(announce, (Atom, Top, Bot))
+                    or isinstance(announce, Not) and _positive(announce.body)))
+    else:
+        out = False
+    # a lazily computed fact on an immutable node, like its `_hash`
+    object.__setattr__(f, "_positive", out)
+    return out
+
+
+class _ChoiceSets:
+    """A memoised generator of (set, representative) pairs: the pairs built
+    so far and the generator that builds the rest. Every iteration reads
+    the pairs in the same order; a later one continues where the earliest
+    stopped. The generator calls no evaluation, so it is never re-entered."""
+
+    __slots__ = ("found", "rest")
+
+    def __init__(self, rest: Iterator):
+        self.found = []
+        self.rest = rest
+
+    def __iter__(self):
+        if self.rest is None:
+            return iter(self.found)
+        return self._read()
+
+    def _read(self):
+        found = self.found
+        i = 0
+        while True:
+            if i == len(found):
+                if self.rest is None:
+                    return
+                pair = next(self.rest, None)
+                if pair is None:
+                    self.rest = None
+                    return
+                found.append(pair)
+            yield found[i]
+            i += 1
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Truth value with optional evidence for quantified top operators.
@@ -281,27 +384,44 @@ class Evaluator:
 
     def check(self, state: str, f: Formula) -> Verdict:
         """Evaluate and extract witness or refutation evidence for a
-        quantified diamond at the top of the formula."""
+        quantified diamond at the top of the formula: the group's first
+        winning set, or for a false coalition diamond the first response
+        that beats the group's first set. Only here is evidence computed;
+        the evaluator itself stops at the truth value."""
         if not isinstance(f, (GroupDia, CoalDia)):
             return Verdict(self.eval(state, f))
         entry = self._root_entry
         s = self._start(state, f)
-        truth, won, defeat = self._quantify(entry, s, f)
         point = self._root.states[s]
+        if self.certify or self._deciding_group(f) is None:
+            # the scan that decides the truth also finds the witness
+            won = self._winner(entry, s, f)
+        elif not self._eval(entry, s, f):
+            won = None
+        elif _positive(f.body):
+            # the first set is a winner when any set is (`_positive`)
+            won = self._first_set(entry, s, f.group)[1]
+        else:
+            won = self._winner(entry, s, f)
         if won is not None:
-            return Verdict(truth,
+            return Verdict(True,
                            witness_choice=self._choice(f.group, won),
                            witness_formula=realize_choice(
                                entry.model, point, f.group,
                                self._choice(f.group, won, entry.reps)))
-        if defeat is not None:
-            opponents = self._agent_set - f.group
-            return Verdict(truth,
-                           refutation_choice=self._choice(opponents, defeat),
-                           refutation_formula=realize_choice(
-                               entry.model, point, opponents,
-                               self._choice(opponents, defeat, entry.reps)))
-        return Verdict(truth)
+        if isinstance(f, GroupDia):
+            return Verdict(False)
+        first = self._first_set(entry, s, f.group)[0]
+        opponents = self._agent_set - f.group
+        defeat = next(choice for response, choice
+                      in self._choice_sets(entry, s, opponents)
+                      if not self._holds_after(entry, first & response, s,
+                                               f.body))
+        return Verdict(False,
+                       refutation_choice=self._choice(opponents, defeat),
+                       refutation_formula=realize_choice(
+                           entry.model, point, opponents,
+                           self._choice(opponents, defeat, entry.reps)))
 
     # -- internals ---------------------------------------------------------
 
@@ -348,75 +468,127 @@ class Evaluator:
         child = self._entry(kept)
         return self._eval(child, child.rep_of[state], body)
 
+    def _first_set(self, entry: _Entry, state: int, group: frozenset):
+        """The group's first choice set at the state and its representative:
+        each member announces its own class, so the set is the intersection
+        of the members' classes (the whole restriction for the empty group).
+        Every choice set of the group at the state contains it."""
+        kept, choice = entry.kept, []
+        for agent in self._root.agents:
+            if agent in group:
+                for own in entry.classes[agent]:
+                    if own >> state & 1:
+                        break
+                kept &= own
+                choice.append(own)
+        return kept, tuple(choice)
+
     def _choice_sets(self, entry: _Entry, state: int, group: frozenset):
         """Distinct update sets achievable by the group at the state, each with
         a representative choice, in order of first appearance.
 
-        Built agent by agent with deduplication of partial intersections:
-        equal partial intersections have identical continuations, so this
-        yields the same sets in the same first-seen order as enumerating the
-        full product of per-agent options (`group_choices`), at a fraction
-        of the cost. Each set's representative is the first product choice
-        that yields it, as a tuple of masks, one per member in model order."""
+        A memoised generator (`_ChoiceSets`): a loop that stops early builds
+        no more sets than it read. Under `certify` every set is built and
+        certified at once."""
         key = (state, group)
-        cached = entry.choice_sets.get(key)
-        if cached is not None:
-            return cached
-        partials = None
-        for agent in self._root.agents:
-            if agent not in group:
-                continue
-            options = entry.unions(agent, state)
-            if partials is None:
-                # the first member's options: distinct sets of kept states
-                partials = [(option, (option,)) for option in options]
-                continue
-            refined = []
-            seen = set()
-            for inter, rep in partials:
-                for option in options:
-                    cut = inter & option
-                    if cut in seen:
-                        continue
-                    seen.add(cut)
-                    refined.append((cut, rep + (option,)))
-            partials = refined
-        if partials is None:
-            partials = [(entry.kept, ())]
-        if self.certify:
-            for _, choice in partials:
-                self._certify(entry, state, group, choice)
-        entry.choice_sets[key] = partials
-        return partials
+        sets = entry.choice_sets.get(key)
+        if sets is None:
+            sets = entry.choice_sets[key] = _ChoiceSets(
+                self._build_choice_sets(entry, state, group))
+            if self.certify:
+                for _, choice in sets:
+                    self._certify(entry, state, group, choice)
+        return sets
 
-    def _quantify(self, entry: _Entry, state: int, f: Formula):
+    def _build_choice_sets(self, entry: _Entry, state: int, group: frozenset):
+        """Yield the group's choice sets, depth first over the members in
+        model order with deduplication of partial intersections: equal
+        partial intersections have identical continuations, so this yields
+        the same sets in the same first-seen order as enumerating the full
+        product of per-agent options (`group_choices`), at a fraction of the
+        cost. Each set's representative is the first product choice that
+        yields it, as a tuple of masks, one per member in model order."""
+        options = [entry.unions(a, state) for a in self._root.agents
+                   if a in group]
+        if not options:
+            yield entry.kept, ()
+            return
+        seen = [set() for _ in options]
+        last = len(options) - 1
+
+        def walk(level, inter, rep):
+            for option in options[level]:
+                cut = inter & option
+                if cut in seen[level]:
+                    continue
+                seen[level].add(cut)
+                if level == last:
+                    yield cut, rep + (option,)
+                else:
+                    yield from walk(level + 1, cut, rep + (option,))
+
+        yield from walk(0, entry.kept, ())
+
+    def _deciding_group(self, f: Formula) -> Optional[frozenset]:
+        """The group whose first set alone decides the quantifier, when its
+        body is positive or the negation of a positive formula; else None.
+
+        By `_positive`, a positive body that holds after a set holds after
+        every smaller set containing the state. Every choice set of a group
+        contains the group's first set, and the whole restriction is one
+        of them. So over a positive body a diamond `<G>` or `<[G]>` holds
+        iff the body holds after G's first set, `[G]` iff the body holds
+        with no restriction (the empty group's first set), and `[<G>]` iff
+        the body holds after the opponents' first set. A negative body
+        takes the dual rule: `[G]` and `[<G>]` read G's first set, `<G>`
+        no restriction and `<[G]>` the opponents' first set. In each case
+        the quantifier's truth is the body's truth after that one set."""
+        body = f.body
+        if _positive(body):
+            diamond = isinstance(f, (GroupDia, CoalDia))
+        elif isinstance(body, Not) and _positive(body.body):
+            diamond = isinstance(f, (GroupBox, CoalBox))
+        else:
+            return None
+        if diamond:
+            return f.group
+        if isinstance(f, (GroupBox, GroupDia)):
+            return frozenset()
+        return self._agent_set - f.group
+
+    def _quantify(self, entry: _Entry, state: int, f: Formula) -> bool:
         """The one rule for group and coalition quantifiers, a box being the
-        dual of its diamond: the group wins with one of its choice sets if,
-        under every response of its opponents, the body takes the goal value
-        (true for diamonds, false for boxes). A group quantifier's only
-        response is the trivial one.
+        dual of its diamond. Over a positive or negative body one set
+        decides (`_deciding_group`); otherwise the group's choice sets are
+        scanned (`_winner`). `certify` always scans, so that every set is
+        certified."""
+        if not self.certify:
+            decider = self._deciding_group(f)
+            if decider is not None:
+                first = self._first_set(entry, state, decider)[0]
+                return self._holds_after(entry, first, state, f.body)
+        won = self._winner(entry, state, f)
+        return (won is not None) == isinstance(f, (GroupDia, CoalDia))
 
-        Returns (truth, won, defeat): the representative choice of the first
-        winning set, or else of the first response that beats the first set.
-        """
+    def _winner(self, entry: _Entry, state: int, f: Formula):
+        """The representative choice of the group's first set that wins:
+        under every response of the opponents, the body takes the goal value
+        (true for diamonds, false for boxes). A group quantifier's only
+        response is the trivial one. None when no set wins."""
         goal = isinstance(f, (GroupDia, CoalDia))
         if isinstance(f, (CoalBox, CoalDia)):
             responses = self._choice_sets(entry, state,
                                           self._agent_set - f.group)
         else:
             responses = _TRIVIAL_RESPONSE
-        defeat = None
-        for i, (own, own_choice) in enumerate(
-                self._choice_sets(entry, state, f.group)):
-            for response, response_choice in responses:
+        for own, own_choice in self._choice_sets(entry, state, f.group):
+            for response, _ in responses:
                 kept = own if response is None else own & response
                 if self._holds_after(entry, kept, state, f.body) != goal:
-                    if i == 0:
-                        defeat = response_choice
                     break
             else:
-                return goal, own_choice, None
-        return not goal, None, defeat
+                return own_choice
+        return None
 
     def _certify(self, entry: _Entry, state: int, group: frozenset,
                  choice: tuple) -> None:
@@ -489,7 +661,7 @@ class Evaluator:
             return self._holds_after(entry, self._where(entry, f.announce),
                                      state, f.body)
         if isinstance(f, (GroupBox, GroupDia, CoalBox, CoalDia)):
-            return self._quantify(entry, state, f)[0]
+            return self._quantify(entry, state, f)
         raise TypeError(f"not a formula: {f!r}")
 
 

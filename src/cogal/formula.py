@@ -86,6 +86,92 @@ def _stored_hash(self) -> int:
 _VOCAB_FIELDS = {"name": _PROP, "agent": _AGENT, "group": _AGENT}
 
 
+def _not_a_formula(value) -> TypeError:
+    return TypeError(f"not a formula: {value!r}")
+
+
+def _facts(cls, names: tuple, check):
+    """The `__post_init__` of a node class: run the class's own check, then
+    store `_hash`, the hash of `(cls, *keys)` where a subnode's key is its
+    `_hash` and a name field's key is its value, and `_mask`. One variant
+    per field shape (none, a name, one subnode, two subnodes, a name and a
+    subnode), so building a node runs no loop over its fields."""
+    # not through `__dict__`, which would give each node a dict object
+    setter = object.__setattr__
+    kind = _VOCAB_FIELDS.get(names[0]) if names else None
+    shape = (len(names), kind is not None)
+
+    if shape == (0, False):
+        constant = hash((cls,))
+
+        def facts(self):
+            if check is not None:
+                check(self)
+            setter(self, "_hash", constant)
+            setter(self, "_mask", 0)
+
+    elif shape == (1, True):
+        (name,) = names
+
+        def facts(self):
+            if check is not None:
+                check(self)
+            value = getattr(self, name)
+            setter(self, "_hash", hash((cls, value)))
+            setter(self, "_mask", _bit((kind, value)))
+
+    elif shape == (1, False):
+        (sub,) = names
+
+        def facts(self):
+            if check is not None:
+                check(self)
+            body = getattr(self, sub)
+            try:
+                setter(self, "_hash", hash((cls, body._hash)))
+                setter(self, "_mask", body._mask)
+            except AttributeError:
+                raise _not_a_formula(body) from None
+
+    elif shape == (2, False):
+        first, second = names
+
+        def facts(self):
+            if check is not None:
+                check(self)
+            left, right = getattr(self, first), getattr(self, second)
+            try:
+                setter(self, "_hash", hash((cls, left._hash, right._hash)))
+                setter(self, "_mask", left._mask | right._mask)
+            except AttributeError:
+                bad = right if hasattr(left, "_hash") else left
+                raise _not_a_formula(bad) from None
+
+    elif shape == (2, True):
+        label, sub = names
+        single = label != "group"
+
+        def facts(self):
+            if check is not None:
+                check(self)
+            value, body = getattr(self, label), getattr(self, sub)
+            try:
+                key, mask = body._hash, body._mask
+            except AttributeError:
+                raise _not_a_formula(body) from None
+            if single:
+                mask |= _bit((kind, value))
+            else:
+                for member in value:
+                    mask |= _bit((kind, member))
+            setter(self, "_hash", hash((cls, value, key)))
+            setter(self, "_mask", mask)
+
+    else:
+        raise TypeError(f"no node shape for the fields {names} of {cls.__name__}")
+    return facts
+
+
 def _node(cls):
     """Frozen dataclass node whose structural facts are computed once, at
     construction, from the values already stored on its subnodes.
@@ -97,35 +183,11 @@ def _node(cls):
     through their constructor, so both are rebuilt in the receiving
     process."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    plan = tuple((n, _VOCAB_FIELDS.get(n)) for n in names)
-    check = cls.__dict__.get("__post_init__")
-    # not through `__dict__`, which would give each node a dict object
-    setter = object.__setattr__
-
-    def __post_init__(self):
-        if check is not None:
-            check(self)
-        key = [cls]
-        mask = 0
-        for n, kind in plan:
-            value = getattr(self, n)
-            if kind is None:
-                try:
-                    key.append(value._hash)
-                    mask |= value._mask
-                except AttributeError:
-                    raise TypeError(f"not a formula: {value!r}") from None
-            else:
-                key.append(value)
-                for name in ((value,) if isinstance(value, str) else value):
-                    mask |= _bit((kind, name))
-        setter(self, "_hash", hash(tuple(key)))
-        setter(self, "_mask", mask)
+    cls.__post_init__ = _facts(cls, names, cls.__dict__.get("__post_init__"))
 
     def __reduce__(self):
         return cls, tuple([getattr(self, n) for n in names])
 
-    cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True)(cls)
     cls.__hash__ = _stored_hash
     cls.__reduce__ = __reduce__

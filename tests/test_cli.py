@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -102,6 +103,24 @@ class TestSuite:
 
     def test_bad_params_exit_two(self, capsys):
         assert main(["suite", "--max-states", "0"]) == 2
+
+
+class TestPinnedSuiteReports:
+    """The full suite report of seed 7 over 100 models, byte for byte. With
+    `--certify` every choice set is enumerated and certified (7,415
+    certificates); without it, quantifiers over positive and negative bodies
+    are decided by one announcement. Both reports must stay the same."""
+
+    @pytest.mark.parametrize("flags, md5", [
+        (["--certify"], "45bc5bdd90c86c578562d37ccb9962d2"),
+        ([], "98d8ba5993931a06e4b38a7ad6fe6420"),
+    ])
+    def test_report_digest(self, capsys, flags, md5):
+        code = main(["suite", "--seed", "7", "--models", "100", "--json"]
+                    + flags)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 class TestSearch:

@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import frozenset_engine as oracle
 from cogal.checker import Evaluator, class_unions
-from cogal.formula import CoalDia, Fragment, GroupDia, parse, render
+from cogal.formula import (
+    And, Atom, Bot, CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Know,
+    Not, Or, PaBox, Top, parse, render,
+)
 from cogal.harness import random_formula
 from cogal.model import (
     KripkeModel, bisim_contract, char_formula, is_contracted, validate,
@@ -51,16 +54,69 @@ def _formulas(model, seed):
     return [body, GroupDia(group, inner), CoalDia(group, inner)]
 
 
+def positive_formulas(agents, props):
+    """Positive formulas over the names: literals, top and bottom, closed
+    under `&`, `|`, `K`, `[chi] phi` with chi the negation of a positive
+    formula or a literal, and `[G] phi`."""
+    literals = st.one_of(st.sampled_from(props).map(Atom),
+                         st.sampled_from(props).map(lambda p: Not(Atom(p))),
+                         st.sampled_from([Top(), Bot()]))
+    groups = st.frozensets(st.sampled_from(agents))
+
+    def extend(inner):
+        return st.one_of(
+            st.builds(And, inner, inner),
+            st.builds(Or, inner, inner),
+            st.builds(Know, st.sampled_from(agents), inner),
+            st.builds(PaBox, st.one_of(inner.map(Not), literals), inner),
+            st.builds(GroupBox, groups, inner))
+
+    return st.recursive(literals, extend, max_leaves=6)
+
+
+def biased_formulas(agents, props):
+    """One quantifier of each kind at the top, where `check` reports
+    evidence, plus one under `K`, `&` or another quantifier. Bodies are
+    positive, negative (`~K a p` among them, which a wrong rule would call
+    positive) or neither, such as `q & ~K a p`."""
+    positive = positive_formulas(agents, props)
+    body = st.one_of(positive, positive.map(Not),
+                     st.builds(lambda a, f: Not(Know(a, f)),
+                               st.sampled_from(agents), positive),
+                     st.builds(And, positive, positive.map(Not)))
+    groups = st.frozensets(st.sampled_from(agents))
+    kinds = (GroupDia, GroupBox, CoalDia, CoalBox)
+    quantified = st.one_of(*(st.builds(op, groups, body) for op in kinds))
+    nested = st.one_of(st.builds(Know, st.sampled_from(agents), quantified),
+                       st.builds(And, positive, quantified),
+                       *(st.builds(op, groups, quantified) for op in kinds))
+    return st.tuples(*(st.builds(op, groups, body) for op in kinds), nested)
+
+
+def assert_agree(new, old, model, f):
+    assert new.extension(f) == old.extension(f), render(f)
+    for s in model.states:
+        assert new.eval(s, f) == old.eval(s, f), (s, render(f))
+        assert new.check(s, f).to_doc() == old.check(s, f).to_doc(), \
+            (s, render(f))
+
+
 @settings(max_examples=150, deadline=None)
 @given(models(), st.integers(0, 2 ** 32))
 def test_engines_agree(model, seed):
     new, old = Evaluator(model), oracle.Evaluator(model)
     for f in _formulas(model, seed):
-        assert new.extension(f) == old.extension(f), render(f)
-        for s in model.states:
-            assert new.eval(s, f) == old.eval(s, f), (s, render(f))
-            assert new.check(s, f).to_doc() == old.check(s, f).to_doc(), \
-                (s, render(f))
+        assert_agree(new, old, model, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(models(), st.data())
+def test_engines_agree_on_positive_and_negative_bodies(model, data):
+    """The one-set rule for quantifiers over positive and negative bodies
+    against the oracle, which always scans every choice set."""
+    new, old = Evaluator(model), oracle.Evaluator(model)
+    for f in data.draw(biased_formulas(model.agents, model.props)):
+        assert_agree(new, old, model, f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,3 +177,21 @@ def test_evidence_order_on_pinned_models(doc, state, text):
     got = Evaluator(model).check(state, f).to_doc()
     assert got == oracle.Evaluator(model).check(state, f).to_doc()
     assert got["witness"] or got["refutation"]
+
+
+def test_refutation_of_a_false_coalition_diamond_over_a_negative_body():
+    """`<[G]> ~phi` with phi positive is decided by the opponents' first set
+    alone, but its refutation is still the first response that beats the
+    group's first set, which `check` must go on to find."""
+    model = validate({
+        "agents": ["a", "b", "c"], "props": ["p", "q"],
+        "states": ["s0", "s1", "s2", "s3"],
+        "partitions": {"a": [["s0", "s1"], ["s2"], ["s3"]],
+                       "b": [["s0"], ["s1"], ["s2", "s3"]],
+                       "c": [["s0", "s3"], ["s1", "s2"]]},
+        "valuation": {"p": ["s0", "s1", "s2"], "q": ["s1", "s3"]}})
+    f = parse("<[{b}]> ~K a q")
+    got = Evaluator(model).check("s1", f).to_doc()
+    assert got == oracle.Evaluator(model).check("s1", f).to_doc()
+    assert not got["truth"]
+    assert got["refutation"]["choice"] == {"a": ["s0", "s1"], "c": ["s1", "s2"]}

@@ -15,8 +15,8 @@ import cogal
 from cogal.checker import BindingError, Evaluator
 from cogal.formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, Fragment, GroupBox, GroupDia,
-    Hole, Iff, Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia,
-    ParseError, Top, agents_of, atoms, conjoin, depth_ca, depth_pa, fragment,
+    Hole, Iff, Imp, ImpCtx, Know, KnowCtx, NecessityForm, Not, Or, PaBox,
+    PaCtx, PaDia, ParseError, Top, _vocab_mask, agents_of, atoms, conjoin, depth_ca, depth_pa, fragment,
     instantiate, is_group_announcement, normalize, order_lt, parse, render,
     resugar, size, substitute,
 )
@@ -423,6 +423,32 @@ class TestCachedFacts:
     def test_contexts_hash_structurally(self, form):
         assert hash(pickle.loads(pickle.dumps(form))) == hash(form)
         assert hash(copy.deepcopy(form)) == hash(form)
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas, contexts)
+    def test_hash_and_mask_follow_the_generic_rule(self, f, form):
+        """Every node shape stores the hash of `(class, *keys)`, a subnode
+        keyed by its own hash and a name field by its value, and the OR of
+        its subnodes' masks and its own names' bits."""
+        def check(g):
+            keys, mask = [type(g)], 0
+            for fld in dataclasses.fields(g):
+                value = getattr(g, fld.name)
+                if isinstance(value, (Formula, NecessityForm)):
+                    check(value)
+                    keys.append(hash(value))
+                    mask |= value._mask
+                else:
+                    keys.append(value)
+                    kind = "p" if fld.name == "name" else "a"
+                    names = [value] if isinstance(value, str) else value
+                    mask |= _vocab_mask(**{("props" if kind == "p"
+                                            else "agents"): names})
+            assert hash(g) == hash(tuple(keys))
+            assert g._mask == mask
+        check(f)
+        check(form)
+        check(instantiate(form, f))
 
     def test_non_formula_child_rejected(self):
         with pytest.raises(TypeError, match="not a formula"):

@@ -10,7 +10,10 @@ after every update so the enumeration stays complete at every nesting level;
 
 Inside the evaluator every set of states is an int mask over the root
 model's states (state i is bit i, in document order), so restricting,
-contracting and intersecting choices are bit operations on ints.
+contracting and intersecting choices are bit operations on ints. A
+contracted restriction is a `model._Quotient`, the form the public
+contraction API reads too; witnesses, refutations and certificates are
+realized from its masks, with no `KripkeModel` built.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .formula import (
     _vocab_mask,
 )
 from .model import (
-    KripkeModel, ModelError, PointedModel, _bits, _quotient, _refine,
-    _refinement, realize_choice,
+    KripkeModel, ModelError, PointedModel, _Quotient, _bits, _refine,
+    _whole_quotient,
 )
 
 __all__ = [
@@ -118,12 +121,15 @@ def class_unions(model: KripkeModel, agent: str,
             for union in _unions(classes, sizes, anchor)]
 
 
-def group_choices(model: KripkeModel, w: str, group) -> Iterator[AnnouncementChoice]:
+def group_choices(model: KripkeModel, w: Optional[str],
+                  group) -> Iterator[AnnouncementChoice]:
     """Enumerate every truthful announcement choice of the group at w:
     per member, the unions of that member's classes containing w's class.
-    Deterministic order; agents iterate in model order with the last agent
-    varying fastest. The empty group yields the single trivial choice."""
-    if w not in model._state_set:
+    Without a state, every choice: per member, every union of its classes,
+    the empty one included. Deterministic order; agents iterate in model
+    order with the last agent varying fastest. The empty group yields the
+    single trivial choice."""
+    if w is not None and w not in model._state_set:
         raise ModelError(f"unknown state {w!r}")
     members = [a for a in model.agents if a in frozenset(group)]
     option_lists = [class_unions(model, a, w) for a in members]
@@ -141,8 +147,8 @@ def _positive(f: Formula) -> bool:
     Lemma (van Ditmarsch and Kooi, "The secret of my success", Synthese
     2006). Let phi be positive, M a model, w a state and S a set of M's
     states with w in S. If (M, w) |= phi, then (M|S, w) |= phi, where M|S
-    is M restricted to S and then contracted, as `Evaluator._entry` builds
-    it.
+    is M restricted to S and then contracted, as `Evaluator._restriction`
+    builds it.
 
     Proof. Contraction first. The evaluator reads a restriction at its
     bisimulation contraction. The quotient map is a bisimulation, and truth
@@ -277,79 +283,17 @@ class CertificateLog:
         return not self.mismatches
 
 
-class _Entry:
-    """A reachable restriction of the root model, contracted on construction.
-
-    Every set is a mask over the root's states. `kept` is the restriction's
-    state set. Its coarsest-bisimulation blocks are listed as (rep, block)
-    pairs, a block named by its lowest state `rep`; the evaluator addresses a
-    state of the contracted restriction by that rep, and `rep_of` maps each
-    kept root state to the rep of its block. `classes` holds each agent's
-    classes as unions of blocks. The contracted `KripkeModel` is built only
-    when `model` is first read.
-    """
-
-    __slots__ = ("serial", "kept", "blocks", "reps", "rep_of", "classes",
-                 "choice_sets", "_unions", "_root", "_model")
-
-    def __init__(self, serial: int, kept: int, root: KripkeModel, refined):
-        levels, classes = refined
-        self.serial = serial
-        self.kept = kept
-        self.blocks = sorted(((b & -b).bit_length() - 1, b) for b in levels[-1])
-        self.reps = 0
-        self.rep_of = list(range(len(root.states)))
-        for rep, block in self.blocks:
-            self.reps |= 1 << rep
-            for i in _bits(block ^ 1 << rep):
-                self.rep_of[i] = rep
-        self.classes = dict(zip(root.agents, classes))
-        self.choice_sets = {}
-        self._unions = {}
-        self._root = root
-        self._model = None
-
-    @property
-    def model(self) -> KripkeModel:
-        """The contracted restriction, states named by their reps."""
-        if self._model is None:
-            self._model = _quotient(self._root, [b for _, b in self.blocks],
-                                    list(self.classes.values()))
-        return self._model
-
-    def reps_meeting(self, mask: int) -> int:
-        """Reps of the blocks that meet a mask of kept states."""
-        if self.reps == self.kept:
-            return mask
-        out = 0
-        for i in _bits(mask):
-            out |= 1 << self.rep_of[i]
-        return out
-
-    def unions(self, agent: str, rep: int) -> list:
-        """The agent's class unions containing the state's class, ordered as
-        `class_unions` orders them (a class weighs its number of blocks);
-        computed once per class."""
-        classes = self.classes[agent]
-        k = 0
-        while not classes[k] >> rep & 1:
-            k += 1
-        found = self._unions.get((agent, k))
-        if found is None:
-            sizes = [(c & self.reps).bit_count() for c in classes]
-            found = self._unions[agent, k] = _unions(classes, sizes, k)
-        return found
-
-
 class Evaluator:
     """Evaluation engine for one root model.
 
-    Holds the cache of contracted restrictions (keyed by the kept mask of
-    root states) and a memo table keyed per restriction instance. Every
-    restriction is contracted, so the quantifier rule enumerates exactly the
-    announcements expressible there. With `certify=True` every distinct
-    announcement choice enumerated by the quantifier rule is checked against
-    its realizing formula.
+    Holds the contracted restrictions reached so far, as `model._Quotient`s
+    keyed by their kept masks of root states, and the caches kept per
+    restriction: the memo table, each agent's class unions, the choice sets
+    and the certificates already checked. Every restriction is contracted,
+    so the quantifier rule enumerates exactly the announcements expressible
+    there. With `certify=True` every distinct announcement choice
+    enumerated by the quantifier rule is checked against its realizing
+    formula.
     """
 
     def __init__(self, model: KripkeModel, *, certify: bool = False):
@@ -358,13 +302,16 @@ class Evaluator:
         self._truth = model._truth_masks
         self._class_at = model._class_at
         self._agent_set = frozenset(model.agents)
-        self._full = (1 << len(model.states)) - 1
-        self._entries: Dict[int, _Entry] = {}
+        # the whole model's quotient is shared with every evaluator of it
+        self._root_quotient = _whole_quotient(model)
+        self._quotients: Dict[int, _Quotient] = {
+            self._root_quotient.kept: self._root_quotient}
         self._memo = {}
+        self._option_cache = {}
+        self._choice_set_cache = {}
         self.certify = certify
         self.certificates = CertificateLog()
         self._cert_seen = set()
-        self._root_entry = self._entry(self._full)
 
     @property
     def model(self) -> KripkeModel:
@@ -374,13 +321,12 @@ class Evaluator:
 
     def eval(self, state: str, f: Formula) -> bool:
         """Truth of the formula at a state of the root model."""
-        entry = self._root_entry
-        return self._eval(entry, self._start(state, f), f)
+        return self._eval(self._root_quotient, self._start(state, f), f)
 
     def extension(self, f: Formula) -> frozenset:
         """States of the root model satisfying the formula."""
         _check_bound(self._root, self._vocab, f)
-        return self._states(self._where(self._root_entry, f))
+        return self._states(self._where(self._root_quotient, f))
 
     def check(self, state: str, f: Formula) -> Verdict:
         """Evaluate and extract witness or refutation evidence for a
@@ -390,38 +336,34 @@ class Evaluator:
         the evaluator itself stops at the truth value."""
         if not isinstance(f, (GroupDia, CoalDia)):
             return Verdict(self.eval(state, f))
-        entry = self._root_entry
+        q = self._root_quotient
         s = self._start(state, f)
-        point = self._root.states[s]
         if self.certify or self._deciding_group(f) is None:
             # the scan that decides the truth also finds the witness
-            won = self._winner(entry, s, f)
-        elif not self._eval(entry, s, f):
+            won = self._winner(q, s, f)
+        elif not self._eval(q, s, f):
             won = None
         elif _positive(f.body):
             # the first set is a winner when any set is (`_positive`)
-            won = self._first_set(entry, s, f.group)[1]
+            won = self._first_set(q, s, f.group)[1]
         else:
-            won = self._winner(entry, s, f)
+            won = self._winner(q, s, f)
         if won is not None:
             return Verdict(True,
                            witness_choice=self._choice(f.group, won),
-                           witness_formula=realize_choice(
-                               entry.model, point, f.group,
-                               self._choice(f.group, won, entry.reps)))
+                           witness_formula=q.realize(
+                               zip(self._members(f.group), won)))
         if isinstance(f, GroupDia):
             return Verdict(False)
-        first = self._first_set(entry, s, f.group)[0]
+        first = self._first_set(q, s, f.group)[0]
         opponents = self._agent_set - f.group
         defeat = next(choice for response, choice
-                      in self._choice_sets(entry, s, opponents)
-                      if not self._holds_after(entry, first & response, s,
-                                               f.body))
+                      in self._choice_sets(q, s, opponents)
+                      if not self._holds_after(q, first & response, s, f.body))
         return Verdict(False,
                        refutation_choice=self._choice(opponents, defeat),
-                       refutation_formula=realize_choice(
-                           entry.model, point, opponents,
-                           self._choice(opponents, defeat, entry.reps)))
+                       refutation_formula=q.realize(
+                           zip(self._members(opponents), defeat)))
 
     # -- internals ---------------------------------------------------------
 
@@ -429,12 +371,12 @@ class Evaluator:
         names = self._root.states
         return frozenset(names[i] for i in _bits(mask))
 
-    def _choice(self, group: frozenset, masks: tuple,
-                within: int = -1) -> AnnouncementChoice:
-        """A choice's masks (one per member, in model order) as state sets;
-        `within` limits them to the states of a contracted restriction."""
-        members = [a for a in self._root.agents if a in group]
-        return {a: self._states(m & within) for a, m in zip(members, masks)}
+    def _members(self, group: frozenset) -> list:
+        return [a for a in self._root.agents if a in group]
+
+    def _choice(self, group: frozenset, masks: tuple) -> AnnouncementChoice:
+        """A choice's masks (one per member, in model order) as state sets."""
+        return {a: self._states(m) for a, m in zip(self._members(group), masks)}
 
     def _start(self, state: str, f: Formula) -> int:
         """Rep of a root state in the contracted root, after checking the
@@ -442,65 +384,77 @@ class Evaluator:
         if state not in self._root._state_set:
             raise ModelError(f"unknown state {state!r}")
         _check_bound(self._root, self._vocab, f)
-        return self._root_entry.rep_of[self._root._position[state]]
+        return self._root_quotient.rep_of[self._root._position[state]]
 
-    def _entry(self, kept: int) -> _Entry:
-        entry = self._entries.get(kept)
-        if entry is None:
-            refined = (_refinement(self._root) if kept == self._full
-                       else _refine(self._root, kept))
-            entry = self._entries[kept] = _Entry(len(self._entries), kept,
-                                                 self._root, refined)
-        return entry
+    def _restriction(self, kept: int) -> _Quotient:
+        q = self._quotients.get(kept)
+        if q is None:
+            q = self._quotients[kept] = _Quotient(
+                self._root, kept, _refine(self._root, kept))
+        return q
 
-    def _where(self, entry: _Entry, f: Formula) -> int:
-        """The union of the entry's blocks at which the formula holds."""
+    def _where(self, q: _Quotient, f: Formula) -> int:
+        """The union of the restriction's blocks at which the formula holds."""
         out = 0
-        for rep, block in entry.blocks:
-            if self._eval(entry, rep, f):
+        for rep, block in q.blocks:
+            if self._eval(q, rep, f):
                 out |= block
         return out
 
-    def _holds_after(self, entry: _Entry, kept: int, state: int,
+    def _holds_after(self, q: _Quotient, kept: int, state: int,
                      body: Formula) -> bool:
         """Truth of the body at the state after restricting to `kept`, a
-        union of the entry's blocks containing the state."""
-        child = self._entry(kept)
+        union of the restriction's blocks containing the state."""
+        child = self._restriction(kept)
         return self._eval(child, child.rep_of[state], body)
 
-    def _first_set(self, entry: _Entry, state: int, group: frozenset):
+    def _options(self, q: _Quotient, agent: str, rep: int) -> list:
+        """The agent's class unions containing the state's class, ordered as
+        `class_unions` orders them (a class weighs its number of blocks);
+        computed once per restriction and class."""
+        classes = q.classes[agent]
+        k = 0
+        while not classes[k] >> rep & 1:
+            k += 1
+        key = (q.kept, agent, k)
+        found = self._option_cache.get(key)
+        if found is None:
+            sizes = [(c & q.reps).bit_count() for c in classes]
+            found = self._option_cache[key] = _unions(classes, sizes, k)
+        return found
+
+    def _first_set(self, q: _Quotient, state: int, group: frozenset):
         """The group's first choice set at the state and its representative:
         each member announces its own class, so the set is the intersection
         of the members' classes (the whole restriction for the empty group).
         Every choice set of the group at the state contains it."""
-        kept, choice = entry.kept, []
-        for agent in self._root.agents:
-            if agent in group:
-                for own in entry.classes[agent]:
-                    if own >> state & 1:
-                        break
-                kept &= own
-                choice.append(own)
+        kept, choice = q.kept, []
+        for agent in self._members(group):
+            for own in q.classes[agent]:
+                if own >> state & 1:
+                    break
+            kept &= own
+            choice.append(own)
         return kept, tuple(choice)
 
-    def _choice_sets(self, entry: _Entry, state: int, group: frozenset):
+    def _choice_sets(self, q: _Quotient, state: int, group: frozenset):
         """Distinct update sets achievable by the group at the state, each with
         a representative choice, in order of first appearance.
 
         A memoised generator (`_ChoiceSets`): a loop that stops early builds
         no more sets than it read. Under `certify` every set is built and
         certified at once."""
-        key = (state, group)
-        sets = entry.choice_sets.get(key)
+        key = (q.kept, state, group)
+        sets = self._choice_set_cache.get(key)
         if sets is None:
-            sets = entry.choice_sets[key] = _ChoiceSets(
-                self._build_choice_sets(entry, state, group))
+            sets = self._choice_set_cache[key] = _ChoiceSets(
+                self._build_choice_sets(q, state, group))
             if self.certify:
                 for _, choice in sets:
-                    self._certify(entry, state, group, choice)
+                    self._certify(q, group, choice)
         return sets
 
-    def _build_choice_sets(self, entry: _Entry, state: int, group: frozenset):
+    def _build_choice_sets(self, q: _Quotient, state: int, group: frozenset):
         """Yield the group's choice sets, depth first over the members in
         model order with deduplication of partial intersections: equal
         partial intersections have identical continuations, so this yields
@@ -508,10 +462,9 @@ class Evaluator:
         product of per-agent options (`group_choices`), at a fraction of the
         cost. Each set's representative is the first product choice that
         yields it, as a tuple of masks, one per member in model order."""
-        options = [entry.unions(a, state) for a in self._root.agents
-                   if a in group]
+        options = [self._options(q, a, state) for a in self._members(group)]
         if not options:
-            yield entry.kept, ()
+            yield q.kept, ()
             return
         seen = [set() for _ in options]
         last = len(options) - 1
@@ -527,7 +480,7 @@ class Evaluator:
                 else:
                     yield from walk(level + 1, cut, rep + (option,))
 
-        yield from walk(0, entry.kept, ())
+        yield from walk(0, q.kept, ())
 
     def _deciding_group(self, f: Formula) -> Optional[frozenset]:
         """The group whose first set alone decides the quantifier, when its
@@ -556,7 +509,7 @@ class Evaluator:
             return frozenset()
         return self._agent_set - f.group
 
-    def _quantify(self, entry: _Entry, state: int, f: Formula) -> bool:
+    def _quantify(self, q: _Quotient, state: int, f: Formula) -> bool:
         """The one rule for group and coalition quantifiers, a box being the
         dual of its diamond. Over a positive or negative body one set
         decides (`_deciding_group`); otherwise the group's choice sets are
@@ -565,65 +518,63 @@ class Evaluator:
         if not self.certify:
             decider = self._deciding_group(f)
             if decider is not None:
-                first = self._first_set(entry, state, decider)[0]
-                return self._holds_after(entry, first, state, f.body)
-        won = self._winner(entry, state, f)
+                first = self._first_set(q, state, decider)[0]
+                return self._holds_after(q, first, state, f.body)
+        won = self._winner(q, state, f)
         return (won is not None) == isinstance(f, (GroupDia, CoalDia))
 
-    def _winner(self, entry: _Entry, state: int, f: Formula):
+    def _winner(self, q: _Quotient, state: int, f: Formula):
         """The representative choice of the group's first set that wins:
         under every response of the opponents, the body takes the goal value
         (true for diamonds, false for boxes). A group quantifier's only
         response is the trivial one. None when no set wins."""
         goal = isinstance(f, (GroupDia, CoalDia))
         if isinstance(f, (CoalBox, CoalDia)):
-            responses = self._choice_sets(entry, state,
+            responses = self._choice_sets(q, state,
                                           self._agent_set - f.group)
         else:
             responses = _TRIVIAL_RESPONSE
-        for own, own_choice in self._choice_sets(entry, state, f.group):
+        for own, own_choice in self._choice_sets(q, state, f.group):
             for response, _ in responses:
                 kept = own if response is None else own & response
-                if self._holds_after(entry, kept, state, f.body) != goal:
+                if self._holds_after(q, kept, state, f.body) != goal:
                     break
             else:
                 return own_choice
         return None
 
-    def _certify(self, entry: _Entry, state: int, group: frozenset,
-                 choice: tuple) -> None:
-        key = (entry.serial, group, choice)
+    def _certify(self, q: _Quotient, group: frozenset, choice: tuple) -> None:
+        """Check that the formula realizing the choice holds exactly on the
+        choice's set; record a mismatch, or a realization that fails."""
+        key = (q.kept, group, choice)
         if key in self._cert_seen:
             return
         self._cert_seen.add(key)
         self.certificates.checked += 1
-        expected = entry.kept
+        expected = q.kept
         for part in choice:
             expected &= part
-        named = self._choice(group, choice, entry.reps)
         try:
-            realized = realize_choice(entry.model, self._root.states[state],
-                                      group, named)
-            got = self._where(entry, realized)
+            got = self._where(q, q.realize(zip(self._members(group), choice)))
         except ModelError as exc:
-            self.certificates.mismatches.append(
-                (self._states(entry.kept), named, f"realization failed: {exc}"))
-            return
-        if got != expected:
-            self.certificates.mismatches.append(
-                (self._states(entry.kept), named,
-                 f"extension {sorted(self._states(got & entry.reps))} != "
-                 f"choice intersection {sorted(self._states(expected & entry.reps))}"))
+            problem = f"realization failed: {exc}"
+        else:
+            if got == expected:
+                return
+            problem = (f"extension {sorted(self._states(got))} != choice "
+                       f"intersection {sorted(self._states(expected))}")
+        self.certificates.mismatches.append(
+            (self._states(q.kept), self._choice(group, choice), problem))
 
-    def _eval(self, entry: _Entry, state: int, f: Formula) -> bool:
+    def _eval(self, q: _Quotient, state: int, f: Formula) -> bool:
         memo = self._memo
-        key = (entry.serial, state, f)
+        key = (q.kept, state, f)
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = self._eval_raw(entry, state, f)
+            hit = memo[key] = self._eval_raw(q, state, f)
         return hit
 
-    def _eval_raw(self, entry: _Entry, state: int, f: Formula) -> bool:
+    def _eval_raw(self, q: _Quotient, state: int, f: Formula) -> bool:
         if isinstance(f, Atom):
             return self._truth[f.name] >> state & 1 == 1
         if isinstance(f, Top):
@@ -631,37 +582,37 @@ class Evaluator:
         if isinstance(f, Bot):
             return False
         if isinstance(f, Not):
-            return not self._eval(entry, state, f.body)
+            return not self._eval(q, state, f.body)
         if isinstance(f, And):
-            return (self._eval(entry, state, f.left)
-                    and self._eval(entry, state, f.right))
+            return (self._eval(q, state, f.left)
+                    and self._eval(q, state, f.right))
         if isinstance(f, Or):
-            return (self._eval(entry, state, f.left)
-                    or self._eval(entry, state, f.right))
+            return (self._eval(q, state, f.left)
+                    or self._eval(q, state, f.right))
         if isinstance(f, Imp):
-            return (not self._eval(entry, state, f.left)
-                    or self._eval(entry, state, f.right))
+            return (not self._eval(q, state, f.left)
+                    or self._eval(q, state, f.right))
         if isinstance(f, Iff):
-            return (self._eval(entry, state, f.left)
-                    == self._eval(entry, state, f.right))
+            return (self._eval(q, state, f.left)
+                    == self._eval(q, state, f.right))
         if isinstance(f, Know):
             # the agent's class in the contracted restriction: the blocks
             # its root class meets there
-            peers = entry.reps_meeting(
-                self._class_at[f.agent][state] & entry.kept)
+            peers = q.reps_meeting(
+                self._class_at[f.agent][state] & q.kept)
             while peers:
                 low = peers & -peers
-                if not self._eval(entry, low.bit_length() - 1, f.body):
+                if not self._eval(q, low.bit_length() - 1, f.body):
                     return False
                 peers ^= low
             return True
         if isinstance(f, (PaBox, PaDia)):
-            if not self._eval(entry, state, f.announce):
+            if not self._eval(q, state, f.announce):
                 return isinstance(f, PaBox)
-            return self._holds_after(entry, self._where(entry, f.announce),
+            return self._holds_after(q, self._where(q, f.announce),
                                      state, f.body)
         if isinstance(f, (GroupBox, GroupDia, CoalBox, CoalDia)):
-            return self._quantify(entry, state, f)
+            return self._quantify(q, state, f)
         raise TypeError(f"not a formula: {f!r}")
 
 

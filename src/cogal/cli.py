@@ -138,7 +138,7 @@ def _cmd_suite(args) -> int:
                        agents=_split_names(args.agents),
                        props=_split_names(args.props),
                        seed=args.seed, count=args.models)
-    items = _split_names(args.items) if args.items else None
+    items = None if args.items is None else _split_names(args.items)
     if items:
         items = tuple(canonical_item_name(n) for n in items)
     report = axiom_suite(params, items=items, certify=args.certify)
@@ -200,8 +200,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ParseError, ModelError, BindingError, ValueError, KeyError,
-            OSError) as exc:
+    except OSError as exc:
+        # args[0] of an OSError is its errno; report the path and the reason
+        reason = exc.strerror or str(exc)
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{reason}", file=sys.stderr)
+        return _EXIT_ERROR
+    except (ParseError, ModelError, BindingError, ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return _EXIT_ERROR

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .checker import CertificateLog, Evaluator, class_unions
+from .checker import CertificateLog, Evaluator, group_choices
 from .formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, Fragment, GroupBox, GroupDia,
     Hole, Iff, Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia, Top,
@@ -737,16 +737,6 @@ def _run_clr1(model, ev, rng, pool, params, index) -> _RunResult:
     return instances, failures, None
 
 
-def _all_union_choices(model: KripkeModel, group: frozenset):
-    """Every assignment of a union of equivalence classes (including the
-    empty union) to each group member: the extension shapes of all possible
-    knowledge announcements, not anchored at any state."""
-    members = [a for a in model.agents if a in group]
-    per_agent = [class_unions(model, agent) for agent in members]
-    for combo in itertools.product(*per_agent):
-        yield dict(zip(members, combo))
-
-
 def _necessity_forms(model, rng, pool):
     agent = model.agents[rng.randrange(len(model.agents))]
     return [
@@ -779,9 +769,9 @@ def _quantifier_rule_item(coalition: bool) -> Callable:
         for group in groups[:4]:
             opponents = frozenset(model.agents) - group
             own = [realize_choice(contracted, anchor, group, c)
-                   for c in _all_union_choices(contracted, group)]
+                   for c in group_choices(contracted, None, group)]
             other = [realize_choice(contracted, anchor, opponents, c)
-                     for c in _all_union_choices(contracted, opponents)]
+                     for c in group_choices(contracted, None, opponents)]
             for form, fnote in _necessity_forms(model, rng, pool)[:2]:
                 for goal in (Top(), _draw(rng, pool)):
                     if coalition:
@@ -936,6 +926,11 @@ def axiom_suite(params: GenParams, items: Optional[Iterable[str]] = None,
         names = list(suite_item_names())
     else:
         names = sorted({canonical_item_name(n) for n in items})
+    # a suite that checks nothing neither passes nor fails
+    if not names:
+        raise ValueError("no suite items to run")
+    if params.count < 1:
+        raise ValueError("the suite needs at least one model")
     tallies = {n: _Tally() for n in names}
     certificates = CertificateLog() if certify else None
     for index in range(params.count):

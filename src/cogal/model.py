@@ -9,7 +9,6 @@ export.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -59,11 +58,9 @@ class KripkeModel:
             _require_ident(p, "proposition")
         if set(self.partitions) != set(self.agents):
             raise ModelError("partitions must cover exactly the agent set")
-        class_index = {}
         class_masks = {}
         class_at = {}
         for agent in self.agents:
-            index = {}
             masks = []
             at = [0] * len(position)
             for block in self.partitions[agent]:
@@ -75,19 +72,17 @@ class KripkeModel:
                     if i is None:
                         raise ModelError(f"partition of agent {agent!r} mentions "
                                          f"unknown state {s!r}")
-                    if s in index:
+                    if at[i]:
                         raise ModelError(f"overlapping partition blocks for agent "
                                          f"{agent!r} at state {s!r}")
-                    index[s] = block
                     mask |= 1 << i
                 masks.append(mask)
                 for s in block:
                     at[position[s]] = mask
-            if len(index) != len(position):
-                missing = sorted(set(position) - set(index))
+            if not all(at):
+                missing = sorted(s for s, i in position.items() if not at[i])
                 raise ModelError(f"partition of agent {agent!r} does not cover "
                                  f"states {missing}")
-            class_index[agent] = index
             class_masks[agent] = tuple(masks)
             class_at[agent] = at
         truth_masks = dict.fromkeys(self.props, 0)
@@ -99,7 +94,6 @@ class KripkeModel:
                     raise ModelError(f"valuation of {prop!r} mentions unknown "
                                      f"state {s!r}")
                 truth_masks[prop] |= 1 << position[s]
-        object.__setattr__(self, "_class_index", class_index)
         object.__setattr__(self, "_state_set", frozenset(position))
         # State i is bit i; every class and truth set as an int mask, and
         # per agent the class mask of each state.
@@ -110,7 +104,9 @@ class KripkeModel:
 
     def class_of(self, agent: str, state: str) -> frozenset:
         """Equivalence class of the state under the agent's relation."""
-        return self._class_index[agent][state]
+        names = self.states
+        return frozenset(names[i] for i in
+                         _bits(self._class_at[agent][self._position[state]]))
 
     def props_at(self, state: str) -> tuple:
         """Propositions true at the state, in document order."""
@@ -256,9 +252,7 @@ def update(model: KripkeModel, keep: Iterable[str]) -> KripkeModel:
 # --- bisimulation contraction -------------------------------------------------
 #
 # Contraction works on int masks over a model's states (state i is bit i, in
-# document order). A block of the coarsest bisimulation is named after its
-# lowest state, so block order by lowest bit is the document order of the
-# contracted states.
+# document order). `_refine` computes the blocks; `_Quotient` names them.
 
 def _bits(mask: int) -> list:
     """Indices of the set bits, ascending."""
@@ -373,24 +367,151 @@ def _bisim_key(model: KripkeModel) -> tuple:
         colour = [rank[s] for s in signatures]
 
 
-def _quotient(model: KripkeModel, blocks: list, classes: list) -> KripkeModel:
-    """The quotient named by lowest states, from `_refine`'s final blocks and
-    classes; the model itself when every state is its own block."""
-    if len(blocks) == len(model.states):
-        return model
-    reps = 0
-    for b in blocks:
-        reps |= b & -b
-    names = model.states
+class _Quotient:
+    """A restriction of a model to the states of a mask, contracted: the one
+    form in which the evaluator and the contraction API hold it, and the one
+    place where blocks get their names.
 
-    def decode(mask):
-        return frozenset(names[i] for i in _bits(mask & reps))
+    Built from `_refine`'s result. `kept` is the restriction's state set and
+    `levels` its refinement ladder. A block of the coarsest bisimulation is
+    named by its lowest state, its rep: `blocks` lists (rep, block) pairs
+    ordered by rep, `reps` is the mask of the reps, and `rep_of` maps each
+    kept state to the rep of its block. `classes` holds each agent's classes,
+    in model order, as unions of blocks. The contracted restriction's states
+    are the reps, in ascending order.
+    """
 
-    partitions = {agent: tuple(decode(c) for c in agent_classes)
-                  for agent, agent_classes in zip(model.agents, classes)}
-    valuation = {p: decode(truth) for p, truth in model._truth_masks.items()}
-    return KripkeModel(tuple(names[i] for i in _bits(reps)), model.agents,
-                       model.props, partitions, valuation)
+    __slots__ = ("kept", "levels", "blocks", "reps", "rep_of", "classes",
+                 "_names", "_truth", "_chars")
+
+    def __init__(self, model: KripkeModel, kept: int, refined: tuple):
+        levels, classes = refined
+        self.kept = kept
+        self.levels = levels
+        self.blocks = sorted(((b & -b).bit_length() - 1, b) for b in levels[-1])
+        self.reps = 0
+        self.rep_of = list(range(len(model.states)))
+        for rep, block in self.blocks:
+            self.reps |= 1 << rep
+            for i in _bits(block ^ 1 << rep):
+                self.rep_of[i] = rep
+        self.classes = dict(zip(model.agents, classes))
+        self._names = model.states
+        self._truth = model._truth_masks
+        self._chars = None
+
+    def reps_meeting(self, mask: int) -> int:
+        """Reps of the blocks that meet a mask of kept states."""
+        if self.reps == self.kept:
+            return mask
+        out = 0
+        for i in _bits(mask):
+            out |= 1 << self.rep_of[i]
+        return out
+
+    def chars(self) -> dict:
+        """Rep -> characteristic formula: a purely epistemic formula whose
+        extension in the contracted restriction is exactly the rep. Built
+        once, from the ladder: two reps are told apart at the first level
+        that separates them, by the first proposition in model order on
+        which they differ (level 0) or else by the first agent in model
+        order whose classes meet different blocks of the level before."""
+        if self._chars is not None:
+            return self._chars
+        reps = self.reps
+        # per level, rep -> its block; per agent, rep -> the reps of its class
+        block_at = [{r: b for b in level for r in _bits(b & reps)}
+                    for level in self.levels]
+        peers = [(agent, {r: c & reps for c in agent_classes
+                          for r in _bits(c & reps)})
+                 for agent, agent_classes in self.classes.items()]
+        memo = {}
+
+        def delta(s, t):
+            """Purely epistemic formula true at s and false at t."""
+            out = memo.get((s, t))
+            if out is not None:
+                return out
+            k = 0
+            while block_at[k][s] == block_at[k][t]:
+                k += 1
+            if k == 0:
+                p, truth = next((p, truth) for p, truth in self._truth.items()
+                                if (truth >> s ^ truth >> t) & 1)
+                out = Atom(p) if truth >> s & 1 else Not(Atom(p))
+            else:
+                prev = block_at[k - 1]
+                for agent, at in peers:
+                    met_s = {prev[u] for u in _bits(at[s])}
+                    met_t = {prev[u] for u in _bits(at[t])}
+                    if met_s != met_t:
+                        break
+                # one side's class meets a block the other's does not: take
+                # the lowest such block, and the lowest rep of the class in it
+                here, there, extra = ((s, t, met_s - met_t) if met_s - met_t
+                                      else (t, s, met_t - met_s))
+                inside = at[here] & min(extra, key=lambda b: b & -b)
+                u = (inside & -inside).bit_length() - 1
+                out = Know(agent, Not(conjoin(delta(u, v)
+                                              for v in _bits(at[there]))))
+                if here == s:
+                    out = Not(out)
+            memo[s, t] = out
+            return out
+
+        self._chars = {}
+        for s in _bits(reps):
+            parts = [delta(s, t) for t in _bits(reps) if t != s]
+            self._chars[s] = conjoin(parts) if parts else Top()
+        return self._chars
+
+    def realize(self, pairs: Iterable) -> Formula:
+        """The announcement formula of a choice given as (agent, mask)
+        pairs, each mask a union of the agent's classes: one knowledge
+        conjunct per pair, in order, each the disjunction of the
+        characteristic formulas of the reps in its mask."""
+        parts = []
+        for agent, mask in pairs:
+            for c in self.classes[agent]:
+                if c & mask and c & mask != c:
+                    raise ModelError(f"choice for agent {agent!r} is not a union "
+                                     f"of that agent's equivalence classes")
+            chars = self.chars()
+            parts.append(Know(agent, disjoin(chars[r]
+                                             for r in _bits(mask & self.reps))))
+        return conjoin(parts) if parts else Top()
+
+    def decode(self) -> KripkeModel:
+        """The contracted restriction as a model, states named by reps."""
+        names, reps = self._names, self.reps
+
+        def named(mask):
+            return frozenset(names[i] for i in _bits(mask & reps))
+
+        partitions = {agent: tuple(named(c) for c in agent_classes)
+                      for agent, agent_classes in self.classes.items()}
+        valuation = {p: named(truth) for p, truth in self._truth.items()}
+        return KripkeModel(tuple(names[i] for i in _bits(reps)),
+                           tuple(self.classes), tuple(self._truth),
+                           partitions, valuation)
+
+
+def _whole_quotient(model: KripkeModel) -> _Quotient:
+    """The quotient of the whole model, built once per model: evaluators of
+    the model and the public contraction API share it and its
+    characteristic formulas."""
+    try:
+        return model._whole_quotient
+    except AttributeError:
+        quotient = _Quotient(model, (1 << len(model.states)) - 1,
+                             _refinement(model))
+        object.__setattr__(model, "_whole_quotient", quotient)
+        return quotient
+
+
+def is_contracted(model: KripkeModel) -> bool:
+    """Whether no two distinct states are bisimilar."""
+    return len(_whole_quotient(model).blocks) == len(model.states)
 
 
 def bisim_contract(model: KripkeModel) -> ContractionMap:
@@ -398,106 +519,20 @@ def bisim_contract(model: KripkeModel) -> ContractionMap:
     agent relations. Contracted states are named by their first original
     state in document order. An already contracted model is its own
     quotient, under the identity mapping."""
-    levels, classes = _refinement(model)
-    blocks = levels[-1]
-    rep_of = [0] * len(model.states)
-    for b in blocks:
-        rep = model.states[(b & -b).bit_length() - 1]
-        for i in _bits(b):
-            rep_of[i] = rep
-    return ContractionMap(model, _quotient(model, blocks, classes),
-                          dict(zip(model.states, rep_of)))
-
-
-def is_contracted(model: KripkeModel) -> bool:
-    """Whether no two distinct states are bisimilar."""
-    return len(_refinement(model)[0][-1]) == len(model.states)
+    quotient = _whole_quotient(model)
+    names = model.states
+    contracted = model if is_contracted(model) else quotient.decode()
+    return ContractionMap(model, contracted,
+                          {s: names[r] for s, r in zip(names, quotient.rep_of)})
 
 
 # --- characteristic formulas ---------------------------------------------------
 
-_CHAR_CACHE = weakref.WeakKeyDictionary()
-
-
-def _char_table(model: KripkeModel) -> dict:
-    try:
-        return _CHAR_CACHE[model]
-    except KeyError:
-        pass
+def _contracted(model: KripkeModel) -> _Quotient:
     if not is_contracted(model):
         raise ModelError("model is not bisimulation-contracted; distinct "
                          "bisimilar states admit no distinguishing formula")
-    # per level, state -> block id, blocks numbered by lowest state
-    levels = []
-    for level in _refinement(model)[0]:
-        ids = {}
-        for k, b in enumerate(sorted(level, key=lambda b: b & -b)):
-            for i in _bits(b):
-                ids[model.states[i]] = k
-        levels.append(ids)
-    memo = {}
-
-    def sep_level(s, t):
-        for k, level in enumerate(levels):
-            if level[s] != level[t]:
-                return k
-        raise AssertionError("contracted states must separate")
-
-    def delta(s, t):
-        """Purely epistemic formula true at s and false at t."""
-        key = (s, t)
-        if key in memo:
-            return memo[key]
-        k = sep_level(s, t)
-        if k == 0:
-            for p in model.props:
-                extent = model.truth_set(p)
-                if (s in extent) != (t in extent):
-                    out = Atom(p) if s in extent else Not(Atom(p))
-                    break
-            else:
-                raise AssertionError("level-0 separation must be propositional")
-        else:
-            prev = levels[k - 1]
-            out = None
-            for agent in model.agents:
-                met_s = {prev[u] for u in model.class_of(agent, s)}
-                met_t = {prev[u] for u in model.class_of(agent, t)}
-                if met_s == met_t:
-                    continue
-                extra = sorted(met_s - met_t)
-                if extra:
-                    u = _first_in_block(model, agent, s, prev, extra[0])
-                    inner = conjoin(delta(u, t2) for t2 in _ordered(model, model.class_of(agent, t)))
-                    out = Not(Know(agent, Not(inner)))
-                else:
-                    extra = sorted(met_t - met_s)
-                    u = _first_in_block(model, agent, t, prev, extra[0])
-                    inner = conjoin(delta(u, s2) for s2 in _ordered(model, model.class_of(agent, s)))
-                    out = Know(agent, Not(inner))
-                break
-            if out is None:
-                raise AssertionError("separated states must differ for some agent")
-        memo[key] = out
-        return out
-
-    table = {}
-    for s in model.states:
-        parts = [delta(s, t) for t in model.states if t != s]
-        table[s] = conjoin(parts) if parts else Top()
-    _CHAR_CACHE[model] = table
-    return table
-
-
-def _ordered(model, block):
-    return [s for s in model.states if s in block]
-
-
-def _first_in_block(model, agent, state, level, block_id):
-    for u in _ordered(model, model.class_of(agent, state)):
-        if level[u] == block_id:
-            return u
-    raise AssertionError("block id must be met by the class")
+    return _whole_quotient(model)
 
 
 def char_formula(model: KripkeModel, state: str) -> Formula:
@@ -505,7 +540,7 @@ def char_formula(model: KripkeModel, state: str) -> Formula:
     the given state."""
     if state not in model._state_set:
         raise ModelError(f"unknown state {state!r}")
-    return _char_table(model)[state]
+    return _contracted(model).chars()[model._position[state]]
 
 
 def realize_choice(model: KripkeModel, w: str, group: Iterable[str],
@@ -522,23 +557,24 @@ def realize_choice(model: KripkeModel, w: str, group: Iterable[str],
     unknown = members - set(model.agents)
     if unknown:
         raise ModelError(f"choice mentions unknown agents {sorted(unknown)}")
-    table = _char_table(model)  # also enforces contractedness
-    parts = []
-    for agent in model.agents:
-        if agent not in members:
-            continue
-        if agent not in choice:
-            raise ModelError(f"choice is missing group member {agent!r}")
-        chosen = frozenset(choice[agent])
-        if chosen - model._state_set:
-            raise ModelError(f"choice for agent {agent!r} mentions unknown states")
-        for block in model.partitions[agent]:
-            if block & chosen and not block <= chosen:
-                raise ModelError(f"choice for agent {agent!r} is not a union of "
-                                 f"that agent's equivalence classes")
-        body = disjoin(table[s] for s in model.states if s in chosen)
-        parts.append(Know(agent, body))
-    return conjoin(parts) if parts else Top()
+    quotient = _contracted(model)
+
+    def masks():
+        for agent in model.agents:
+            if agent not in members:
+                continue
+            if agent not in choice:
+                raise ModelError(f"choice is missing group member {agent!r}")
+            chosen = frozenset(choice[agent])
+            if chosen - model._state_set:
+                raise ModelError(f"choice for agent {agent!r} mentions "
+                                 f"unknown states")
+            mask = 0
+            for s in chosen:
+                mask |= 1 << model._position[s]
+            yield agent, mask
+
+    return quotient.realize(masks())
 
 
 # --- DOT export -----------------------------------------------------------------
@@ -557,8 +593,9 @@ def to_dot(model: KripkeModel) -> str:
         label = f"{s}: {props}" if props else s
         lines.append(f"  {_dot_quote(s)} [label={_dot_quote(label)}];")
     for i, s in enumerate(model.states):
-        for t in model.states[i + 1:]:
-            agents = [a for a in model.agents if t in model.class_of(a, s)]
+        for j in range(i + 1, len(model.states)):
+            t = model.states[j]
+            agents = [a for a in model.agents if model._class_at[a][i] >> j & 1]
             if agents:
                 lines.append(f"  {_dot_quote(s)} -- {_dot_quote(t)} "
                              f"[label={_dot_quote(','.join(agents))}];")

@@ -75,6 +75,20 @@ class TestGroupChoices:
                     expected *= 2 ** (len(model.partitions[agent]) - 1)
                 assert len(list(group_choices(model, w, group))) == expected
 
+    def test_unanchored_choices_are_the_product_of_all_unions(self):
+        """Without a state, every member ranges over all unions of its
+        classes, the empty one included, in `class_unions` order."""
+        params = GenParams(max_states=4, agents=("a", "b", "c"),
+                           props=("p",), seed=3, count=20)
+        for i in range(20):
+            model = random_model(params, i)
+            for group in [set(), {"b"}, {"a", "c"}, {"a", "b", "c"}]:
+                members = [a for a in model.agents if a in group]
+                expected = [dict(zip(members, combo)) for combo in
+                            itertools.product(*[class_unions(model, a)
+                                                for a in members])]
+                assert list(group_choices(model, None, group)) == expected
+
     def test_increasing_cardinality_order(self):
         model = validate({
             "agents": ["a"], "props": ["p", "q"],

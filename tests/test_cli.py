@@ -70,6 +70,19 @@ class TestCheck:
         assert main(["check", train_file, "p ->"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_model_file_names_path_and_reason(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["check", str(missing), "p"]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {missing}: No such file or directory\n"
+
+    def test_missing_formula_file_names_path_and_reason(
+            self, train_file, tmp_path, capsys):
+        missing = tmp_path / "missing.cogal"
+        assert main(["check", train_file, "--formula-file", str(missing)]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {missing}: No such file or directory\n"
+
 
 class TestSuite:
     ARGS = ["suite", "--seed", "5", "--models", "4", "--max-states", "3"]
@@ -103,6 +116,18 @@ class TestSuite:
 
     def test_bad_params_exit_two(self, capsys):
         assert main(["suite", "--max-states", "0"]) == 2
+
+    def test_no_items_exits_two(self, capsys):
+        assert main(self.ARGS + ["--items", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no suite items to run\n"
+        assert "suite:" not in captured.out
+
+    def test_no_models_exits_two(self, capsys):
+        assert main(["suite", "--models", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the suite needs at least one model\n"
+        assert "suite:" not in captured.out
 
 
 class TestPinnedSuiteReports:
@@ -143,6 +168,14 @@ class TestSearch:
 
     def test_parse_error_exits_two(self, tmp_path):
         assert main(["search", "p &", "--out", str(tmp_path / "x.json")]) == 2
+
+    def test_unwritable_out_names_path_and_reason(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "cm.json"
+        code = main(["search", "p -> K a p", "--max-states", "2",
+                     "--agents", "a", "--props", "p", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err \
+            == f"error: {out}: No such file or directory\n"
 
 
 class TestContractDotTranslate:

@@ -100,7 +100,7 @@ class TestOneSetDecides:
         f = parse("<{a,b}> K c p")
         truths = [ev.eval(s, f) for s in model.states]
         assert any(truths) and not all(truths)
-        assert len(ev._entries) <= 40
+        assert len(ev._quotients) <= 40
 
     def test_every_case_matches_the_full_scan(self):
         """The one-set rule against the scan that `certify` keeps, for the
@@ -126,14 +126,14 @@ class TestOneSetDecides:
         model = exact_model(random.Random(5), 12, {"a": 5, "b": 4, "c": 4})
         ev = Evaluator(model)
         f = parse("<{a,b}> (p | ~K c q)")
-        entry = ev._root_entry
+        root = ev._root_quotient
         for s in model.states:
-            rep = entry.rep_of[model._position[s]]
-            first = ev._first_set(entry, rep, f.group)
-            if not ev._holds_after(entry, first[0], rep, f.body):
+            rep = root.rep_of[model._position[s]]
+            first = ev._first_set(root, rep, f.group)
+            if not ev._holds_after(root, first[0], rep, f.body):
                 continue
             assert ev.eval(s, f)
-            sets = entry.choice_sets[rep, f.group]
+            sets = ev._choice_set_cache[root.kept, rep, f.group]
             assert sets.found == [first] and sets.rest is not None
             return
         raise AssertionError("no state where the first set wins")
@@ -157,9 +157,9 @@ class TestLazyChoiceSets:
                 seen.add(cut)
                 expected.append((cut, choice))
         ev = Evaluator(model)
-        entry = ev._root_entry
-        rep = entry.rep_of[model._position[w]]
-        sets = ev._choice_sets(entry, rep, group)
+        root = ev._root_quotient
+        rep = root.rep_of[model._position[w]]
+        sets = ev._choice_sets(root, rep, group)
         # a partial read, a nested read, then the rest
         head = []
         for pair in sets:
@@ -171,4 +171,4 @@ class TestLazyChoiceSets:
         decoded = [(ev._states(cut), ev._choice(group, choice))
                    for cut, choice in got]
         assert decoded == expected
-        assert got[0] == ev._first_set(entry, rep, group)
+        assert got[0] == ev._first_set(root, rep, group)

@@ -1,0 +1,101 @@
+"""`model._Quotient`, the one form of a contracted restriction: against the
+frozenset oracle's contraction of `update`, and a guard that evaluation,
+evidence and certificates are read off its masks with no `KripkeModel`."""
+
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import frozenset_engine as oracle
+from cogal.checker import Evaluator
+from cogal.harness import _prop4_parts
+from cogal.model import (
+    KripkeModel, _Quotient, _bits, _refine, char_formula, is_contracted,
+    load_model, validate,
+)
+from test_engine_differential import models
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
+# A contracted model whose characteristic formulas depend on the rule that
+# the state chosen in the first block only one side's class meets is the
+# lowest rep of that class in it; random models rarely do.
+REP_CHOICE = {
+    "agents": ["a", "b"], "props": ["p"],
+    "states": ["s0", "s1", "s2", "s3", "s4", "s5"],
+    "partitions": {"a": [["s0"], ["s1"], ["s2"], ["s3", "s4", "s5"]],
+                   "b": [["s0", "s2", "s5"], ["s1", "s3"], ["s4"]]},
+    "valuation": {"p": ["s0"]},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(models(), st.data())
+def test_restriction_quotient_is_the_oracle_contraction(model, data):
+    """For any kept set: the decoded quotient, the map onto reps, the
+    characteristic formulas and the realization of random per-member unions
+    equal the oracle's, read on the oracle's contraction of the update."""
+    names = model.states
+    kept = data.draw(st.integers(1, (1 << len(names)) - 1))
+    quotient = _Quotient(model, kept, _refine(model, kept))
+    cm = oracle.bisim_contract(model.update(names[i] for i in _bits(kept)))
+    contracted = quotient.decode()
+    assert contracted.to_doc() == cm.contracted.to_doc()
+    assert is_contracted(contracted)
+    assert {names[i]: names[quotient.rep_of[i]] for i in _bits(kept)} \
+        == dict(cm.mapping)
+    table = oracle.char_table(cm.contracted)
+    assert {names[r]: f for r, f in quotient.chars().items()} == table
+
+    group = data.draw(st.frozensets(st.sampled_from(model.agents)))
+    members = [a for a in model.agents if a in group]
+    masks = []
+    for agent in members:
+        classes = quotient.classes[agent]
+        picked = data.draw(st.lists(st.booleans(), min_size=len(classes),
+                                    max_size=len(classes)))
+        union = 0
+        for c, bit in zip(classes, picked):
+            if bit:
+                union |= c
+        masks.append(union)
+    choice = {a: frozenset(names[i] for i in _bits(m & quotient.reps))
+              for a, m in zip(members, masks)}
+    w = data.draw(st.sampled_from(cm.contracted.states))
+    assert quotient.realize(zip(members, masks)) \
+        == oracle.realize_choice(cm.contracted, w, group, choice)
+
+
+def test_characteristic_formulas_take_the_lowest_rep():
+    model = validate(REP_CHOICE)
+    assert is_contracted(model)
+    table = oracle.char_table(model)
+    for s in model.states:
+        assert char_formula(model, s) == table[s], s
+
+
+def test_evidence_and_certificates_build_no_model(monkeypatch):
+    """A witness, a refutation and a certified run on the splitting
+    countermodel construct no `KripkeModel` once the model is loaded."""
+    model, point = load_model(MODELS / "prop4.json")
+    built = []
+    post_init = KripkeModel.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(KripkeModel, "__post_init__", counted)
+    antecedent, consequent = _prop4_parts()
+    ev = Evaluator(model)
+    won = ev.check(point, antecedent)
+    lost = ev.check(point, consequent)
+    assert won.truth and won.witness_formula is not None
+    assert not lost.truth and lost.refutation_formula is not None
+    certified = Evaluator(model, certify=True)
+    for s in model.states:
+        certified.eval(s, antecedent)
+        certified.eval(s, consequent)
+    assert certified.certificates.checked > 0
+    assert certified.certificates.mismatches == []
+    assert built == []

@@ -28,8 +28,8 @@ from .formula import (
     agents_of, atoms, conjoin, instantiate, parse, render, size, substitute,
 )
 from .model import (
-    KripkeModel, PointedModel, _bisim_key, bisim_contract, realize_choice,
-    validate,
+    KripkeModel, PointedModel, _adopt_refinement, _bisim_key, _mask_key,
+    _refine_masks, bisim_contract, realize_choice, validate,
 )
 from .translate import translate
 
@@ -103,27 +103,90 @@ def set_partitions(items: tuple) -> Iterator[list]:
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
+def _raw_models(n_agents: int, n_props: int, max_states: int) -> Iterator[tuple]:
+    """Every model of 1..max_states states over `n_agents` agents and
+    `n_props` propositions, as raw masks (state i is bit i): per state count
+    n, one (n, partitions, candidates) triple. `partitions` lists the
+    partitions of the n states in `set_partitions` order, each a tuple of
+    block masks. `candidates` yields (parts, masks) pairs in enumeration
+    order, lexicographic in parts + masks: `parts` holds each agent's
+    partition as an index into `partitions`, `masks` each proposition's
+    truth mask."""
+    for n in range(1, max_states + 1):
+        partitions = [tuple(sum(1 << i for i in block) for block in part)
+                      for part in set_partitions(tuple(range(n)))]
+        yield n, partitions, itertools.product(
+            itertools.product(range(len(partitions)), repeat=n_agents),
+            itertools.product(range(1 << n), repeat=n_props))
+
+
+def _builder(agents: tuple, props: tuple, n: int,
+             partitions: list) -> Callable[[tuple, tuple], KripkeModel]:
+    """Builds the validated model of a raw n-state candidate of
+    `_raw_models`, states named s0, s1, ... in order."""
+    states = tuple(f"s{i}" for i in range(n))
+    named = [frozenset(s for i, s in enumerate(states) if mask >> i & 1)
+             for mask in range(1 << n)]
+    blocks = [tuple(named[b] for b in part) for part in partitions]
+
+    def build(parts: tuple, masks: tuple) -> KripkeModel:
+        return KripkeModel(states, agents, props,
+                           dict(zip(agents, (blocks[i] for i in parts))),
+                           dict(zip(props, (named[m] for m in masks))))
+
+    return build
+
+
+def _least_of_orbits(n: int, partitions: list,
+                     candidates: Iterable[tuple]) -> Iterator[tuple]:
+    """The raw n-state candidates that no non-identity permutation of the
+    states maps to a lexicographically smaller (parts, masks). The image is
+    itself a candidate, and an isomorphic one, so these are exactly the first
+    candidate of each relabelling class in enumeration order.
+
+    A permutation that maps the agents' parts to smaller parts prunes every
+    valuation of them; one that maps them to larger parts prunes none; the
+    ones that fix them are then tried on the masks."""
+    index = {frozenset(part): i for i, part in enumerate(partitions)}
+    tables = []  # per non-identity permutation: partition and mask images
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        image = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(([index[frozenset(image[b] for b in part)]
+                        for part in partitions], image))
+    last, fixing = None, None
+    for parts, masks in candidates:
+        if parts != last:
+            last, fixing = parts, []
+            for part_image, mask_image in tables:
+                moved = tuple(part_image[i] for i in parts)
+                if moved < parts:
+                    fixing = None
+                    break
+                if moved == parts:
+                    fixing.append(mask_image)
+        if fixing is None or any(tuple(image[m] for m in masks) < masks
+                                 for image in fixing):
+            continue
+        yield parts, masks
+
+
 def enumerate_models(agents, props, max_states: int) -> Iterator[KripkeModel]:
     """Every model with 1..max_states states over the vocabulary, states named
     s0, s1, ... in order. Models are not identified up to renaming: each is
     yielded once per labelling, so an isomorphism class of n-state models
-    appears up to n! times. Intended for small exhaustive sweeps
+    appears up to n! times (`find_countermodel` walks the same order and
+    prunes the relabellings). Intended for small exhaustive sweeps
     (max_states <= 3)."""
     agents = tuple(agents)
     props = tuple(props)
-    for n in range(1, max_states + 1):
-        states = tuple(f"s{i}" for i in range(n))
-        partitions_all = [tuple(frozenset(b) for b in part)
-                          for part in set_partitions(states)]
-        for combo in itertools.product(partitions_all, repeat=len(agents)):
-            partitions = dict(zip(agents, combo))
-            for masks in itertools.product(range(2 ** n), repeat=len(props)):
-                valuation = {
-                    p: frozenset(s for i, s in enumerate(states)
-                                 if mask >> i & 1)
-                    for p, mask in zip(props, masks)
-                }
-                yield KripkeModel(states, agents, props, partitions, valuation)
+    for n, partitions, candidates in _raw_models(len(agents), len(props),
+                                                 max_states):
+        build = _builder(agents, props, n, partitions)
+        for parts, masks in candidates:
+            yield build(parts, masks)
 
 
 def random_formula(rng: random.Random, agents, props, *,
@@ -240,37 +303,63 @@ def find_countermodel(f: Formula, params: GenParams, *,
     Truth is invariant under bisimulation and renaming, so a candidate whose
     quotient is isomorphic to that of an earlier candidate, which held
     everywhere, is skipped unevaluated: the first hit is the one a candidate
-    by candidate search finds.
+    by candidate search finds. The exhaustive branch walks the raw
+    candidates of `enumerate_models`: it drops relabellings of earlier
+    candidates (`_least_of_orbits`), keys the rest from their masks, and
+    builds and evaluates a model only for a new key.
     """
+    if params.max_states > 3 and params.count < 1:
+        raise ValueError("the sampled search needs at least one model")
     schematic = tuple(schematic)
     agents = tuple(params.agents) + tuple(
         sorted(agents_of(f) - set(params.agents)))
     concrete_atoms = atoms(f) - set(schematic)
     props = tuple(params.props) + tuple(sorted(concrete_atoms - set(params.props)))
-    gen = GenParams(max_states=params.max_states, agents=agents, props=props,
-                    seed=params.seed, count=params.count)
-    if params.max_states <= 3:
-        models: Iterable[KripkeModel] = enumerate_models(agents, props,
-                                                         params.max_states)
-    else:
-        models = (random_model(gen, i) for i in range(params.count))
     pool = tuple(pool) if pool is not None else instantiation_pool(agents, props)
     assignments = ([{}] if not schematic else
                    [dict(zip(schematic, combo))
                     for combo in itertools.product(pool, repeat=len(schematic))])
     instances = [(assignment, substitute(f, assignment))
                  for assignment in assignments]
-    held = set()
-    for model in models:
-        key = _bisim_key(model)
-        if key in held:
-            continue
+
+    def refuted(model: KripkeModel) -> Optional[SearchHit]:
         ev = Evaluator(model)
         for assignment, g in instances:
             for state in model.states:
                 if not ev.eval(state, g):
                     return SearchHit(PointedModel(model, state), dict(assignment))
-        held.add(key)
+        return None
+
+    held = set()
+    if params.max_states > 3:
+        gen = GenParams(max_states=params.max_states, agents=agents,
+                        props=props, seed=params.seed, count=params.count)
+        for i in range(params.count):
+            model = random_model(gen, i)
+            key = _bisim_key(model)
+            if key in held:
+                continue
+            hit = refuted(model)
+            if hit is not None:
+                return hit
+            held.add(key)
+        return None
+    for n, partitions, candidates in _raw_models(len(agents), len(props),
+                                                 params.max_states):
+        build = _builder(agents, props, n, partitions)
+        whole = (1 << n) - 1
+        for parts, masks in _least_of_orbits(n, partitions, candidates):
+            refined = _refine_masks([partitions[i] for i in parts], masks,
+                                    whole)
+            key = _mask_key(masks, refined)
+            if key in held:
+                continue
+            model = build(parts, masks)
+            _adopt_refinement(model, refined)
+            hit = refuted(model)
+            if hit is not None:
+                return hit
+            held.add(key)
     return None
 
 

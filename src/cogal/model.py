@@ -265,7 +265,16 @@ def _bits(mask: int) -> list:
 
 
 def _refine(model: KripkeModel, kept: int) -> tuple:
-    """Partition refinement of the model restricted to the states in `kept`.
+    """Partition refinement of the model restricted to the states in `kept`:
+    `_refine_masks` over the model's class and truth masks."""
+    return _refine_masks(model._class_masks.values(),
+                         model._truth_masks.values(), kept)
+
+
+def _refine_masks(class_masks: Iterable, truth_masks: Iterable,
+                  kept: int) -> tuple:
+    """Partition refinement of the states in `kept`, given per agent the
+    class masks of a partition and per proposition a truth mask.
 
     Returns (levels, classes). `levels` is the ladder of block-mask lists
     from valuation equality (level 0) down to the coarsest bisimulation: each
@@ -274,9 +283,9 @@ def _refine(model: KripkeModel, kept: int) -> tuple:
     model order, the agent's classes in the quotient as saturated masks (the
     union of the blocks a class meets), deduplicated in partition order."""
     classes = [[cut for c in agent_classes if (cut := c & kept)]
-               for agent_classes in model._class_masks.values()]
+               for agent_classes in class_masks]
     blocks = [kept]
-    for truth in model._truth_masks.values():
+    for truth in truth_masks:
         blocks = [part for b in blocks for part in (b & truth, b & ~truth)
                   if part]
     levels = [blocks]
@@ -317,12 +326,24 @@ def _refinement(model: KripkeModel) -> tuple:
         return refined
 
 
+def _adopt_refinement(model: KripkeModel, refined: tuple) -> None:
+    """Record `refined`, computed by `_refine_masks` from the masks the
+    model was built from, as the model's `_refinement`."""
+    object.__setattr__(model, "_refinement", refined)
+
+
 def _bisim_key(model: KripkeModel) -> tuple:
     """Name-free key of the model's bisimulation quotient: two models over
     the same vocabulary get equal keys exactly when their quotients are
-    isomorphic.
+    isomorphic. `_mask_key` over the model's truth masks and refinement."""
+    return _mask_key(model._truth_masks.values(), _refinement(model))
 
-    Colour refinement over the final blocks of `_refinement`. A block's
+
+def _mask_key(truth_masks: Iterable, refined: tuple) -> tuple:
+    """`_bisim_key` of the model with these truth masks, per proposition,
+    and this whole-model refinement, as `_refine_masks` returns it.
+
+    Colour refinement over the final blocks of the refinement. A block's
     level-0 colour is its truth vector; at each later level, its own colour
     plus, per agent, the set of colours of the blocks in its class. Each
     level's colours are numbered by rank in sorted order, so the numbering is
@@ -330,11 +351,11 @@ def _bisim_key(model: KripkeModel) -> tuple:
     one round later, each block's truth vector and signature (own colour and
     per-agent colour sets, as bits of one int) spell out the quotient up to
     renaming."""
-    levels, classes = _refinement(model)
+    levels, classes = refined
     blocks = levels[-1]
     n = len(blocks)
     truths = [0] * n
-    for j, truth in enumerate(model._truth_masks.values()):
+    for j, truth in enumerate(truth_masks):
         for i, b in enumerate(blocks):
             if b & truth:
                 truths[i] |= 1 << j

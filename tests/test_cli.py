@@ -169,6 +169,31 @@ class TestSearch:
     def test_parse_error_exits_two(self, tmp_path):
         assert main(["search", "p &", "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_sampled_search_without_models_exits_two(self, tmp_path, capsys):
+        code = main(["search", "<{a}> p", "--max-states", "4", "--count", "0",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err \
+            == "error: the sampled search needs at least one model\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--agents", "1x"], "invalid agent name '1x': expected "
+                             "[a-z][a-z0-9_]* other than the reserved words "
+                             "'top' and 'bot'"),
+        (["--props", "p,p"], "duplicate proposition identifiers"),
+    ])
+    def test_bad_vocabulary_exits_two(self, tmp_path, capsys, flags, message):
+        # the exhaustive search validates only the models it builds; the
+        # first candidate is always built
+        out = tmp_path / "x.json"
+        assert main(["search", "p", "--out", str(out)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unwritable_out_names_path_and_reason(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "cm.json"
         code = main(["search", "p -> K a p", "--max-states", "2",

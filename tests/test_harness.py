@@ -128,6 +128,13 @@ class TestSearch:
                                           props=("p", "q"), seed=1, count=40))
         assert hit is None
 
+    def test_sampled_search_without_models_is_an_error(self):
+        # no model evaluated is no evidence that the formula holds
+        with pytest.raises(ValueError, match="at least one model"):
+            find_countermodel(parse("<{a}> p"),
+                              GenParams(max_states=4, agents=("a",),
+                                        props=("p",), count=0))
+
     def test_search_refutes_coalition_splitting(self):
         """Bounded random search independently rediscovers a countermodel to
         the splitting implication the shipped construction refutes."""

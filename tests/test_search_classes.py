@@ -3,7 +3,10 @@ bisimulation quotients are isomorphic.
 
 `model._bisim_key` names the class; these tests hold it to a brute-force
 canonical form, and `find_countermodel` to the candidate-by-candidate loop
-it replaced."""
+it replaced. The exhaustive search works on raw candidates: it drops
+relabellings of earlier candidates, keys the rest from their masks, and
+builds a model only for a new key. The tests hold each step to the
+model-level form it stands for."""
 
 import itertools
 
@@ -13,10 +16,13 @@ import cogal.harness as harness
 from cogal.checker import Evaluator
 from cogal.formula import Atom, Know, agents_of, atoms, parse, substitute
 from cogal.harness import (
-    GenParams, enumerate_models, find_countermodel, instantiation_pool,
-    random_model,
+    GenParams, _builder, _least_of_orbits, _raw_models, enumerate_models,
+    find_countermodel, instantiation_pool, random_model, set_partitions,
 )
-from cogal.model import KripkeModel, PointedModel, _bisim_key, bisim_contract
+from cogal.model import (
+    KripkeModel, PointedModel, _bisim_key, _mask_key, _refine, _refine_masks,
+    bisim_contract,
+)
 
 AGENTS = ("a", "b", "c")
 PROPS = ("p", "q")
@@ -65,6 +71,86 @@ class TestKey:
             == partition([brute_canonical(m) for m in models])
 
 
+def labelled_models(agents, props, max_states):
+    """Every model of 1..max_states states built from frozensets of state
+    names, in the order `enumerate_models` has always used."""
+    for n in range(1, max_states + 1):
+        states = tuple(f"s{i}" for i in range(n))
+        partitions_all = [tuple(frozenset(b) for b in part)
+                          for part in set_partitions(states)]
+        for combo in itertools.product(partitions_all, repeat=len(agents)):
+            for masks in itertools.product(range(2 ** n), repeat=len(props)):
+                valuation = {p: frozenset(s for i, s in enumerate(states)
+                                          if mask >> i & 1)
+                             for p, mask in zip(props, masks)}
+                yield KripkeModel(states, agents, props,
+                                  dict(zip(agents, combo)), valuation)
+
+
+def raw_candidates(agents, props, max_states):
+    """(n, partitions, parts, masks) for every raw candidate, in order."""
+    for n, partitions, candidates in _raw_models(len(agents), len(props),
+                                                 max_states):
+        for parts, masks in candidates:
+            yield n, partitions, parts, masks
+
+
+def bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def relabelling_canonical(n, partitions, parts, masks):
+    """The least encoding of the labelled candidate over every permutation
+    of its n states."""
+    best = None
+    for perm in itertools.permutations(range(n)):
+        def moved(mask):
+            return tuple(sorted(perm[i] for i in bits(mask)))
+
+        code = (n,
+                tuple(tuple(sorted(moved(b) for b in partitions[i]))
+                      for i in parts),
+                tuple(moved(m) for m in masks))
+        if best is None or code < best:
+            best = code
+    return best
+
+
+class TestRawCandidates:
+    def test_enumeration_order_is_unchanged(self):
+        docs = [m.to_doc() for m in enumerate_models(AGENTS, PROPS, 3)]
+        assert len(docs) == 8132
+        assert docs == [m.to_doc() for m in labelled_models(AGENTS, PROPS, 3)]
+
+    def test_mask_key_and_refinement_match_the_built_model(self):
+        count = 0
+        builders = {}
+        for n, partitions, parts, masks in raw_candidates(AGENTS, PROPS, 3):
+            if n not in builders:
+                builders[n] = _builder(AGENTS, PROPS, n, partitions)
+            whole = (1 << n) - 1
+            refined = _refine_masks([partitions[i] for i in parts], masks,
+                                    whole)
+            model = builders[n](parts, masks)
+            assert refined == _refine(model, whole)
+            assert _mask_key(masks, refined) == _bisim_key(model)
+            count += 1
+        assert count == 8132
+
+    def test_orbit_test_keeps_the_first_of_each_relabelling_class(self):
+        first = {}
+        for n, partitions, parts, masks in raw_candidates(AGENTS, PROPS, 3):
+            code = relabelling_canonical(n, partitions, parts, masks)
+            first.setdefault(code, (n, parts, masks))
+        pruned = [(n, parts, masks)
+                  for n, partitions, candidates in _raw_models(
+                      len(AGENTS), len(PROPS), 3)
+                  for parts, masks in _least_of_orbits(n, partitions,
+                                                       candidates)]
+        assert pruned == list(first.values())
+        assert len(pruned) == 1644
+
+
 def plain_countermodel(f, params, *, schematic=(), pool=None):
     """Every candidate evaluated in turn: the search before it skipped
     candidates by class."""
@@ -101,6 +187,20 @@ def hit_doc(hit):
 
 
 @pytest.fixture()
+def constructed(monkeypatch):
+    """Counts the `KripkeModel`s constructed."""
+    built = []
+    post_init = KripkeModel.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(KripkeModel, "__post_init__", counting)
+    return built
+
+
+@pytest.fixture()
 def evaluators(monkeypatch):
     """Counts the evaluators `find_countermodel` builds."""
     built = []
@@ -129,6 +229,15 @@ class TestAgainstPlainLoop:
         # one evaluator per class of the 8,132 candidates
         assert len(evaluators) == 1140
         assert plain_countermodel(f, EXHAUSTIVE) is None
+
+    def test_builds_a_model_only_per_class(self, constructed, evaluators):
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert len(constructed) == 1140
+        assert evaluators == constructed
+        # each evaluated model carries the refinement its key was read from
+        for model in evaluators:
+            assert model._refinement \
+                == _refine(model, (1 << len(model.states)) - 1)
 
     @pytest.mark.parametrize("text", ["p -> K a p", "K a p -> K b p",
                                       "~K c p -> K c ~p", THREE_STATES])

@@ -110,6 +110,10 @@ def class_unions(model: KripkeModel, agent: str,
     of what the agent can truthfully announce at w. Without, every union,
     the empty one included: the extensions of all the agent's knowledge
     formulas."""
+    if agent not in model._class_masks:
+        raise ModelError(f"unknown agent {agent!r}")
+    if w is not None and w not in model._state_set:
+        raise ModelError(f"unknown state {w!r}")
     classes = model._class_masks[agent]
     anchor = None
     if w is not None:
@@ -131,7 +135,11 @@ def group_choices(model: KripkeModel, w: Optional[str],
     single trivial choice."""
     if w is not None and w not in model._state_set:
         raise ModelError(f"unknown state {w!r}")
-    members = [a for a in model.agents if a in frozenset(group)]
+    group = frozenset(group)
+    unknown = group - set(model.agents)
+    if unknown:
+        raise ModelError(f"group mentions unknown agents {sorted(unknown)}")
+    members = [a for a in model.agents if a in group]
     option_lists = [class_unions(model, a, w) for a in members]
     for combo in itertools.product(*option_lists):
         yield dict(zip(members, combo))

@@ -15,8 +15,7 @@ import sys
 from .checker import BindingError, Evaluator
 from .formula import ParseError, parse, render, resugar
 from .harness import (
-    GenParams, axiom_suite, canonical_item_name, find_countermodel,
-    suite_item_names,
+    GenParams, axiom_suite, find_countermodel, suite_item_names,
 )
 from .model import ModelError, bisim_contract, load_model, save_model, to_dot
 from .translate import translate
@@ -139,8 +138,6 @@ def _cmd_suite(args) -> int:
                        props=_split_names(args.props),
                        seed=args.seed, count=args.models)
     items = None if args.items is None else _split_names(args.items)
-    if items:
-        items = tuple(canonical_item_name(n) for n in items)
     report = axiom_suite(params, items=items, certify=args.certify)
     if args.json:
         print(json.dumps(report.to_doc(), indent=2, sort_keys=True))

@@ -90,23 +90,24 @@ def _not_a_formula(value) -> TypeError:
     return TypeError(f"not a formula: {value!r}")
 
 
-def _facts(cls, names: tuple, check):
-    """The `__post_init__` of a node class: run the class's own check, then
-    store `_hash`, the hash of `(cls, *keys)` where a subnode's key is its
-    `_hash` and a name field's key is its value, and `_mask`. One variant
-    per field shape (none, a name, one subnode, two subnodes, a name and a
+def _facts(cls, names: tuple):
+    """The `__post_init__` of a node class: check the node's names (a group
+    is first coerced to a frozenset), then store `_hash`, the hash of
+    `(cls, *keys)` where a subnode's key is its `_hash` and a name field's
+    key is its value, and `_mask`. Names are checked before subnodes, so a
+    bad name raises `ValueError` whatever the subnode. One variant per
+    field shape (none, a name, one subnode, two subnodes, a name and a
     subnode), so building a node runs no loop over its fields."""
     # not through `__dict__`, which would give each node a dict object
     setter = object.__setattr__
     kind = _VOCAB_FIELDS.get(names[0]) if names else None
+    role = "proposition" if kind == _PROP else "agent"
     shape = (len(names), kind is not None)
 
     if shape == (0, False):
         constant = hash((cls,))
 
         def facts(self):
-            if check is not None:
-                check(self)
             setter(self, "_hash", constant)
             setter(self, "_mask", 0)
 
@@ -114,9 +115,8 @@ def _facts(cls, names: tuple, check):
         (name,) = names
 
         def facts(self):
-            if check is not None:
-                check(self)
             value = getattr(self, name)
+            _require_ident(value, role)
             setter(self, "_hash", hash((cls, value)))
             setter(self, "_mask", _bit((kind, value)))
 
@@ -124,8 +124,6 @@ def _facts(cls, names: tuple, check):
         (sub,) = names
 
         def facts(self):
-            if check is not None:
-                check(self)
             body = getattr(self, sub)
             try:
                 setter(self, "_hash", hash((cls, body._hash)))
@@ -137,8 +135,6 @@ def _facts(cls, names: tuple, check):
         first, second = names
 
         def facts(self):
-            if check is not None:
-                check(self)
             left, right = getattr(self, first), getattr(self, second)
             try:
                 setter(self, "_hash", hash((cls, left._hash, right._hash)))
@@ -152,18 +148,21 @@ def _facts(cls, names: tuple, check):
         single = label != "group"
 
         def facts(self):
-            if check is not None:
-                check(self)
             value, body = getattr(self, label), getattr(self, sub)
+            if single:
+                _require_ident(value, role)
+                mask = _bit((kind, value))
+            else:
+                value = frozenset(value)
+                mask = 0
+                for member in value:
+                    _require_ident(member, role)
+                    mask |= _bit((kind, member))
+                setter(self, label, value)
             try:
-                key, mask = body._hash, body._mask
+                key, mask = body._hash, mask | body._mask
             except AttributeError:
                 raise _not_a_formula(body) from None
-            if single:
-                mask |= _bit((kind, value))
-            else:
-                for member in value:
-                    mask |= _bit((kind, member))
             setter(self, "_hash", hash((cls, value, key)))
             setter(self, "_mask", mask)
 
@@ -183,7 +182,7 @@ def _node(cls):
     through their constructor, so both are rebuilt in the receiving
     process."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    cls.__post_init__ = _facts(cls, names, cls.__dict__.get("__post_init__"))
+    cls.__post_init__ = _facts(cls, names)
 
     def __reduce__(self):
         return cls, tuple([getattr(self, n) for n in names])
@@ -216,9 +215,6 @@ class Formula:
 @_node
 class Atom(Formula):
     name: str
-
-    def __post_init__(self):
-        _require_ident(self.name, "proposition")
 
 
 @_node
@@ -265,16 +261,6 @@ class Know(Formula):
     agent: str
     body: Formula
 
-    def __post_init__(self):
-        _require_ident(self.agent, "agent")
-
-
-def _coerce_group(self):
-    group = frozenset(self.group)
-    for name in group:
-        _require_ident(name, "agent")
-    object.__setattr__(self, "group", group)
-
 
 @_node
 class PaBox(Formula):
@@ -296,16 +282,12 @@ class GroupBox(Formula):
     group: frozenset
     body: Formula
 
-    __post_init__ = _coerce_group
-
 
 @_node
 class GroupDia(Formula):
     """Some joint truthful announcement by the group makes the body hold."""
     group: frozenset
     body: Formula
-
-    __post_init__ = _coerce_group
 
 
 @_node
@@ -315,8 +297,6 @@ class CoalBox(Formula):
     group: frozenset
     body: Formula
 
-    __post_init__ = _coerce_group
-
 
 @_node
 class CoalDia(Formula):
@@ -325,26 +305,33 @@ class CoalDia(Formula):
     group: frozenset
     body: Formula
 
-    __post_init__ = _coerce_group
-
 
 _GROUPED = (GroupBox, GroupDia, CoalBox, CoalDia)
 
 
 def _parts(f: Formula) -> tuple:
+    """The node's subformulas, in field order."""
     if isinstance(f, (Atom, Top, Bot)):
         return ()
-    if isinstance(f, Not):
+    if isinstance(f, (Not, Know, GroupBox, GroupDia, CoalBox, CoalDia)):
         return (f.body,)
     if isinstance(f, (And, Or, Imp, Iff)):
         return (f.left, f.right)
-    if isinstance(f, Know):
-        return (f.body,)
     if isinstance(f, (PaBox, PaDia)):
         return (f.announce, f.body)
+    raise _not_a_formula(f)
+
+
+def _rebuild(f: Formula, parts) -> Formula:
+    """A node of f's class with f's agent or group over new subformulas,
+    given in `_parts` order; a leaf is returned as it is. Callers gather
+    the new parts in a plain loop: before Python 3.12 a comprehension runs
+    in a frame of its own, which would halve the nesting depth they reach."""
+    if isinstance(f, Know):
+        return Know(f.agent, *parts)
     if isinstance(f, _GROUPED):
-        return (f.body,)
-    raise TypeError(f"not a formula: {f!r}")
+        return type(f)(f.group, *parts)
+    return type(f)(*parts) if parts else f
 
 
 def _mask(f: Formula) -> int:
@@ -379,17 +366,10 @@ def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Replace atoms by formulas; names missing from the mapping are kept."""
     if isinstance(f, Atom):
         return mapping.get(f.name, f)
-    if isinstance(f, (Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.body, mapping))
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, Know):
-        return Know(f.agent, substitute(f.body, mapping))
-    if isinstance(f, (PaBox, PaDia)):
-        return type(f)(substitute(f.announce, mapping), substitute(f.body, mapping))
-    return type(f)(f.group, substitute(f.body, mapping))
+    parts = []
+    for g in _parts(f):
+        parts.append(substitute(g, mapping))
+    return _rebuild(f, parts)
 
 
 def conjuncts(f: Formula) -> list:
@@ -466,107 +446,66 @@ def is_group_announcement(f: Formula, group: Iterable[str]) -> bool:
 def normalize(f: Formula) -> Formula:
     """Expand derived connectives into the primitive set
     {atom, top, ~, &, K, [.]., [G], [<G>]} via the standard abbreviations."""
-    if isinstance(f, (Atom, Top)):
-        return f
     if isinstance(f, Bot):
         return Not(Top())
-    if isinstance(f, Not):
-        return Not(normalize(f.body))
-    if isinstance(f, And):
-        return And(normalize(f.left), normalize(f.right))
+    parts = []
+    for g in _parts(f):
+        parts.append(normalize(g))
     if isinstance(f, Or):
-        return Not(And(Not(normalize(f.left)), Not(normalize(f.right))))
-    if isinstance(f, Imp):
-        return Not(And(normalize(f.left), Not(normalize(f.right))))
-    if isinstance(f, Iff):
-        return And(normalize(Imp(f.left, f.right)), normalize(Imp(f.right, f.left)))
-    if isinstance(f, Know):
-        return Know(f.agent, normalize(f.body))
-    if isinstance(f, PaBox):
-        return PaBox(normalize(f.announce), normalize(f.body))
+        return Not(And(Not(parts[0]), Not(parts[1])))
+    if isinstance(f, (Imp, Iff)):
+        left, right = parts
+        imp = Not(And(left, Not(right)))
+        return imp if isinstance(f, Imp) else And(imp, Not(And(right, Not(left))))
     if isinstance(f, PaDia):
-        return Not(PaBox(normalize(f.announce), Not(normalize(f.body))))
-    if isinstance(f, GroupBox):
-        return GroupBox(f.group, normalize(f.body))
-    if isinstance(f, GroupDia):
-        return Not(GroupBox(f.group, Not(normalize(f.body))))
-    if isinstance(f, CoalBox):
-        return CoalBox(f.group, normalize(f.body))
-    if isinstance(f, CoalDia):
-        return Not(CoalBox(f.group, Not(normalize(f.body))))
-    raise TypeError(f"not a formula: {f!r}")
+        return Not(PaBox(parts[0], Not(parts[1])))
+    if isinstance(f, (GroupDia, CoalDia)):
+        box = GroupBox if isinstance(f, GroupDia) else CoalBox
+        return Not(box(f.group, Not(parts[0])))
+    return _rebuild(f, parts)
 
 
-def _size_prim(f: Formula) -> int:
+def _measures(f: Formula) -> tuple:
+    """(coalition depth, group depth, size) of a primitive-form formula.
+    Each depth counts nested quantifiers of its kind, the other kind being
+    transparent; an announcement adds the depths of both its parts. Size
+    charges an announcement triple for its body."""
     if isinstance(f, (Atom, Top)):
-        return 1
-    if isinstance(f, Not):
-        return _size_prim(f.body) + 1
-    if isinstance(f, Know):
-        return _size_prim(f.body) + 1
-    if isinstance(f, (GroupBox, CoalBox)):
-        return _size_prim(f.body) + 1
-    if isinstance(f, And):
-        return _size_prim(f.left) + _size_prim(f.right) + 1
-    if isinstance(f, PaBox):
-        return _size_prim(f.announce) + 3 * _size_prim(f.body)
-    raise TypeError(f"not in primitive form: {f!r}")
-
-
-def _depth_pa_prim(f: Formula) -> int:
-    if isinstance(f, (Atom, Top)):
-        return 0
-    if isinstance(f, (Not, Know, CoalBox)):
-        body = f.body
-        return _depth_pa_prim(body)
-    if isinstance(f, And):
-        return max(_depth_pa_prim(f.left), _depth_pa_prim(f.right))
-    if isinstance(f, PaBox):
-        return _depth_pa_prim(f.announce) + _depth_pa_prim(f.body)
-    if isinstance(f, GroupBox):
-        return _depth_pa_prim(f.body) + 1
-    raise TypeError(f"not in primitive form: {f!r}")
-
-
-def _depth_ca_prim(f: Formula) -> int:
-    if isinstance(f, (Atom, Top)):
-        return 0
-    if isinstance(f, (Not, Know, GroupBox)):
-        return _depth_ca_prim(f.body)
-    if isinstance(f, And):
-        return max(_depth_ca_prim(f.left), _depth_ca_prim(f.right))
-    if isinstance(f, PaBox):
-        return _depth_ca_prim(f.announce) + _depth_ca_prim(f.body)
-    if isinstance(f, CoalBox):
-        return _depth_ca_prim(f.body) + 1
+        return 0, 0, 1
+    if isinstance(f, (Not, Know, GroupBox, CoalBox)):
+        ca, pa, n = _measures(f.body)
+        return ca + isinstance(f, CoalBox), pa + isinstance(f, GroupBox), n + 1
+    if isinstance(f, (And, PaBox)):
+        left, right = _parts(f)
+        (ca, pa, n), (ca2, pa2, n2) = _measures(left), _measures(right)
+        if isinstance(f, And):
+            return max(ca, ca2), max(pa, pa2), n + n2 + 1
+        return ca + ca2, pa + pa2, n + 3 * n2
     raise TypeError(f"not in primitive form: {f!r}")
 
 
 def size(f: Formula) -> int:
     """Weighted size; announcements charge triple for their body. Derived
     connectives are expanded before measuring."""
-    return _size_prim(normalize(f))
+    return _measures(normalize(f))[2]
 
 
 def depth_pa(f: Formula) -> int:
     """Nesting depth of group-announcement quantifiers (announcement prefixes
     add the depths of both parts)."""
-    return _depth_pa_prim(normalize(f))
+    return _measures(normalize(f))[1]
 
 
 def depth_ca(f: Formula) -> int:
     """Nesting depth of coalition-announcement quantifiers; group quantifiers
     are transparent."""
-    return _depth_ca_prim(normalize(f))
+    return _measures(normalize(f))[0]
 
 
 def order_lt(f: Formula, g: Formula) -> bool:
     """Strict well-founded order: lexicographic on (coalition depth,
     group depth, size)."""
-    fn, gn = normalize(f), normalize(g)
-    left = (_depth_ca_prim(fn), _depth_pa_prim(fn), _size_prim(fn))
-    right = (_depth_ca_prim(gn), _depth_pa_prim(gn), _size_prim(gn))
-    return left < right
+    return _measures(normalize(f)) < _measures(normalize(g))
 
 
 # --- necessity forms ---------------------------------------------------------
@@ -591,9 +530,6 @@ class ImpCtx(NecessityForm):
 class KnowCtx(NecessityForm):
     agent: str
     tail: NecessityForm
-
-    def __post_init__(self):
-        _require_ident(self.agent, "agent")
 
 
 @_node
@@ -761,12 +697,9 @@ class _Parser:
             self._advance()
             agent = self._expect("ident", "agent name").value
             return Know(agent, self._unary())
-        if tok.kind == "[":
+        if tok.kind in ("[", "<"):
             self._advance()
-            return self._box()
-        if tok.kind == "<":
-            self._advance()
-            return self._dia()
+            return self._bracketed(tok.kind == "[")
         if tok.kind == "(":
             self._advance()
             f = self._iff()
@@ -819,39 +752,24 @@ class _Parser:
             return None
         return i + 1
 
-    def _box(self) -> Formula:
-        # already past '['
+    def _bracketed(self, box: bool) -> Formula:
+        """A box (already past '[') or a diamond (already past '<'): of a
+        group `[G]`, of a coalition `[<G>]`, or of an announcement."""
+        close, inner_open, inner_close = ("]", "<", ">") if box else (">", "[", "]")
         if self._peek().kind == "{":
             group = self._group()
-            self._expect("]", "']'")
-            return GroupBox(group, self._unary())
-        end = self._group_shape_end(self._pos, "<", ">")
-        if end is not None and self._toks[end].kind == "]":
-            self._advance()  # '<'
+            self._expect(close, f"'{close}'")
+            return (GroupBox if box else GroupDia)(group, self._unary())
+        end = self._group_shape_end(self._pos, inner_open, inner_close)
+        if end is not None and self._toks[end].kind == close:
+            self._advance()  # inner_open
             group = self._group()
-            self._expect(">", "'>'")
-            self._expect("]", "']'")
-            return CoalBox(group, self._unary())
+            self._expect(inner_close, f"'{inner_close}'")
+            self._expect(close, f"'{close}'")
+            return (CoalBox if box else CoalDia)(group, self._unary())
         announce = self._iff()
-        self._expect("]", "']'")
-        return PaBox(announce, self._unary())
-
-    def _dia(self) -> Formula:
-        # already past '<'
-        if self._peek().kind == "{":
-            group = self._group()
-            self._expect(">", "'>'")
-            return GroupDia(group, self._unary())
-        end = self._group_shape_end(self._pos, "[", "]")
-        if end is not None and self._toks[end].kind == ">":
-            self._advance()  # '['
-            group = self._group()
-            self._expect("]", "']'")
-            self._expect(">", "'>'")
-            return CoalDia(group, self._unary())
-        announce = self._iff()
-        self._expect(">", "'>'")
-        return PaDia(announce, self._unary())
+        self._expect(close, f"'{close}'")
+        return (PaBox if box else PaDia)(announce, self._unary())
 
 
 def parse(text: str) -> Formula:
@@ -868,8 +786,10 @@ def parse(text: str) -> Formula:
 _P_IFF, _P_IMP, _P_OR, _P_AND, _P_UNARY, _P_ATOM = 1, 2, 3, 4, 5, 6
 
 
-def _group_str(group: frozenset) -> str:
-    return "{" + ",".join(sorted(group)) + "}"
+# The brackets around each bracketed operator's announcement or group,
+# split in half into the opening and the closing part.
+_BRACKETS = {PaBox: "[]", PaDia: "<>", GroupBox: "[]", GroupDia: "<>",
+             CoalBox: "[<>]", CoalDia: "<[]>"}
 
 
 def _render(f: Formula, minimum: int) -> str:
@@ -883,23 +803,13 @@ def _render(f: Formula, minimum: int) -> str:
         text, prec = "~" + _render(f.body, _P_UNARY), _P_UNARY
     elif isinstance(f, Know):
         text, prec = f"K {f.agent} " + _render(f.body, _P_UNARY), _P_UNARY
-    elif isinstance(f, PaBox):
-        text = "[" + _render(f.announce, 0) + "] " + _render(f.body, _P_UNARY)
-        prec = _P_UNARY
-    elif isinstance(f, PaDia):
-        text = "<" + _render(f.announce, 0) + "> " + _render(f.body, _P_UNARY)
-        prec = _P_UNARY
-    elif isinstance(f, GroupBox):
-        text = "[" + _group_str(f.group) + "] " + _render(f.body, _P_UNARY)
-        prec = _P_UNARY
-    elif isinstance(f, GroupDia):
-        text = "<" + _group_str(f.group) + "> " + _render(f.body, _P_UNARY)
-        prec = _P_UNARY
-    elif isinstance(f, CoalBox):
-        text = "[<" + _group_str(f.group) + ">] " + _render(f.body, _P_UNARY)
-        prec = _P_UNARY
-    elif isinstance(f, CoalDia):
-        text = "<[" + _group_str(f.group) + "]> " + _render(f.body, _P_UNARY)
+    elif type(f) in _BRACKETS:
+        brackets = _BRACKETS[type(f)]
+        half = len(brackets) // 2
+        inner = (_render(f.announce, 0) if isinstance(f, (PaBox, PaDia))
+                 else "{" + ",".join(sorted(f.group)) + "}")
+        text = (brackets[:half] + inner + brackets[half:] + " "
+                + _render(f.body, _P_UNARY))
         prec = _P_UNARY
     elif isinstance(f, And):
         text = _render(f.left, _P_AND) + " & " + _render(f.right, _P_AND + 1)
@@ -928,19 +838,13 @@ def render(f: Formula) -> str:
 def resugar(f: Formula) -> Formula:
     """Display aid: fold `~(x & ~y)` back into `x -> y` and `~top` into `bot`,
     bottom-up. Semantics-preserving."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return f
+    parts = []
+    for g in _parts(f):
+        parts.append(resugar(g))
     if isinstance(f, Not):
-        body = resugar(f.body)
+        (body,) = parts
         if isinstance(body, Top):
             return Bot()
         if isinstance(body, And) and isinstance(body.right, Not):
             return Imp(body.left, body.right.body)
-        return Not(body)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return type(f)(resugar(f.left), resugar(f.right))
-    if isinstance(f, Know):
-        return Know(f.agent, resugar(f.body))
-    if isinstance(f, (PaBox, PaDia)):
-        return type(f)(resugar(f.announce), resugar(f.body))
-    return type(f)(f.group, resugar(f.body))
+    return _rebuild(f, parts)

@@ -543,7 +543,7 @@ def _joint(model: KripkeModel, group: frozenset, rng, pool) -> Formula:
 def _valid_item(trials: Callable) -> Callable:
     """Runner asserting every trial formula at every state of the model."""
 
-    def run(model, ev, rng, pool, params, index) -> _RunResult:
+    def run(model, ev, rng, pool, index) -> _RunResult:
         instances = 0
         failures = []
         for f, note in trials(model, rng, pool):
@@ -590,7 +590,7 @@ def _rule_item(conclusions: Callable, premises: Callable = _universal_pool) -> C
     """Runner for truth-preservation of a rule on single models: whenever the
     premise holds at all states, the conclusion must as well."""
 
-    def run(model, ev, rng, pool, params, index) -> _RunResult:
+    def run(model, ev, rng, pool, index) -> _RunResult:
         instances = 0
         failures = []
         for premise, note in premises(model, ev, rng, pool):
@@ -805,7 +805,7 @@ def _c_r4(model, rng, pool, premise):
         yield CoalBox(group, premise), "coalition necessitation"
 
 
-def _run_clr1(model, ev, rng, pool, params, index) -> _RunResult:
+def _run_clr1(model, ev, rng, pool, index) -> _RunResult:
     instances = 0
     failures = []
     everything = frozenset(model.states)
@@ -843,7 +843,7 @@ def _quantifier_rule_item(coalition: bool) -> Callable:
     contracted model denote exactly the announcements expressible about it,
     so the premise sweep is finite and complete. Kept to small models."""
 
-    def run(model, ev, rng, pool, params, index) -> _RunResult:
+    def run(model, ev, rng, pool, index) -> _RunResult:
         if len(model.states) > 3:
             return 0, [], None
         contracted = bisim_contract(model).contracted
@@ -888,14 +888,14 @@ def _quantifier_rule_item(coalition: bool) -> Callable:
     return run
 
 
-def _run_canary(model, ev, rng, pool, params, index) -> _RunResult:
+def _run_canary(model, ev, rng, pool, index) -> _RunResult:
     schema = CoalDia(frozenset({model.agents[0]}), Bot())
     failures = [_Failure(s, schema, "canary schema is expected to fail")
                 for s in model.states if not ev.eval(s, schema)]
     return len(model.states), failures, None
 
 
-def _run_prop4(model, ev, rng, pool, params, index) -> _RunResult:
+def _run_prop4(model, ev, rng, pool, index) -> _RunResult:
     if index != 0:
         return 0, [], None
     m4, w = prop4_countermodel()
@@ -1029,7 +1029,7 @@ def axiom_suite(params: GenParams, items: Optional[Iterable[str]] = None,
         for name in names:
             rng = random.Random(f"suite:{params.seed}:{name}:{index}")
             instances, failures, evidence = _ITEMS[name].run(
-                model, ev, rng, pool, params, index)
+                model, ev, rng, pool, index)
             tally = tallies[name]
             tally.instances += instances
             tally.failures += len(failures)

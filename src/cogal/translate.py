@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .formula import (
     And, Atom, Formula, Fragment, Know, Not, PaBox, Top,
-    fragment, normalize,
+    fragment, normalize, _parts, _rebuild,
 )
 
 __all__ = ["translate"]
@@ -56,17 +56,14 @@ def _step(f: PaBox) -> Formula:
 
 
 def _t(f: Formula) -> Formula:
-    if isinstance(f, (Atom, Top)):
-        return f
-    if isinstance(f, Not):
-        return Not(_t(f.body))
-    if isinstance(f, And):
-        return And(_t(f.left), _t(f.right))
-    if isinstance(f, Know):
-        return Know(f.agent, _t(f.body))
     if isinstance(f, PaBox):
         return _t(_step(f))
-    raise TypeError(f"not in the PAL primitive fragment: {f!r}")
+    if not isinstance(f, (Atom, Top, Not, And, Know)):
+        raise TypeError(f"not in the PAL primitive fragment: {f!r}")
+    parts = []
+    for g in _parts(f):
+        parts.append(_t(g))
+    return _rebuild(f, parts)
 
 
 def translate(f: Formula) -> Formula:

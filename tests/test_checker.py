@@ -99,6 +99,23 @@ class TestGroupChoices:
         sizes = [len(c["a"]) for c in group_choices(model, "x", {"a"})]
         assert sizes == sorted(sizes) == [1, 2, 3, 4]
 
+    def test_undeclared_agents_and_states_are_model_errors(self, train):
+        # an undeclared agent is not an absent one: as `realize_choice`
+        # does, the enumerators reject it rather than yield `{}`
+        model, w = train
+        with pytest.raises(ModelError, match=r"unknown agents \['zz'\]"):
+            list(group_choices(model, w, {"zz"}))
+        with pytest.raises(ModelError, match=r"unknown agents \['zz'\]"):
+            list(group_choices(model, None, {"a", "zz"}))
+        with pytest.raises(ModelError, match="unknown state 'nowhere'"):
+            list(group_choices(model, "nowhere", set()))
+        with pytest.raises(ModelError, match="unknown agent 'zz'"):
+            class_unions(model, "zz", w)
+        with pytest.raises(ModelError, match="unknown agent 'zz'"):
+            class_unions(model, "zz")
+        with pytest.raises(ModelError, match="unknown state 'nowhere'"):
+            class_unions(model, "a", "nowhere")
+
 
 class TestDuality:
     @staticmethod

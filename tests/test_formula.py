@@ -9,7 +9,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cogal
 from cogal.checker import BindingError, Evaluator
@@ -128,6 +128,11 @@ formulas = st.recursive(_base, _extend, max_leaves=25)
 class TestRoundTrip:
     @settings(max_examples=1000, deadline=None)
     @given(formulas)
+    # a bracket nested in the other kind: announcements and coalitions
+    @example(parse("[<p> q] r"))
+    @example(parse("<[p] q> r"))
+    @example(parse("[<{a}>] p"))
+    @example(parse("<[{a}]> p"))
     def test_parse_render_identity(self, f):
         assert parse(render(f)) == f
 
@@ -332,6 +337,20 @@ class TestConstructors:
             Know("Agent", p)
         with pytest.raises(ValueError):
             GroupBox({"a", "1x"}, p)
+        # names are checked before subformulas: still a `ValueError` when
+        # the body is no formula either
+        for bad in (lambda: Know("Bad", "q"), lambda: KnowCtx("Bad", "q"),
+                    lambda: CoalDia(["a", "Bad"], "q")):
+            with pytest.raises(ValueError, match="invalid agent name 'Bad'"):
+                bad()
+
+    def test_groups_are_coerced_to_frozensets(self):
+        for cls in (GroupBox, GroupDia, CoalBox, CoalDia):
+            f = cls(["b", "a", "b"], p)
+            assert type(f.group) is frozenset
+            assert f.group == frozenset({"a", "b"})
+            assert f == cls(frozenset({"a", "b"}), p)
+            assert hash(f) == hash(cls(("a", "b"), p))
 
     @pytest.mark.parametrize("bad", [1, None, b"p", ["p"], {"p": 1}, "P",
                                      "top", "p q", ""])
@@ -453,6 +472,10 @@ class TestCachedFacts:
     def test_non_formula_child_rejected(self):
         with pytest.raises(TypeError, match="not a formula"):
             And(p, "q")
+        with pytest.raises(TypeError, match="not a formula"):
+            Know("a", "q")
+        with pytest.raises(TypeError, match="not a formula"):
+            CoalDia(["a"], "q")
         with pytest.raises(TypeError, match="not a formula"):
             atoms(Hole())
 

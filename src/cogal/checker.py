@@ -542,10 +542,14 @@ class Evaluator:
                                           self._agent_set - f.group)
         else:
             responses = _TRIVIAL_RESPONSE
+        body = f.body
+        quotients = self._quotients
+        # `_holds_after`, inlined: this loop is the evaluator's hottest
         for own, own_choice in self._choice_sets(q, state, f.group):
             for response, _ in responses:
                 kept = own if response is None else own & response
-                if self._holds_after(q, kept, state, f.body) != goal:
+                child = quotients.get(kept) or self._restriction(kept)
+                if self._eval(child, child.rep_of[state], body) != goal:
                     break
             else:
                 return own_choice
@@ -575,53 +579,63 @@ class Evaluator:
             (self._states(q.kept), self._choice(group, choice), problem))
 
     def _eval(self, q: _Quotient, state: int, f: Formula) -> bool:
+        """Truth of the formula at a rep of the restriction. Dispatch is on
+        the node's class by `is`, in order of how often a suite pass meets
+        each class. Atoms, top, bottom and negations cost less to compute
+        than to look up, so they bypass the memo; every other node is
+        memoised per (restriction, rep, formula). A negation adds no frame
+        of its own."""
+        cls = f.__class__
+        if cls is Not:
+            return not self._eval(q, state, f.body)
+        if cls is Atom:
+            return self._truth[f.name] >> state & 1 == 1
+        if cls is Top:
+            return True
+        if cls is Bot:
+            return False
         memo = self._memo
         key = (q.kept, state, f)
         hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = self._eval_raw(q, state, f)
-        return hit
-
-    def _eval_raw(self, q: _Quotient, state: int, f: Formula) -> bool:
-        if isinstance(f, Atom):
-            return self._truth[f.name] >> state & 1 == 1
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        if isinstance(f, Not):
-            return not self._eval(q, state, f.body)
-        if isinstance(f, And):
-            return (self._eval(q, state, f.left)
-                    and self._eval(q, state, f.right))
-        if isinstance(f, Or):
-            return (self._eval(q, state, f.left)
-                    or self._eval(q, state, f.right))
-        if isinstance(f, Imp):
-            return (not self._eval(q, state, f.left)
-                    or self._eval(q, state, f.right))
-        if isinstance(f, Iff):
-            return (self._eval(q, state, f.left)
-                    == self._eval(q, state, f.right))
-        if isinstance(f, Know):
+        if hit is not None:
+            return hit
+        if cls is Imp:
+            hit = (not self._eval(q, state, f.left)
+                   or self._eval(q, state, f.right))
+        elif cls is And:
+            hit = (self._eval(q, state, f.left)
+                   and self._eval(q, state, f.right))
+        elif cls is Know:
             # the agent's class in the contracted restriction: the blocks
             # its root class meets there
-            peers = q.reps_meeting(
-                self._class_at[f.agent][state] & q.kept)
+            peers = q.reps_meeting(self._class_at[f.agent][state] & q.kept)
+            body = f.body
+            hit = True
             while peers:
                 low = peers & -peers
-                if not self._eval(q, low.bit_length() - 1, f.body):
-                    return False
+                if not self._eval(q, low.bit_length() - 1, body):
+                    hit = False
+                    break
                 peers ^= low
-            return True
-        if isinstance(f, (PaBox, PaDia)):
-            if not self._eval(q, state, f.announce):
-                return isinstance(f, PaBox)
-            return self._holds_after(q, self._where(q, f.announce),
-                                     state, f.body)
-        if isinstance(f, (GroupBox, GroupDia, CoalBox, CoalDia)):
-            return self._quantify(q, state, f)
-        raise TypeError(f"not a formula: {f!r}")
+        elif (cls is CoalDia or cls is GroupBox or cls is CoalBox
+              or cls is GroupDia):
+            hit = self._quantify(q, state, f)
+        elif cls is PaDia or cls is PaBox:
+            if self._eval(q, state, f.announce):
+                hit = self._holds_after(q, self._where(q, f.announce),
+                                        state, f.body)
+            else:
+                hit = cls is PaBox
+        elif cls is Iff:
+            hit = (self._eval(q, state, f.left)
+                   == self._eval(q, state, f.right))
+        elif cls is Or:
+            hit = (self._eval(q, state, f.left)
+                   or self._eval(q, state, f.right))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[key] = hit
+        return hit
 
 
 def eval_formula(model: KripkeModel, state: str, f: Formula, **kwargs) -> bool:

@@ -171,25 +171,51 @@ def _facts(cls, names: tuple):
     return facts
 
 
+def _node_reduce(self):
+    return self.__class__, tuple([getattr(self, n) for n in self._field_names])
+
+
+def _node_eq(self, other):
+    """Structural equality of nodes, without recursion: identity and class
+    first, then pairs of nodes from an explicit stack, so chains of any
+    depth compare. Unequal `_hash`es answer False at once."""
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x.__class__ is not y.__class__ or x._hash != y._hash:
+            return False
+        for name in x._field_names:
+            a, b = getattr(x, name), getattr(y, name)
+            if name not in _VOCAB_FIELDS:
+                stack.append((a, b))
+            elif a != b:
+                return False
+    return True
+
+
 def _node(cls):
     """Frozen dataclass node whose structural facts are computed once, at
     construction, from the values already stored on its subnodes.
 
     `_hash` is the hash of the class and the fields, a subnode entering
-    by its own `_hash`. `_mask` is the vocabulary, the atoms and agents
-    the node mentions (see `_vocab_mask`): the OR of the subnodes' masks
-    and the node's own name, agent or group. Nodes pickle and copy
-    through their constructor, so both are rebuilt in the receiving
-    process."""
+    by its own `_hash`; equality (`_node_eq`) reads it first. `_mask` is
+    the vocabulary, the atoms and agents the node mentions (see
+    `_vocab_mask`): the OR of the subnodes' masks and the node's own name,
+    agent or group. Nodes pickle and copy through their constructor
+    (`_node_reduce`), so both are rebuilt in the receiving process."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     cls.__post_init__ = _facts(cls, names)
-
-    def __reduce__(self):
-        return cls, tuple([getattr(self, n) for n in names])
-
-    cls = dataclass(frozen=True)(cls)
+    cls._field_names = names
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls.__eq__ = _node_eq
     cls.__hash__ = _stored_hash
-    cls.__reduce__ = __reduce__
+    cls.__reduce__ = _node_reduce
     return cls
 
 

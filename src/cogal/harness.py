@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .checker import CertificateLog, Evaluator, group_choices
+from .checker import (
+    CertificateLog, Evaluator, choice_intersection, group_choices,
+)
 from .formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, Fragment, GroupBox, GroupDia,
     Hole, Iff, Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia, Top,
@@ -836,12 +838,33 @@ def _necessity_forms(model, rng, pool):
     ]
 
 
+def _announcements(contracted: KripkeModel, anchor: str,
+                   group: frozenset) -> List[Formula]:
+    """One realized announcement of the group per distinct choice set on a
+    contracted model: the first choice in `group_choices` order that
+    yields each set (its `choice_intersection`)."""
+    seen = set()
+    out = []
+    for choice in group_choices(contracted, None, group):
+        cut = choice_intersection(contracted, choice)
+        if cut not in seen:
+            seen.add(cut)
+            out.append(realize_choice(contracted, anchor, group, choice))
+    return out
+
+
 def _quantifier_rule_item(coalition: bool) -> Callable:
     """Sampled semantic soundness of the quantifier-introduction rules: when
     every realized announcement instance of the premise scheme holds at all
     states, the quantified conclusion must too. Realized announcements on the
     contracted model denote exactly the announcements expressible about it,
-    so the premise sweep is finite and complete. Kept to small models."""
+    so the premise sweep is finite and complete. Kept to small models.
+
+    A premise instance depends on the announcements psi and chi only through
+    their extensions: the necessity forms used put psi and psi & chi at the
+    top or as a public announcement there. So one announcement per distinct
+    choice set (`_announcements`) decides the premise as every choice
+    would."""
 
     def run(model, ev, rng, pool, index) -> _RunResult:
         if len(model.states) > 3:
@@ -856,11 +879,10 @@ def _quantifier_rule_item(coalition: bool) -> Callable:
         failures = []
         groups = [g for g in _subsets(model.agents) if len(g) <= 2]
         for group in groups[:4]:
-            opponents = frozenset(model.agents) - group
-            own = [realize_choice(contracted, anchor, group, c)
-                   for c in group_choices(contracted, None, group)]
-            other = [realize_choice(contracted, anchor, opponents, c)
-                     for c in group_choices(contracted, None, opponents)]
+            own = _announcements(contracted, anchor, group)
+            if coalition:
+                other = _announcements(contracted, anchor,
+                                       frozenset(model.agents) - group)
             for form, fnote in _necessity_forms(model, rng, pool)[:2]:
                 for goal in (Top(), _draw(rng, pool)):
                     if coalition:

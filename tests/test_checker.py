@@ -8,8 +8,8 @@ from cogal.checker import (
     eval_formula, extension, group_choices,
 )
 from cogal.formula import (
-    And, Atom, CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Imp,
-    Know, Not, PaBox, PaDia, Top, parse, render,
+    And, Atom, CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Hole, Imp,
+    Know, KnowCtx, Not, PaBox, PaDia, Top, parse, render,
 )
 from cogal.harness import GenParams, instantiation_pool, random_formula, random_model
 from cogal.model import (
@@ -249,6 +249,14 @@ class TestMemo:
                 f = random_formula(rng, model.agents, model.props, max_depth=2)
                 for s in model.states:
                     assert warm.eval(s, f) == Evaluator(model).eval(s, f)
+
+    def test_non_formula_node_is_rejected(self, train):
+        # a necessity form is a node but no formula: the dispatch on node
+        # class has no case for it
+        model, w = train
+        for form in (Hole(), KnowCtx("a", Hole())):
+            with pytest.raises(TypeError, match="^not a formula: "):
+                Evaluator(model).eval(w, form)
 
 
 class TestBinding:

@@ -131,18 +131,21 @@ class TestSuite:
 
 
 class TestPinnedSuiteReports:
-    """The full suite report of seed 7 over 100 models, byte for byte. With
-    `--certify` every choice set is enumerated and certified (7,415
-    certificates); without it, quantifiers over positive and negative bodies
-    are decided by one announcement. Both reports must stay the same."""
+    """The full suite reports of seed 7 and of the benchmark's panel seed
+    1000 over 100 models, byte for byte. With `--certify` every choice set
+    is enumerated and certified (7,415 and 8,424 certificates); without it,
+    quantifiers over positive and negative bodies are decided by one
+    announcement. All four reports must stay the same."""
 
-    @pytest.mark.parametrize("flags, md5", [
-        (["--certify"], "45bc5bdd90c86c578562d37ccb9962d2"),
-        ([], "98d8ba5993931a06e4b38a7ad6fe6420"),
+    @pytest.mark.parametrize("seed, flags, md5", [
+        (7, ["--certify"], "45bc5bdd90c86c578562d37ccb9962d2"),
+        (7, [], "98d8ba5993931a06e4b38a7ad6fe6420"),
+        (1000, ["--certify"], "8f656add02d5f93a17f1aadc7de8211d"),
+        (1000, [], "89c502cc3b234e2142f779d48ea9a50b"),
     ])
-    def test_report_digest(self, capsys, flags, md5):
-        code = main(["suite", "--seed", "7", "--models", "100", "--json"]
-                    + flags)
+    def test_report_digest(self, capsys, seed, flags, md5):
+        code = main(["suite", "--seed", str(seed), "--models", "100",
+                     "--json"] + flags)
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == md5
@@ -267,9 +270,9 @@ class TestDeepFormula:
     """Deep nesting must end in a clean exit 2, never in a traceback and
     exit 1, which scripts read as "false"."""
 
-    def run_check(self, train_file, tmp_path, depth):
+    def run_check(self, train_file, tmp_path, depth, prefix="~"):
         ffile = tmp_path / "deep.cogal"
-        ffile.write_text("~" * depth + "p", encoding="utf-8")
+        ffile.write_text(prefix * depth + "p", encoding="utf-8")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(cogal.__file__).resolve().parents[1]))
         return subprocess.run(
@@ -284,11 +287,21 @@ class TestDeepFormula:
         assert done.stderr.startswith("error: formula nested too deeply at line 1")
 
     def test_parses_but_too_deep_to_evaluate(self, train_file, tmp_path):
-        parse("~" * 600 + "p")
-        done = self.run_check(train_file, tmp_path, 600)
+        # the parser spends two frames per `<{a}>`, evaluation four (the
+        # node, the quantifier rule, the scan, the body), so 400 levels
+        # parse with room to spare and overflow evaluation; the message
+        # has no position, which tells it from the parser's
+        done = self.run_check(train_file, tmp_path, 400, prefix="<{a}> ")
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr == "error: formula nested too deeply\n"
+
+    def test_deep_negation_chain_gets_a_verdict(self, train_file, tmp_path):
+        # a negation is answered in its operand's frame
+        done = self.run_check(train_file, tmp_path, 600)
+        assert done.returncode == 1
+        assert done.stderr == ""
+        assert done.stdout.endswith("truth: false\n")
 
     def test_parse_error_in_process(self):
         with pytest.raises(ParseError, match="formula nested too deeply"):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import operator
 import os
 import pickle
 import subprocess
@@ -468,6 +469,31 @@ class TestCachedFacts:
         check(f)
         check(form)
         check(instantiate(form, f))
+
+    def test_deep_chains_compare_without_recursion(self):
+        def chain(depth):
+            f = Atom("p")
+            for _ in range(depth):
+                f = Not(f)
+            return f
+
+        one, two = chain(2000), chain(2000)
+        assert one is not two
+        assert one == two and not one != two
+        assert one != chain(1999) and chain(1999) != one
+        assert {one: "found"}[two] == "found"
+        assert Atom("p") != "p" and Atom("p") == Atom("p")
+
+    def test_equal_hashes_still_compare_fields(self):
+        # forged collisions: equality must not rest on the hash alone
+        def collide(f, g):
+            object.__setattr__(g, "_hash", f._hash)
+            return f, g
+
+        assert operator.ne(*collide(Atom("p"), Atom("q")))
+        assert operator.ne(*collide(Know("a", p), Know("b", p)))
+        assert operator.ne(*collide(Not(Not(p)), Not(Not(Atom("q")))))
+        assert operator.eq(*collide(Not(Not(p)), Not(Not(Atom("p")))))
 
     def test_non_formula_child_rejected(self):
         with pytest.raises(TypeError, match="not a formula"):

@@ -4,17 +4,23 @@ from pathlib import Path
 
 import pytest
 
-from cogal.checker import Evaluator, eval_formula
+import cogal.harness as harness
+from cogal.checker import (
+    Evaluator, choice_intersection, eval_formula, group_choices,
+)
 from cogal.formula import (
-    Atom, CoalDia, Fragment, Know, fragment, parse, render, size,
+    And, Atom, CoalDia, Fragment, Hole, Imp, ImpCtx, Know, PaBox, PaDia, Top,
+    fragment, instantiate, parse, render, size,
 )
 from cogal.harness import (
     GenParams, axiom_suite, canonical_item_name, enumerate_models,
     find_countermodel, instantiation_pool, prop4_countermodel, prop4_formula,
     prop4_verifies, random_formula, random_model, set_partitions, train_model,
 )
-from cogal.harness import _modal_depth, _prop4_candidate
-from cogal.model import validate
+from cogal.harness import (
+    _announcements, _modal_depth, _prop4_candidate, _subsets,
+)
+from cogal.model import bisim_contract, realize_choice, validate
 
 
 class TestGenParams:
@@ -242,6 +248,104 @@ class TestSuite:
         report = axiom_suite(GenParams(max_states=4, agents=("a", "b", "c"),
                                        props=("p", "q"), seed=7, count=100))
         assert report.passed, [i.name for i in report.items if not i.passed]
+
+
+class TestQuantifierRuleAnnouncements:
+    """R5 and R6 realize one announcement per distinct choice set, and R5
+    none of the opponents'. A premise instance reads an announcement only
+    through its extension, so the deduplicated lists must decide every
+    premise as the full per-choice lists do."""
+
+    PANEL = GenParams(seed=1000, count=100)
+
+    @staticmethod
+    def full_list(contracted, anchor, group):
+        # one realized announcement per choice, duplicates included
+        return [realize_choice(contracted, anchor, group, c)
+                for c in group_choices(contracted, None, group)]
+
+    @staticmethod
+    def premise_ok(ev, model, coalition, form, goal, own, other):
+        # the premise loop of R5 and R6 over the full lists
+        def everywhere(f):
+            return all(ev.eval(s, f) for s in model.states)
+
+        if coalition:
+            return all(
+                any(everywhere(instantiate(
+                        form, Imp(psi, PaDia(And(psi, chi), goal))))
+                    for chi in other)
+                for psi in own)
+        return all(everywhere(instantiate(form, PaBox(psi, goal)))
+                   for psi in own)
+
+    def test_deduplicated_lists_decide_premises_as_full_lists(self):
+        params = GenParams(max_states=3, seed=11, count=40)
+        outcomes, shorter = set(), 0
+        for index in range(params.count):
+            model = random_model(params, index)
+            contracted = bisim_contract(model).contracted
+            anchor = contracted.states[0]
+            # one evaluator per side, so neither reads the other's memo
+            ev_full, ev_dedup = Evaluator(model), Evaluator(model)
+            pool = instantiation_pool(model.agents, model.props)
+            rng = random.Random(index)
+            everyone = frozenset(model.agents)
+            for group in [g for g in _subsets(model.agents) if len(g) <= 2][:4]:
+                full = [self.full_list(contracted, anchor, g)
+                        for g in (group, everyone - group)]
+                dedup = [_announcements(contracted, anchor, g)
+                         for g in (group, everyone - group)]
+                shorter += len(dedup[1]) < len(full[1])
+                x = pool[rng.randrange(len(pool))]
+                for form in (Hole(), ImpCtx(x, Hole())):
+                    for goal in (Top(), pool[rng.randrange(len(pool))]):
+                        for coalition in (False, True):
+                            want = self.premise_ok(ev_full, model, coalition,
+                                                   form, goal, *full)
+                            got = self.premise_ok(ev_dedup, model, coalition,
+                                                  form, goal, *dedup)
+                            assert got == want
+                            outcomes.add((coalition, want))
+        # both rules saw true and false premises, and opponent lists (of
+        # two or more members) lost duplicates
+        assert len(outcomes) == 4
+        assert shorter > 0
+
+    def realized_groups(self, monkeypatch, item):
+        groups = []
+        realize = harness.realize_choice
+
+        def counting(model, w, group, choice):
+            groups.append(frozenset(group))
+            return realize(model, w, group, choice)
+
+        monkeypatch.setattr(harness, "realize_choice", counting)
+        report = axiom_suite(self.PANEL, items=(item,), certify=True)
+        return groups, report
+
+    def test_r6_realizes_each_choice_set_once(self, monkeypatch):
+        groups, report = self.realized_groups(monkeypatch, "R6")
+        assert len(groups) == 1690  # 5,819 with one per choice
+        assert report.certificates.checked == 1221
+        assert report.certificates.ok
+
+    def test_r5_realizes_no_opponent_choice(self, monkeypatch):
+        groups, report = self.realized_groups(monkeypatch, "R5")
+        expected = []
+        for index in range(self.PANEL.count):
+            model = random_model(self.PANEL, index)
+            if len(model.states) > 3:
+                continue
+            contracted = bisim_contract(model).contracted
+            for group in [g for g in _subsets(model.agents) if len(g) <= 2][:4]:
+                sets = {choice_intersection(contracted, c)
+                        for c in group_choices(contracted, None, group)}
+                expected += [group] * len(sets)
+        assert groups == expected
+        assert len(groups) == 691
+        assert report.certificates.checked == 490
+        assert report.certificates.ok
 
 
 class TestRulePremises:

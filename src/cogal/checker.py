@@ -210,7 +210,8 @@ def _positive(f: Formula) -> bool:
                     or isinstance(announce, Not) and _positive(announce.body)))
     else:
         out = False
-    # a lazily computed fact on an immutable node, like its `_hash`
+    # a lazily computed fact on an immutable, interned node, cached for as
+    # long as the node lives
     object.__setattr__(f, "_positive", out)
     return out
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping
@@ -78,10 +80,6 @@ def _vocab_mask(agents: Iterable[str] = (), props: Iterable[str] = ()) -> int:
     return mask
 
 
-def _stored_hash(self) -> int:
-    return self._hash
-
-
 # Node fields that hold names rather than subnodes, and the names' kind.
 _VOCAB_FIELDS = {"name": _PROP, "agent": _AGENT, "group": _AGENT}
 
@@ -90,137 +88,187 @@ def _not_a_formula(value) -> TypeError:
     return TypeError(f"not a formula: {value!r}")
 
 
-def _facts(cls, names: tuple):
-    """The `__post_init__` of a node class: check the node's names (a group
-    is first coerced to a frozenset), then store `_hash`, the hash of
-    `(cls, *keys)` where a subnode's key is its `_hash` and a name field's
-    key is its value, and `_mask`. Names are checked before subnodes, so a
-    bad name raises `ValueError` whatever the subnode. One variant per
-    field shape (none, a name, one subnode, two subnodes, a name and a
-    subnode), so building a node runs no loop over its fields."""
+# Interning table: one entry per live node, keyed by `(cls, *fields)`. A
+# subnode in a key hashes and compares by identity (nodes take `__eq__`
+# and `__hash__` from `object`), so no lookup walks a formula. An entry is
+# a weak reference that carries its key; when its node dies, the callback
+# removes the entry unless it already maps to a live node. Every step is
+# one dict operation in C (`_remove_dead_weakref`, the helper behind
+# `weakref.WeakValueDictionary`, deletes a key only while it maps to a dead
+# reference), so threads that build the same formula at once get one node.
+_TABLE: dict = {}
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+# bound as defaults: a callback can run at interpreter exit, after the
+# module's globals are cleared
+def _drop(entry, _remove=_remove_dead_weakref, _table=_TABLE):
+    _remove(_table, entry.key)
+
+
+def _intern(key, node):
+    """Store the new `node` under `key`, or return the node that another
+    thread stored there first. A dead entry whose callback has not run yet
+    is removed, and the insert retried."""
+    entry = _Entry(node, _drop)
+    entry.key = key
+    while True:
+        found = _TABLE.setdefault(key, entry)
+        if found is entry:
+            return node
+        other = found()
+        if other is not None:
+            return other
+        _remove_dead_weakref(_TABLE, key)
+
+
+def _constructor(cls, names: tuple):
+    """The `__new__` of a node class: check the node's names (a group is
+    first coerced to a frozenset), then its subnodes, then return the live
+    node with the same class and fields, or else build one and store its
+    `_mask`. Names are checked before subnodes, so a bad name raises
+    `ValueError` whatever the subnode. One variant per field shape (none,
+    a name, one subnode, two subnodes, a name and a subnode), so building a
+    node runs no loop over its fields. A node without fields is built once."""
     # not through `__dict__`, which would give each node a dict object
-    setter = object.__setattr__
+    setter, blank, get = object.__setattr__, object.__new__, _TABLE.get
     kind = _VOCAB_FIELDS.get(names[0]) if names else None
     role = "proposition" if kind == _PROP else "agent"
     shape = (len(names), kind is not None)
 
     if shape == (0, False):
-        constant = hash((cls,))
+        unit = blank(cls)
+        setter(unit, "_mask", 0)
 
-        def facts(self):
-            setter(self, "_hash", constant)
-            setter(self, "_mask", 0)
+        def __new__(cls):
+            return unit
 
     elif shape == (1, True):
-        (name,) = names
+        (field,) = names
 
-        def facts(self):
-            value = getattr(self, name)
+        def __new__(cls, value):
             _require_ident(value, role)
-            setter(self, "_hash", hash((cls, value)))
-            setter(self, "_mask", _bit((kind, value)))
+            key = (cls, value)
+            entry = get(key)
+            node = entry and entry()
+            if node is None:
+                node = blank(cls)
+                setter(node, field, value)
+                setter(node, "_mask", _bit((kind, value)))
+                node = _intern(key, node)
+            return node
 
     elif shape == (1, False):
-        (sub,) = names
+        (field,) = names
 
-        def facts(self):
-            body = getattr(self, sub)
+        def __new__(cls, body):
             try:
-                setter(self, "_hash", hash((cls, body._hash)))
-                setter(self, "_mask", body._mask)
+                mask = body._mask
             except AttributeError:
                 raise _not_a_formula(body) from None
+            key = (cls, body)
+            entry = get(key)
+            node = entry and entry()
+            if node is None:
+                node = blank(cls)
+                setter(node, field, body)
+                setter(node, "_mask", mask)
+                node = _intern(key, node)
+            return node
 
     elif shape == (2, False):
         first, second = names
 
-        def facts(self):
-            left, right = getattr(self, first), getattr(self, second)
+        def __new__(cls, left, right):
             try:
-                setter(self, "_hash", hash((cls, left._hash, right._hash)))
-                setter(self, "_mask", left._mask | right._mask)
+                mask = left._mask | right._mask
             except AttributeError:
-                bad = right if hasattr(left, "_hash") else left
+                bad = right if hasattr(left, "_mask") else left
                 raise _not_a_formula(bad) from None
+            key = (cls, left, right)
+            entry = get(key)
+            node = entry and entry()
+            if node is None:
+                node = blank(cls)
+                setter(node, first, left)
+                setter(node, second, right)
+                setter(node, "_mask", mask)
+                node = _intern(key, node)
+            return node
 
     elif shape == (2, True):
         label, sub = names
         single = label != "group"
 
-        def facts(self):
-            value, body = getattr(self, label), getattr(self, sub)
+        def __new__(cls, value, body):
             if single:
                 _require_ident(value, role)
-                mask = _bit((kind, value))
             else:
                 value = frozenset(value)
-                mask = 0
                 for member in value:
                     _require_ident(member, role)
-                    mask |= _bit((kind, member))
-                setter(self, label, value)
             try:
-                key, mask = body._hash, mask | body._mask
+                mask = body._mask
             except AttributeError:
                 raise _not_a_formula(body) from None
-            setter(self, "_hash", hash((cls, value, key)))
-            setter(self, "_mask", mask)
+            key = (cls, value, body)
+            entry = get(key)
+            node = entry and entry()
+            if node is None:
+                if single:
+                    mask |= _bit((kind, value))
+                else:
+                    for member in value:
+                        mask |= _bit((kind, member))
+                node = blank(cls)
+                setter(node, label, value)
+                setter(node, sub, body)
+                setter(node, "_mask", mask)
+                node = _intern(key, node)
+            return node
 
     else:
         raise TypeError(f"no node shape for the fields {names} of {cls.__name__}")
-    return facts
+    # the fields' names as parameter names, so nodes build by keyword too
+    # (as `dataclasses.replace` does)
+    code = __new__.__code__
+    __new__.__code__ = code.replace(
+        co_varnames=("cls",) + names + code.co_varnames[1 + len(names):])
+    __new__.__qualname__ = f"{cls.__name__}.__new__"
+    return __new__
 
 
 def _node_reduce(self):
     return self.__class__, tuple([getattr(self, n) for n in self._field_names])
 
 
-def _node_eq(self, other):
-    """Structural equality of nodes, without recursion: identity and class
-    first, then pairs of nodes from an explicit stack, so chains of any
-    depth compare. Unequal `_hash`es answer False at once."""
-    if self is other:
-        return True
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    stack = [(self, other)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if x.__class__ is not y.__class__ or x._hash != y._hash:
-            return False
-        for name in x._field_names:
-            a, b = getattr(x, name), getattr(y, name)
-            if name not in _VOCAB_FIELDS:
-                stack.append((a, b))
-            elif a != b:
-                return False
-    return True
-
-
 def _node(cls):
-    """Frozen dataclass node whose structural facts are computed once, at
-    construction, from the values already stored on its subnodes.
+    """Frozen dataclass node, interned: its constructor returns the live
+    node with the same class and fields if there is one (`_constructor`),
+    so structurally equal nodes are one object, and equality and hashing
+    are `object`'s identity. The table holds nodes weakly, so a formula no
+    one refers to is freed.
 
-    `_hash` is the hash of the class and the fields, a subnode entering
-    by its own `_hash`; equality (`_node_eq`) reads it first. `_mask` is
-    the vocabulary, the atoms and agents the node mentions (see
+    `_mask` is the vocabulary, the atoms and agents the node mentions (see
     `_vocab_mask`): the OR of the subnodes' masks and the node's own name,
-    agent or group. Nodes pickle and copy through their constructor
-    (`_node_reduce`), so both are rebuilt in the receiving process."""
+    agent or group, computed once when the node is built. Nodes pickle and
+    copy through their constructor (`_node_reduce`), so an unpickled or
+    copied node is the interned one, with facts rebuilt in the receiving
+    process."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    cls.__post_init__ = _facts(cls, names)
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    cls.__new__ = _constructor(cls, names)
     cls._field_names = names
-    cls = dataclass(frozen=True, eq=False)(cls)
-    cls.__eq__ = _node_eq
-    cls.__hash__ = _stored_hash
     cls.__reduce__ = _node_reduce
     return cls
 
 
 class Formula:
-    """Base class for formula nodes; values are immutable and shareable."""
+    """Base class for formula nodes; values are immutable and interned, so
+    equal formulas are one object."""
 
     def __invert__(self) -> "Formula":
         return Not(self)

@@ -1,12 +1,13 @@
 import copy
 import dataclasses
+import gc
 import itertools
-import operator
 import os
 import pickle
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,10 @@ from cogal.checker import BindingError, Evaluator
 from cogal.formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, Fragment, GroupBox, GroupDia,
     Hole, Iff, Imp, ImpCtx, Know, KnowCtx, NecessityForm, Not, Or, PaBox,
-    PaCtx, PaDia, ParseError, Top, _vocab_mask, agents_of, atoms, conjoin, depth_ca, depth_pa, fragment,
-    instantiate, is_group_announcement, normalize, order_lt, parse, render,
-    resugar, size, substitute,
+    PaCtx, PaDia, ParseError, Top, _Entry, _TABLE, _drop, _vocab_mask,
+    agents_of, atoms, conjoin, depth_ca, depth_pa, fragment, instantiate,
+    is_group_announcement, normalize, order_lt, parse, render, resugar, size,
+    substitute,
 )
 from cogal.harness import train_model
 
@@ -415,14 +417,15 @@ contexts = st.recursive(
 
 
 class TestCachedFacts:
-    """Hash and vocabulary are computed once per node at construction; they
-    must agree with the structure however the node was built."""
+    """Nodes are interned and their vocabulary is computed once, at
+    construction; both must agree with the structure however the node was
+    built."""
 
     def assert_facts(self, f):
         assert (atoms(f), agents_of(f)) == walked_vocabulary(f)
         g = parse(render(f))
-        assert f == g
-        assert hash(f) == hash(g)
+        assert f is g
+        assert f == g and hash(f) == hash(g)
 
     @settings(max_examples=300, deadline=None)
     @given(formulas, formulas, contexts)
@@ -434,37 +437,34 @@ class TestCachedFacts:
         self.assert_facts(resugar(normalize(f)))
         self.assert_facts(_replace_first_child(f))
         for h in (copy.deepcopy(f), copy.copy(f), pickle.loads(pickle.dumps(f))):
-            assert h == f
-            assert hash(h) == hash(f)
+            assert h is f
             self.assert_facts(h)
 
     @settings(max_examples=100, deadline=None)
     @given(contexts)
     def test_contexts_hash_structurally(self, form):
-        assert hash(pickle.loads(pickle.dumps(form))) == hash(form)
-        assert hash(copy.deepcopy(form)) == hash(form)
+        assert pickle.loads(pickle.dumps(form)) is form
+        assert copy.deepcopy(form) is form and copy.copy(form) is form
+        assert instantiate(form, p) is instantiate(copy.copy(form), Atom("p"))
 
     @settings(max_examples=300, deadline=None)
     @given(formulas, contexts)
     def test_hash_and_mask_follow_the_generic_rule(self, f, form):
-        """Every node shape stores the hash of `(class, *keys)`, a subnode
-        keyed by its own hash and a name field by its value, and the OR of
-        its subnodes' masks and its own names' bits."""
+        """Every node shape hashes by identity, and stores the OR of its
+        subnodes' masks and its own names' bits."""
         def check(g):
-            keys, mask = [type(g)], 0
+            mask = 0
             for fld in dataclasses.fields(g):
                 value = getattr(g, fld.name)
                 if isinstance(value, (Formula, NecessityForm)):
                     check(value)
-                    keys.append(hash(value))
                     mask |= value._mask
                 else:
-                    keys.append(value)
                     kind = "p" if fld.name == "name" else "a"
                     names = [value] if isinstance(value, str) else value
                     mask |= _vocab_mask(**{("props" if kind == "p"
                                             else "agents"): names})
-            assert hash(g) == hash(tuple(keys))
+            assert hash(g) == object.__hash__(g)
             assert g._mask == mask
         check(f)
         check(form)
@@ -478,22 +478,24 @@ class TestCachedFacts:
             return f
 
         one, two = chain(2000), chain(2000)
-        assert one is not two
+        assert one is two
         assert one == two and not one != two
         assert one != chain(1999) and chain(1999) != one
         assert {one: "found"}[two] == "found"
         assert Atom("p") != "p" and Atom("p") == Atom("p")
 
-    def test_equal_hashes_still_compare_fields(self):
-        # forged collisions: equality must not rest on the hash alone
-        def collide(f, g):
-            object.__setattr__(g, "_hash", f._hash)
-            return f, g
-
-        assert operator.ne(*collide(Atom("p"), Atom("q")))
-        assert operator.ne(*collide(Know("a", p), Know("b", p)))
-        assert operator.ne(*collide(Not(Not(p)), Not(Not(Atom("q")))))
-        assert operator.eq(*collide(Not(Not(p)), Not(Not(Atom("p")))))
+    def test_distinct_structures_are_distinct_objects(self):
+        pairs = [(Atom("p"), Atom("q")), (Know("a", p), Know("b", p)),
+                 (Not(Not(p)), Not(Not(q))), (And(p, q), And(q, p)),
+                 (And(p, q), Or(p, q)), (PaBox(p, q), PaDia(p, q)),
+                 (GroupBox({"a"}, p), CoalBox({"a"}, p)),
+                 (GroupBox({"a"}, p), GroupBox({"a", "b"}, p)),
+                 (Top(), Bot()), (KnowCtx("a", Hole()), KnowCtx("b", Hole()))]
+        for f, g in pairs:
+            assert f is not g
+            assert f != g and not f == g
+            assert len({f, g}) == 2
+        assert Not(Not(p)) is Not(Not(Atom("p")))
 
     def test_non_formula_child_rejected(self):
         with pytest.raises(TypeError, match="not a formula"):
@@ -564,3 +566,103 @@ class TestCachedFacts:
         assert str(err.value) == "formula mentions unbound propositions q0, r"
         assert done.stdout.decode().splitlines() == [
             f"{sorted(atoms(f))} {sorted(agents_of(f))}", str(err.value)]
+
+
+def _negations(f, depth):
+    for _ in range(depth):
+        f = Not(f)
+    return f
+
+
+class TestInterning:
+    """Structurally equal nodes are one object, however and wherever they
+    were built; the table holds them weakly. (`TestCachedFacts` checks that
+    reparsing, pickling and copying return the same node.)"""
+
+    def test_keyword_construction_and_replace(self):
+        assert PaBox(announce=p, body=q) is PaBox(p, q)
+        assert CoalDia(group=["a"], body=p) is CoalDia({"a"}, p)
+        assert dataclasses.replace(Know("a", p), agent="b") is Know("b", p)
+        assert dataclasses.replace(ImpCtx(p, Hole()), premise=q) is ImpCtx(q, Hole())
+        assert Top() is Top() and Bot() is Bot() and Hole() is Hole()
+
+    def test_list_and_frozenset_groups_give_one_node(self):
+        for cls in (GroupBox, GroupDia, CoalBox, CoalDia):
+            f = cls(["b", "a", "b"], p)
+            assert f is cls(frozenset({"a", "b"}), p) is cls(("a", "b"), p)
+            assert cls([], p) is cls(frozenset(), p)
+
+    def test_errors_are_unchanged(self):
+        # an unhashable child is no formula either, and is reported as one
+        for build, child in ((lambda: And(p, [1]), [1]),
+                             (lambda: And({}, p), {}),
+                             (lambda: Not([p]), [p]),
+                             (lambda: Know("a", {"q": 1}), {"q": 1}),
+                             (lambda: CoalDia(["a"], []), []),
+                             (lambda: ImpCtx(p, [Hole()]), [Hole()]),
+                             (lambda: PaCtx(set(), Hole()), set())):
+            with pytest.raises(TypeError) as err:
+                build()
+            assert str(err.value) == f"not a formula: {child!r}"
+        # names are checked before subnodes
+        for build in (lambda: Know("Bad", [1]), lambda: KnowCtx("Bad", {}),
+                      lambda: GroupBox(["a", "Bad"], [])):
+            with pytest.raises(ValueError, match="invalid agent name 'Bad'"):
+                build()
+        with pytest.raises(ValueError, match="invalid proposition name"):
+            Atom(["p"])
+
+    def test_table_drains_when_formulas_are_freed(self):
+        gc.collect()
+        before = len(_TABLE)
+        deep = _negations(Atom("drain0"), 100_000)
+        wide = parse("<[{drain1}]> K drain2 (drain3 & [drain4] drain5) | ~drain3")
+        assert len(_TABLE) >= before + 100_008
+        gone = weakref.ref(deep), weakref.ref(wide)
+        del deep, wide
+        gc.collect()
+        assert gone[0]() is None and gone[1]() is None
+        assert (Atom, "drain0") not in _TABLE
+        assert len(_TABLE) == before
+
+    def test_a_dead_entry_is_replaced_and_a_late_callback_keeps_the_new_one(self):
+        class Gone:
+            pass
+
+        key = (Atom, "dead0")
+        assert key not in _TABLE
+        gone = Gone()
+        dead = _Entry(gone, _drop)
+        dead.key = key
+        del gone
+        assert dead() is None
+        _TABLE[key] = dead
+        f = Atom("dead0")
+        assert _TABLE[key]() is f
+        _drop(dead)
+        assert _TABLE[key]() is f and Atom("dead0") is f
+        del f
+        gc.collect()
+        assert key not in _TABLE
+
+    def test_concurrent_construction_gives_one_node(self):
+        tops = [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def build(slot):
+            start.wait()
+            tops[slot] = _negations(Atom("race_chain"), 2000)
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(top is tops[0] for top in tops)
+        assert tops[0] is _negations(Atom("race_chain"), 2000)

@@ -216,6 +216,33 @@ def _positive(f: Formula) -> bool:
     return out
 
 
+def _distinct_sets(kept: int, options: list) -> Iterator[tuple]:
+    """The distinct sets `kept & m1 & ... & mk`, one mask from each list of
+    `options`, each with the first choice (the tuple of masks) of the full
+    product that yields it, in first-seen order (`group_choices` order);
+    no lists give `kept` and the empty choice. Depth first, skipping a
+    partial intersection already seen at its level: equal partial
+    intersections have identical continuations."""
+    if not options:
+        yield kept, ()
+        return
+    seen = [set() for _ in options]
+    last = len(options) - 1
+
+    def walk(level, inter, rep):
+        for option in options[level]:
+            cut = inter & option
+            if cut in seen[level]:
+                continue
+            seen[level].add(cut)
+            if level == last:
+                yield cut, rep + (option,)
+            else:
+                yield from walk(level + 1, cut, rep + (option,))
+
+    yield from walk(0, kept, ())
+
+
 class _ChoiceSets:
     """A memoised generator of (set, representative) pairs: the pairs built
     so far and the generator that builds the rest. Every iteration reads
@@ -448,7 +475,8 @@ class Evaluator:
 
     def _choice_sets(self, q: _Quotient, state: int, group: frozenset):
         """Distinct update sets achievable by the group at the state, each with
-        a representative choice, in order of first appearance.
+        a representative choice, in order of first appearance: `_distinct_sets`
+        over the members' options at the state.
 
         A memoised generator (`_ChoiceSets`): a loop that stops early builds
         no more sets than it read. Under `certify` every set is built and
@@ -456,40 +484,13 @@ class Evaluator:
         key = (q.kept, state, group)
         sets = self._choice_set_cache.get(key)
         if sets is None:
+            options = [self._options(q, a, state) for a in self._members(group)]
             sets = self._choice_set_cache[key] = _ChoiceSets(
-                self._build_choice_sets(q, state, group))
+                _distinct_sets(q.kept, options))
             if self.certify:
                 for _, choice in sets:
                     self._certify(q, group, choice)
         return sets
-
-    def _build_choice_sets(self, q: _Quotient, state: int, group: frozenset):
-        """Yield the group's choice sets, depth first over the members in
-        model order with deduplication of partial intersections: equal
-        partial intersections have identical continuations, so this yields
-        the same sets in the same first-seen order as enumerating the full
-        product of per-agent options (`group_choices`), at a fraction of the
-        cost. Each set's representative is the first product choice that
-        yields it, as a tuple of masks, one per member in model order."""
-        options = [self._options(q, a, state) for a in self._members(group)]
-        if not options:
-            yield q.kept, ()
-            return
-        seen = [set() for _ in options]
-        last = len(options) - 1
-
-        def walk(level, inter, rep):
-            for option in options[level]:
-                cut = inter & option
-                if cut in seen[level]:
-                    continue
-                seen[level].add(cut)
-                if level == last:
-                    yield cut, rep + (option,)
-                else:
-                    yield from walk(level + 1, cut, rep + (option,))
-
-        yield from walk(0, q.kept, ())
 
     def _deciding_group(self, f: Formula) -> Optional[frozenset]:
         """The group whose first set alone decides the quantifier, when its

@@ -21,17 +21,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .checker import (
-    CertificateLog, Evaluator, choice_intersection, group_choices,
-)
+from .checker import CertificateLog, Evaluator, _distinct_sets, _unions
 from .formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, Fragment, GroupBox, GroupDia,
     Hole, Iff, Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia, Top,
     agents_of, atoms, conjoin, instantiate, parse, render, size, substitute,
 )
 from .model import (
-    KripkeModel, PointedModel, _adopt_refinement, _bisim_key, _mask_key,
-    _refine_masks, bisim_contract, realize_choice, validate,
+    KripkeModel, PointedModel, _Quotient, _adopt_refinement, _bisim_key,
+    _mask_key, _refine_masks, _whole_quotient, validate,
 )
 from .translate import translate
 
@@ -244,23 +242,12 @@ def random_formula(rng: random.Random, agents, props, *,
     return gen(max_depth)
 
 
-def _modal_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    if isinstance(f, Not):
-        return _modal_depth(f.body)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return max(_modal_depth(f.left), _modal_depth(f.right))
-    if isinstance(f, Know):
-        return _modal_depth(f.body) + 1
-    raise TypeError(f"pool formulas are purely epistemic: {f!r}")
-
-
 @lru_cache(maxsize=64)
 def instantiation_pool(agents: tuple, props: tuple) -> tuple:
     """Canonical bounded pool of purely epistemic formulas over the
     vocabulary: literals, knowledge and nested knowledge of literals, and
-    small conjunctions, capped at weighted size 9 and modal depth 2."""
+    small conjunctions, so of weighted size at most 6 and modal depth at
+    most 2."""
     literals: List[Formula] = [Top()]
     for p in props:
         literals += [Atom(p), Not(Atom(p))]
@@ -277,7 +264,8 @@ def instantiation_pool(agents: tuple, props: tuple) -> tuple:
     out = []
     seen = set()
     for f in candidates:
-        if f in seen or size(f) > 9 or _modal_depth(f) > 2:
+        # repeated names in the vocabulary repeat candidates
+        if f in seen:
             continue
         seen.add(f)
         out.append(f)
@@ -318,6 +306,8 @@ def find_countermodel(f: Formula, params: GenParams, *,
     concrete_atoms = atoms(f) - set(schematic)
     props = tuple(params.props) + tuple(sorted(concrete_atoms - set(params.props)))
     pool = tuple(pool) if pool is not None else instantiation_pool(agents, props)
+    if schematic and not pool:
+        raise ValueError("schematic atoms need at least one pool formula")
     assignments = ([{}] if not schematic else
                    [dict(zip(schematic, combo))
                     for combo in itertools.product(pool, repeat=len(schematic))])
@@ -588,30 +578,43 @@ def _validity_premises(model, ev, rng, pool) -> List[Tuple[Formula, str]]:
     ]
 
 
-def _rule_item(conclusions: Callable, premises: Callable = _universal_pool) -> Callable:
-    """Runner for truth-preservation of a rule on single models: whenever the
-    premise holds at all states, the conclusion must as well."""
+def _rule_item(cases: Callable) -> Callable:
+    """Runner for truth-preservation of a rule on single models: `cases`
+    yields the conclusions whose premises held on the model, and each must
+    hold at all states. A conclusion is one instance and at most one
+    failure."""
 
     def run(model, ev, rng, pool, index) -> _RunResult:
         instances = 0
         failures = []
-        for premise, note in premises(model, ev, rng, pool):
-            if not all(ev.eval(s, premise) for s in model.states):
-                continue
-            for conclusion, cnote in conclusions(model, rng, pool, premise):
-                instances += 1
-                for s in model.states:
-                    if not ev.eval(s, conclusion):
-                        failures.append(_Failure(s, conclusion,
-                                                 f"{cnote} from {note}"))
-                        break
+        for conclusion, note in cases(model, ev, rng, pool):
+            instances += 1
+            for s in model.states:
+                if not ev.eval(s, conclusion):
+                    failures.append(_Failure(s, conclusion, note))
+                    break
         return instances, failures, None
 
     return run
 
 
-# Schema trial generators. `rng` is item- and model-specific, so sampling is
-# deterministic per (seed, item, model index).
+def _premised(conclusions: Callable,
+              premises: Callable = _universal_pool) -> Callable:
+    """Rule cases of a premise family and a conclusion scheme: the
+    conclusions of every premise that holds at all states."""
+
+    def cases(model, ev, rng, pool):
+        for premise, note in premises(model, ev, rng, pool):
+            if all(ev.eval(s, premise) for s in model.states):
+                for conclusion, cnote in conclusions(model, rng, pool, premise):
+                    yield conclusion, f"{cnote} from {note}"
+
+    return cases
+
+
+# Schema trials (`_t_`), conclusion schemes (`_c_`) and rule cases (`_r_`).
+# `rng` is item- and model-specific, so sampling is deterministic per (seed,
+# item, model index).
 
 def _t_a1(model, rng, pool):
     for agent in model.agents:
@@ -787,6 +790,11 @@ def _t_converse_a11(model, rng, pool):
                    "converse interaction (open)")
 
 
+def _t_canary(model, rng, pool):
+    yield (CoalDia(frozenset({model.agents[0]}), Bot()),
+           "canary schema is expected to fail")
+
+
 def _c_r1(model, rng, pool, premise):
     for agent in model.agents:
         yield Know(agent, premise), f"necessitation for K_{agent}"
@@ -807,25 +815,16 @@ def _c_r4(model, rng, pool, premise):
         yield CoalBox(group, premise), "coalition necessitation"
 
 
-def _run_clr1(model, ev, rng, pool, index) -> _RunResult:
-    instances = 0
-    failures = []
+def _r_clr1(model, ev, rng, pool):
     everything = frozenset(model.states)
     for _ in range(2):
         x = _draw(rng, pool)
         for y, how in ((Not(Not(x)), "double negation"),
                        (And(x, Top()), "conjunction with verum")):
-            if ev.extension(Iff(x, y)) != everything:
-                continue
-            for group in _subsets(model.agents):
-                instances += 1
-                conclusion = Iff(CoalDia(group, x), CoalDia(group, y))
-                for s in model.states:
-                    if not ev.eval(s, conclusion):
-                        failures.append(_Failure(s, conclusion,
-                                                 f"congruence via {how}"))
-                        break
-    return instances, failures, None
+            if ev.extension(Iff(x, y)) == everything:
+                for group in _subsets(model.agents):
+                    yield (Iff(CoalDia(group, x), CoalDia(group, y)),
+                           f"congruence via {how}")
 
 
 def _necessity_forms(model, rng, pool):
@@ -838,22 +837,19 @@ def _necessity_forms(model, rng, pool):
     ]
 
 
-def _announcements(contracted: KripkeModel, anchor: str,
-                   group: frozenset) -> List[Formula]:
-    """One realized announcement of the group per distinct choice set on a
-    contracted model: the first choice in `group_choices` order that
-    yields each set (its `choice_intersection`)."""
-    seen = set()
-    out = []
-    for choice in group_choices(contracted, None, group):
-        cut = choice_intersection(contracted, choice)
-        if cut not in seen:
-            seen.add(cut)
-            out.append(realize_choice(contracted, anchor, group, choice))
-    return out
+def _announcements(q: _Quotient, members: list) -> List[Formula]:
+    """One realized announcement of the members (in model order) per
+    distinct choice set on the model's quotient, over every union of each
+    member's classes, the empty one included: the first choice in
+    `group_choices` order that yields each set (`_distinct_sets`)."""
+    options = [_unions(q.classes[a], [(c & q.reps).bit_count()
+                                      for c in q.classes[a]])
+               for a in members]
+    return [q.realize(zip(members, choice))
+            for _, choice in _distinct_sets(q.kept, options)]
 
 
-def _quantifier_rule_item(coalition: bool) -> Callable:
+def _r_quantifier(coalition: bool) -> Callable:
     """Sampled semantic soundness of the quantifier-introduction rules: when
     every realized announcement instance of the premise scheme holds at all
     states, the quantified conclusion must too. Realized announcements on the
@@ -866,23 +862,20 @@ def _quantifier_rule_item(coalition: bool) -> Callable:
     choice set (`_announcements`) decides the premise as every choice
     would."""
 
-    def run(model, ev, rng, pool, index) -> _RunResult:
+    def cases(model, ev, rng, pool):
         if len(model.states) > 3:
-            return 0, [], None
-        contracted = bisim_contract(model).contracted
-        anchor = contracted.states[0]
+            return
+        q = _whole_quotient(model)
 
         def everywhere(f):
             return all(ev.eval(s, f) for s in model.states)
 
-        instances = 0
-        failures = []
         groups = [g for g in _subsets(model.agents) if len(g) <= 2]
         for group in groups[:4]:
-            own = _announcements(contracted, anchor, group)
+            own = _announcements(q, [a for a in model.agents if a in group])
             if coalition:
-                other = _announcements(contracted, anchor,
-                                       frozenset(model.agents) - group)
+                other = _announcements(q, [a for a in model.agents
+                                           if a not in group])
             for form, fnote in _necessity_forms(model, rng, pool)[:2]:
                 for goal in (Top(), _draw(rng, pool)):
                     if coalition:
@@ -897,24 +890,10 @@ def _quantifier_rule_item(coalition: bool) -> Callable:
                             everywhere(instantiate(form, PaBox(psi, goal)))
                             for psi in own)
                         conclusion = instantiate(form, GroupBox(group, goal))
-                    if not premise_ok:
-                        continue
-                    instances += 1
-                    for s in model.states:
-                        if not ev.eval(s, conclusion):
-                            failures.append(_Failure(s, conclusion,
-                                                     f"{fnote} context"))
-                            break
-        return instances, failures, None
+                    if premise_ok:
+                        yield conclusion, f"{fnote} context"
 
-    return run
-
-
-def _run_canary(model, ev, rng, pool, index) -> _RunResult:
-    schema = CoalDia(frozenset({model.agents[0]}), Bot())
-    failures = [_Failure(s, schema, "canary schema is expected to fail")
-                for s in model.states if not ev.eval(s, schema)]
-    return len(model.states), failures, None
+    return cases
 
 
 def _run_prop4(model, ev, rng, pool, index) -> _RunResult:
@@ -937,14 +916,6 @@ def _run_prop4(model, ev, rng, pool, index) -> _RunResult:
                 "formula": render(Imp(antecedent, consequent)),
                 "note": "implication is false at the designated state"}
     return 2, failures, evidence
-
-
-@dataclass
-class _Tally:
-    instances: int = 0
-    failures: int = 0
-    first_failure: Optional[dict] = None
-    evidence: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -981,20 +952,22 @@ _register("C3", "empty-coalition dual yields grand coalition", "valid",
           _valid_item(_t_c3))
 _register("C4", "coalition goals close under weakening", "valid", _valid_item(_t_c4))
 _register("C5", "disjoint coalitions combine", "valid", _valid_item(_t_c5))
-_register("CLR1", "coalition congruence for equivalent goals", "rule", _run_clr1)
-_register("R1", "knowledge necessitation preserves truth", "rule", _rule_item(_c_r1))
+_register("CLR1", "coalition congruence for equivalent goals", "rule",
+          _rule_item(_r_clr1))
+_register("R1", "knowledge necessitation preserves truth", "rule",
+          _rule_item(_premised(_c_r1)))
 _register("R2", "announcement necessitation preserves truth", "rule",
-          _rule_item(_c_r2, _validity_premises))
+          _rule_item(_premised(_c_r2, _validity_premises)))
 _register("R3", "group necessitation preserves truth", "rule",
-          _rule_item(_c_r3, _validity_premises))
+          _rule_item(_premised(_c_r3, _validity_premises)))
 _register("R4", "coalition necessitation preserves truth", "rule",
-          _rule_item(_c_r4, _validity_premises))
+          _rule_item(_premised(_c_r4, _validity_premises)))
 _register("R5", "group-quantifier introduction sound on samples", "rule",
-          _quantifier_rule_item(coalition=False))
+          _rule_item(_r_quantifier(coalition=False)))
 _register("R6", "coalition-quantifier introduction sound on samples", "rule",
-          _quantifier_rule_item(coalition=True))
+          _rule_item(_r_quantifier(coalition=True)))
 _register("canary", "intentionally invalid schema (must fail)", "expect_fail",
-          _run_canary)
+          _valid_item(_t_canary))
 _register("converse_a11", "converse interaction (exploratory)", "exploratory",
           _valid_item(_t_converse_a11))
 _register("lemma1", "later announcements translate to joint ones", "valid",
@@ -1042,34 +1015,29 @@ def axiom_suite(params: GenParams, items: Optional[Iterable[str]] = None,
         raise ValueError("no suite items to run")
     if params.count < 1:
         raise ValueError("the suite needs at least one model")
-    tallies = {n: _Tally() for n in names}
+    reports = [ItemReport(n, _ITEMS[n].label, _ITEMS[n].kind, 0, 0, None)
+               for n in names]
     certificates = CertificateLog() if certify else None
     for index in range(params.count):
         model = random_model(params, index)
         ev = Evaluator(model, certify=certify)
         pool = instantiation_pool(model.agents, model.props)
-        for name in names:
-            rng = random.Random(f"suite:{params.seed}:{name}:{index}")
-            instances, failures, evidence = _ITEMS[name].run(
+        for report in reports:
+            rng = random.Random(f"suite:{params.seed}:{report.name}:{index}")
+            instances, failures, evidence = _ITEMS[report.name].run(
                 model, ev, rng, pool, index)
-            tally = tallies[name]
-            tally.instances += instances
-            tally.failures += len(failures)
-            if failures and tally.first_failure is None:
-                tally.first_failure = {
+            report.instances += instances
+            report.failures += len(failures)
+            if evidence is not None:
+                # the construction item gives its evidence once, on the
+                # first model; it is the countermodel, whatever failed
+                report.countermodel = evidence
+            elif failures and report.countermodel is None:
+                report.countermodel = {
                     "model": model.to_doc(), "state": failures[0].state,
                     "formula": render(failures[0].formula),
                     "note": failures[0].note}
-            if evidence is not None and tally.evidence is None:
-                tally.evidence = evidence
         if certify:
             certificates.checked += ev.certificates.checked
             certificates.mismatches.extend(ev.certificates.mismatches)
-    reports = []
-    for name in names:
-        tally = tallies[name]
-        item = _ITEMS[name]
-        countermodel = tally.evidence or tally.first_failure
-        reports.append(ItemReport(name, item.label, item.kind, tally.instances,
-                                  tally.failures, countermodel))
     return SuiteReport(params, reports, certificates)

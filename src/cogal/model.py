@@ -236,6 +236,8 @@ def load_model(path) -> tuple:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ModelError(f"model file {path}: {exc}") from exc
+        except RecursionError:
+            raise ModelError(f"model file {path}: nested too deeply") from None
     return validate(doc), doc.get("designated")
 
 

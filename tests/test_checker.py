@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -249,6 +251,23 @@ class TestMemo:
                 f = random_formula(rng, model.agents, model.props, max_depth=2)
                 for s in model.states:
                     assert warm.eval(s, f) == Evaluator(model).eval(s, f)
+
+    def test_evaluator_is_freed_without_the_cycle_collector(self, train):
+        # a choice-set scan that stops early keeps its walk suspended in
+        # the evaluator's cache; the walk must not refer back to the
+        # evaluator, or every evaluator waits for the cycle collector
+        model, w = train
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ev = Evaluator(model)
+            assert ev.eval(w, parse("<[{a}]> <{b,c}> K a p")) is False
+            freed = weakref.ref(ev)
+            del ev
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_non_formula_node_is_rejected(self, train):
         # a necessity form is a node but no formula: the dispatch on node

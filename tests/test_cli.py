@@ -265,6 +265,15 @@ class TestMalformedModel:
         assert main(["check", str(path), "p"]) == 2
         assert "state ids" in capsys.readouterr().err
 
+    def test_model_nested_too_deeply_exits_two(self, tmp_path, capsys):
+        # the json decoder recurses once per level; the error names the
+        # model file, not the formula
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["check", str(path), "p"]) == 2
+        assert capsys.readouterr().err \
+            == f"error: model file {path}: nested too deeply\n"
+
 
 class TestDeepFormula:
     """Deep nesting must end in a clean exit 2, never in a traceback and

@@ -9,18 +9,18 @@ from cogal.checker import (
     Evaluator, choice_intersection, eval_formula, group_choices,
 )
 from cogal.formula import (
-    And, Atom, CoalDia, Fragment, Hole, Imp, ImpCtx, Know, PaBox, PaDia, Top,
-    fragment, instantiate, parse, render, size,
+    And, Atom, Bot, CoalDia, Fragment, Hole, Iff, Imp, ImpCtx, Know, Not, Or,
+    PaBox, PaDia, Top, fragment, instantiate, parse, render, size,
 )
 from cogal.harness import (
     GenParams, axiom_suite, canonical_item_name, enumerate_models,
     find_countermodel, instantiation_pool, prop4_countermodel, prop4_formula,
     prop4_verifies, random_formula, random_model, set_partitions, train_model,
 )
-from cogal.harness import (
-    _announcements, _modal_depth, _prop4_candidate, _subsets,
+from cogal.harness import _announcements, _prop4_candidate, _subsets
+from cogal.model import (
+    _whole_quotient, bisim_contract, realize_choice, validate,
 )
-from cogal.model import bisim_contract, realize_choice, validate
 
 
 class TestGenParams:
@@ -86,14 +86,30 @@ class TestEnumeration:
         assert len(list(set_partitions(("x", "y", "z")))) == 5  # Bell(3)
 
 
+def modal_depth(f):
+    if isinstance(f, (Atom, Top, Bot)):
+        return 0
+    if isinstance(f, Not):
+        return modal_depth(f.body)
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return max(modal_depth(f.left), modal_depth(f.right))
+    assert isinstance(f, Know), f
+    return modal_depth(f.body) + 1
+
+
 class TestPool:
     def test_bounds(self):
         pool = instantiation_pool(("a", "b", "c"), ("p", "q"))
         assert len(pool) > 100
         for f in pool:
             assert size(f) <= 9
-            assert _modal_depth(f) <= 2
+            assert modal_depth(f) <= 2
             assert fragment(f) is Fragment.EL
+
+    def test_repeated_names_give_no_repeated_formulas(self):
+        pool = instantiation_pool(("a", "a"), ("p", "p"))
+        assert len(set(pool)) == len(pool) \
+            == len(instantiation_pool(("a",), ("p",)))
 
     def test_deterministic_order(self):
         assert instantiation_pool(("a", "b"), ("p",)) \
@@ -106,6 +122,14 @@ class TestSearch:
                                 GenParams(max_states=2, agents=("a",),
                                           props=("p",), count=100))
         assert hit is None
+
+    def test_schematic_atoms_with_an_empty_pool_are_rejected(self):
+        # no instance to check proves nothing: not "no countermodel"
+        with pytest.raises(ValueError, match="pool"):
+            find_countermodel(parse("x & ~x"), GenParams(max_states=2),
+                              schematic=["x"], pool=[])
+        assert find_countermodel(parse("x & ~x"), GenParams(max_states=2),
+                                 schematic=["x"], pool=[Top()]) is not None
 
     def test_finds_two_state_countermodel(self):
         hit = find_countermodel(parse("p -> K a p"),
@@ -286,6 +310,7 @@ class TestQuantifierRuleAnnouncements:
             model = random_model(params, index)
             contracted = bisim_contract(model).contracted
             anchor = contracted.states[0]
+            q = _whole_quotient(model)
             # one evaluator per side, so neither reads the other's memo
             ev_full, ev_dedup = Evaluator(model), Evaluator(model)
             pool = instantiation_pool(model.agents, model.props)
@@ -294,7 +319,7 @@ class TestQuantifierRuleAnnouncements:
             for group in [g for g in _subsets(model.agents) if len(g) <= 2][:4]:
                 full = [self.full_list(contracted, anchor, g)
                         for g in (group, everyone - group)]
-                dedup = [_announcements(contracted, anchor, g)
+                dedup = [_announcements(q, [a for a in model.agents if a in g])
                          for g in (group, everyone - group)]
                 shorter += len(dedup[1]) < len(full[1])
                 x = pool[rng.randrange(len(pool))]
@@ -312,15 +337,45 @@ class TestQuantifierRuleAnnouncements:
         assert len(outcomes) == 4
         assert shorter > 0
 
+    @staticmethod
+    def old_announcements(model, group):
+        # the path `_announcements` replaced: contract to a second model,
+        # enumerate the full product, keep each set's first choice
+        contracted = bisim_contract(model).contracted
+        seen, out = set(), []
+        for choice in group_choices(contracted, None, group):
+            cut = choice_intersection(contracted, choice)
+            if cut not in seen:
+                seen.add(cut)
+                out.append(realize_choice(contracted, contracted.states[0],
+                                          group, choice))
+        return out
+
+    def test_same_announcements_as_the_old_path(self):
+        params = GenParams(max_states=5, seed=12, count=120)
+        merged = 0  # models whose quotient merges states
+        for index in range(params.count):
+            model = random_model(params, index)
+            q = _whole_quotient(model)
+            merged += len(q.blocks) < len(model.states)
+            for group in _subsets(model.agents):
+                old = self.old_announcements(model, group)
+                new = _announcements(q, [a for a in model.agents
+                                         if a in group])
+                assert len(new) == len(old)
+                assert all(n is o for n, o in zip(new, old))
+        assert merged > 0
+
     def realized_groups(self, monkeypatch, item):
         groups = []
-        realize = harness.realize_choice
+        announcements = harness._announcements
 
-        def counting(model, w, group, choice):
-            groups.append(frozenset(group))
-            return realize(model, w, group, choice)
+        def counting(q, members):
+            out = announcements(q, members)
+            groups.extend([frozenset(members)] * len(out))
+            return out
 
-        monkeypatch.setattr(harness, "realize_choice", counting)
+        monkeypatch.setattr(harness, "_announcements", counting)
         report = axiom_suite(self.PANEL, items=(item,), certify=True)
         return groups, report
 

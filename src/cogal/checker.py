@@ -43,10 +43,6 @@ __all__ = [
 # announcement of the empty group and denotes the full state set.
 AnnouncementChoice = Dict[str, FrozenSet[str]]
 
-# The one response a group quantifier leaves the other agents: no further
-# restriction, and no choice to report.
-_TRIVIAL_RESPONSE = ((None, None),)
-
 
 class BindingError(ValueError):
     """Formula mentions agents or propositions the model does not declare."""
@@ -225,35 +221,65 @@ def _distinct_sets(kept: int, options: list) -> Iterator[tuple]:
     intersections have identical continuations."""
     if not options:
         yield kept, ()
-        return
-    seen = [set() for _ in options]
-    last = len(options) - 1
+    elif len(options) == 1:
+        seen = set()
+        for option in options[0]:
+            cut = kept & option
+            if cut not in seen:
+                seen.add(cut)
+                yield cut, (option,)
+    else:
+        yield from _walk(options, [set() for _ in options], 0, kept, ())
 
-    def walk(level, inter, rep):
-        for option in options[level]:
-            cut = inter & option
-            if cut in seen[level]:
-                continue
-            seen[level].add(cut)
-            if level == last:
-                yield cut, rep + (option,)
-            else:
-                yield from walk(level + 1, cut, rep + (option,))
 
-    yield from walk(0, kept, ())
+def _walk(options: list, seen: list, level: int, inter: int, rep: tuple):
+    """`_distinct_sets` from a level on, below a partial intersection and
+    its choice; `seen` holds the cuts met so far at each level."""
+    last = level == len(options) - 1
+    met = seen[level]
+    for option in options[level]:
+        cut = inter & option
+        if cut in met:
+            continue
+        met.add(cut)
+        if last:
+            yield cut, rep + (option,)
+        else:
+            yield from _walk(options, seen, level + 1, cut, rep + (option,))
 
 
 class _ChoiceSets:
-    """A memoised generator of (set, representative) pairs: the pairs built
-    so far and the generator that builds the rest. Every iteration reads
-    the pairs in the same order; a later one continues where the earliest
-    stopped. The generator calls no evaluation, so it is never re-entered."""
+    """A group's choice sets at a state. `options` holds the members'
+    option lists. The (set, representative) pairs are `_distinct_sets`
+    over the options, memoised: the pairs built so far and the generator
+    that builds the rest. Every iteration reads the pairs in the same
+    order; a later one continues where the earliest stopped. The generator
+    calls no evaluation, so it is never re-entered. A one-member group's
+    sets are its options, since `kept & option` is the option and distinct
+    unions of classes are distinct sets; they are listed at once, with no
+    walk."""
 
-    __slots__ = ("found", "rest")
+    __slots__ = ("options", "found", "rest")
 
-    def __init__(self, rest: Iterator):
-        self.found = []
-        self.rest = rest
+    def __init__(self, kept: int, options: list):
+        self.options = options
+        if len(options) == 1:
+            self.found = [(option, (option,)) for option in options[0]]
+            self.rest = None
+        else:
+            self.found = []
+            self.rest = _distinct_sets(kept, options)
+
+    def meet(self, kept: int) -> Iterator[tuple]:
+        """The sets `kept & B` over the group's sets B, each with B's
+        representative, in order of first appearance (repeats allowed):
+        read off the sets when all are built, else walked by
+        `_distinct_sets(kept, options)` without building them. For `kept`
+        inside the restriction both give the same distinct sets in the same
+        order, since `kept & B` is `kept & m1 & ... & mk` for B's choice."""
+        if self.rest is None:
+            return ((kept & built, choice) for built, choice in self.found)
+        return _distinct_sets(kept, self.options)
 
     def __iter__(self):
         if self.rest is None:
@@ -393,9 +419,16 @@ class Evaluator:
             return Verdict(False)
         first = self._first_set(q, s, f.group)[0]
         opponents = self._agent_set - f.group
-        defeat = next(choice for response, choice
-                      in self._choice_sets(q, s, opponents)
-                      if not self._holds_after(q, first & response, s, f.body))
+        # The opponents' first set is their first response, read off their
+        # own classes with no enumeration of their unions. Past it, the first
+        # losing cut of A0 comes with the first response in product order
+        # that leaves it, which is the first response that beats A0.
+        response, defeat = self._first_set(q, s, opponents)
+        if self._holds_after(q, first & response, s, f.body):
+            options = [self._options(q, a, s) for a in self._members(opponents)]
+            defeat = next(choice for kept, choice
+                          in _distinct_sets(first, options)
+                          if not self._holds_after(q, kept, s, f.body))
         return Verdict(False,
                        refutation_choice=self._choice(opponents, defeat),
                        refutation_formula=q.realize(
@@ -478,15 +511,14 @@ class Evaluator:
         a representative choice, in order of first appearance: `_distinct_sets`
         over the members' options at the state.
 
-        A memoised generator (`_ChoiceSets`): a loop that stops early builds
-        no more sets than it read. Under `certify` every set is built and
-        certified at once."""
+        Memoised per restriction, state and group (`_ChoiceSets`): a loop
+        that stops early builds no more sets than it read. Under `certify`
+        every set is built and certified at once."""
         key = (q.kept, state, group)
         sets = self._choice_set_cache.get(key)
         if sets is None:
             options = [self._options(q, a, state) for a in self._members(group)]
-            sets = self._choice_set_cache[key] = _ChoiceSets(
-                _distinct_sets(q.kept, options))
+            sets = self._choice_set_cache[key] = _ChoiceSets(q.kept, options)
             if self.certify:
                 for _, choice in sets:
                     self._certify(q, group, choice)
@@ -536,22 +568,75 @@ class Evaluator:
     def _winner(self, q: _Quotient, state: int, f: Formula):
         """The representative choice of the group's first set that wins:
         under every response of the opponents, the body takes the goal value
-        (true for diamonds, false for boxes). A group quantifier's only
-        response is the trivial one. None when no set wins."""
+        (true for diamonds, false for boxes). None when no set wins. A group
+        quantifier has no opponents: its one response is the restriction.
+
+        The body is read after A & B, for an own set A and a response B, and
+        only that set matters. So the own sets are taken in order, and each
+        is played against the distinct sets A & B in order of first
+        appearance (`_ChoiceSets.meet`), with no list of responses built
+        that was not built already. Each set reached keeps its verdict in a
+        table for the call. The first of them is the *trace* A & B0, where
+        B0, the opponents' first set, has each opponent announce its own
+        class; an own set whose trace lost is dropped at one lookup.
+
+        Lemma: if the body misses the goal after every trace, every own set
+        loses. Proof: B0 is a response, and it defeats each own set. The
+        own sets are `kept & U1 & ... & Uk`, one option Ui per member, and
+        B0 lies inside `kept`; so the traces are the sets `B0 & U1 & ...
+        & Uk`, which `_distinct_sets(B0, own options)` yields, each once, in
+        the order of the own sets that leave them. So while the own sets
+        are not all built and B0 is smaller than the restriction, the
+        traces are walked first, and when none reaches the goal no own set
+        is enumerated. (When B0 is the whole restriction, the traces are
+        the own sets themselves.)
+
+        Either way the scan evaluates the sets that a scan of every (own
+        set, response) pair in order evaluates, in the same order, less the
+        repeats. So under `certify`, where `_choice_sets` builds and
+        certifies both groups' sets, the certificates are that scan's."""
         goal = isinstance(f, (GroupDia, CoalDia))
+        first = q.kept
         if isinstance(f, (CoalBox, CoalDia)):
-            responses = self._choice_sets(q, state,
-                                          self._agent_set - f.group)
+            responses = self._choice_sets(q, state, self._agent_set - f.group)
+            # B0, `_first_set`: each option list starts with the own class
+            for member_options in responses.options:
+                first &= member_options[0]
         else:
-            responses = _TRIVIAL_RESPONSE
+            responses = None
+        owns = self._choice_sets(q, state, f.group)
         body = f.body
         quotients = self._quotients
-        # `_holds_after`, inlined: this loop is the evaluator's hottest
-        for own, own_choice in self._choice_sets(q, state, f.group):
-            for response, _ in responses:
-                kept = own if response is None else own & response
-                child = quotients.get(kept) or self._restriction(kept)
-                if self._eval(child, child.rep_of[state], body) != goal:
+        verdicts = {}
+        # `_holds_after`, inlined behind the table in the three loops below:
+        # they are the evaluator's hottest
+        if owns.rest is not None and first != q.kept:
+            for trace, _ in _distinct_sets(first, owns.options):
+                child = quotients.get(trace) or self._restriction(trace)
+                won = verdicts[trace] = (
+                    self._eval(child, child.rep_of[state], body) == goal)
+                if won:
+                    break
+            else:
+                return None
+        for own, own_choice in owns:
+            trace = own & first
+            won = verdicts.get(trace)
+            if won is None:
+                child = quotients.get(trace) or self._restriction(trace)
+                won = verdicts[trace] = (
+                    self._eval(child, child.rep_of[state], body) == goal)
+            if not won:
+                continue
+            if responses is None:
+                return own_choice
+            for kept, _ in responses.meet(own):
+                won = verdicts.get(kept)
+                if won is None:
+                    child = quotients.get(kept) or self._restriction(kept)
+                    won = verdicts[kept] = (
+                        self._eval(child, child.rep_of[state], body) == goal)
+                if not won:
                     break
             else:
                 return own_choice

@@ -6,8 +6,8 @@ import weakref
 import pytest
 
 from cogal.checker import (
-    BindingError, Evaluator, Verdict, check, choice_intersection, class_unions,
-    eval_formula, extension, group_choices,
+    BindingError, Evaluator, Verdict, _ChoiceSets, _distinct_sets, check,
+    choice_intersection, class_unions, eval_formula, extension, group_choices,
 )
 from cogal.formula import (
     And, Atom, CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Hole, Imp,
@@ -18,7 +18,9 @@ from cogal.model import (
     ModelError, PointedModel, bisim_contract, realize_choice, validate,
 )
 
+import frozenset_engine as oracle
 from conftest import naive_pal_eval
+from test_positive import exact_model
 
 
 class TestTrainExamples:
@@ -530,6 +532,134 @@ class TestEvidenceAgainstProductWalk:
         got = Evaluator(model).check("s3", f).to_doc()
         assert got == product_walk_verdict(model, "s3", f).to_doc()
         assert got["refutation"]["choice"] == {"a": ["s3", "s4"]}
+
+    def test_mixed_bodies_on_larger_models(self):
+        """Coalition quantifiers over bodies neither positive nor negative,
+        on models of 6 to 10 states: diamonds against the product walk,
+        boxes against the frozenset engine. Both ways a scan ends are
+        exercised: every trace losing, and some trace winning."""
+        rng = random.Random("coalition scan")
+        bodies = [parse(text) for text in ("K a p & ~K b q", "K b p & ~K c q",
+                                           "~K c p & K a (p | q)")]
+        groups = [frozenset(g) for g in ("a", "b", "c", "ab", "bc")]
+        exits = scans = 0
+        for _ in range(24):
+            model = exact_model(rng, rng.randint(6, 10),
+                                {a: rng.randint(2, 4) for a in "abc"})
+            ev, reference = Evaluator(model), oracle.Evaluator(model)
+            for body in bodies:
+                group = rng.choice(groups)
+                diamond, box = CoalDia(group, body), CoalBox(group, body)
+                for s in model.states:
+                    assert ev.check(s, diamond).to_doc() == product_walk_verdict(
+                        model, s, diamond).to_doc(), (model.to_doc(), s,
+                                                      render(diamond))
+                    assert ev.eval(s, box) == reference.eval(s, box), \
+                        (model.to_doc(), s, render(box))
+                    if every_trace_loses(model, s, diamond):
+                        exits += 1
+                    else:
+                        scans += 1
+        assert exits >= 200 and scans >= 100
+
+    def test_trace_wins_but_a_later_response_defeats(self):
+        """The first set's trace wins, yet a later response beats it: the
+        diamond is false, and the refutation is not the opponents' first
+        set."""
+        model = validate({
+            "agents": ["a", "b", "c"], "props": ["p", "q"],
+            "states": ["s0", "s1", "s2"],
+            "partitions": {"a": [["s0"], ["s1", "s2"]],
+                           "b": [["s0"], ["s1"], ["s2"]],
+                           "c": [["s0", "s1"], ["s2"]]},
+            "valuation": {"p": [], "q": ["s1"]},
+        })
+        f = parse("<[{a}]> (~K c p & K a q)")
+        assert not every_trace_loses(model, "s1", f)
+        got = Evaluator(model).check("s1", f).to_doc()
+        assert got == product_walk_verdict(model, "s1", f).to_doc()
+        assert not got["truth"]
+        assert got["refutation"]["choice"] == {"b": ["s1", "s2"],
+                                               "c": ["s0", "s1", "s2"]}
+
+    def test_witness_is_not_the_first_set(self):
+        """a's own class loses to b's and c's, the whole model wins."""
+        model = validate({
+            "agents": ["a", "b", "c"], "props": ["p", "q"],
+            "states": ["s0", "s1", "s2"],
+            "partitions": {"a": [["s0"], ["s1"], ["s2"]],
+                           "b": [["s0", "s1", "s2"]],
+                           "c": [["s0", "s1", "s2"]]},
+            "valuation": {"p": ["s0", "s2"], "q": ["s0", "s2"]},
+        })
+        f = parse("<[{a}]> (K a p & ~K b q)")
+        got = Evaluator(model).check("s0", f).to_doc()
+        assert got == product_walk_verdict(model, "s0", f).to_doc()
+        assert got["witness"]["choice"] == {"a": ["s0", "s1", "s2"]}
+
+
+def every_trace_loses(model, state, f):
+    """Whether the body of a coalition diamond fails after every set that
+    the opponents' first choice leaves of a group choice, read with the
+    public API on the contracted model."""
+    cm = bisim_contract(model)
+    top, s = cm.contracted, cm.mapping[state]
+    opponents = frozenset(model.agents) - f.group
+    first = choice_intersection(top, next(group_choices(top, s, opponents)))
+    return not any(
+        Evaluator(top.update(choice_intersection(top, choice) & first))
+        .eval(s, f.body)
+        for choice in group_choices(top, s, f.group))
+
+
+class TestCoalitionScan:
+    def test_diamond_body_at_32_states(self):
+        """`<[{a}]> <{b,c}> K a q` at every state of a 32-state model: each
+        own set is played against the sets the responses leave of it, so
+        the opponents' own list of choice sets is never walked."""
+        model = exact_model(random.Random(32), 32, {"a": 13, "b": 10, "c": 12})
+        assert len(bisim_contract(model).contracted.states) == 32
+        ev = Evaluator(model)
+        f = parse("<[{a}]> <{b,c}> K a q")
+        truths = [ev.eval(s, f) for s in model.states]
+        assert any(truths) and not all(truths)
+        assert len(ev._quotients) < 100
+        opponents = frozenset("bc")
+        walked = [sets.found for (_, _, group), sets
+                  in ev._choice_set_cache.items() if group == opponents]
+        assert walked and not any(walked)
+
+    def test_built_sets_meet_an_own_set_as_the_walk_does(self):
+        """`_ChoiceSets.meet` reads the sets A & B off the built list of
+        sets B when it has it, with repeats: at their first appearances
+        they are the sets and representatives the walk over the options
+        gives, in the same order. The certificates of a `certify` scan
+        rest on it."""
+        rng = random.Random("meet")
+        groups = [frozenset(g) for n in (1, 2, 3)
+                  for g in itertools.combinations("abc", n)]
+        compared = 0
+        for _ in range(30):
+            model = exact_model(rng, rng.randint(3, 7),
+                                {a: rng.randint(1, 4) for a in "abc"})
+            ev = Evaluator(model)
+            q = ev._root_quotient
+            for state, _ in q.blocks:
+                for group in groups:
+                    options = [ev._options(q, a, state)
+                               for a in ev._members(group)]
+                    built = _ChoiceSets(q.kept, options)
+                    list(built)
+                    assert built.rest is None
+                    for own, _ in _distinct_sets(
+                            q.kept, [ev._options(q, "a", state)]):
+                        first_seen = {}
+                        for cut, choice in built.meet(own):
+                            first_seen.setdefault(cut, choice)
+                        assert (list(first_seen.items())
+                                == list(_distinct_sets(own, options)))
+                        compared += 1
+        assert compared > 1000
 
 
 class TestJsonVerdict:

@@ -62,6 +62,32 @@ class TestLemma:
         for text in negative_or_mixed:
             assert not _positive(parse(text)), text
 
+    def test_announcement_diamonds_do_not_carry_positivity(self):
+        """A restriction can make states bisimilar that were not, and then
+        a class can no longer be announced without its new twins. At w, b
+        announces {w, y}, after which a knows p. After restricting to S,
+        y is bisimilar to x, so b's smallest announcement is all of S, and
+        x refutes K a p there. The same model refutes preservation for
+        `<[G]>` and `[<G>]` with positive bodies, so none of the three is
+        positive. A rule that took `<{b}> K a p` for positive would decide
+        `<{c}> <{b}> K a p` by c's first set, S, and read false."""
+        model = validate({
+            "agents": ["a", "b", "c"], "props": ["p", "q"],
+            "states": ["w", "x", "y", "v", "z"],
+            "partitions": {"a": [["w", "x", "z"], ["y", "v"]],
+                           "b": [["w", "y"], ["x", "v"], ["z"]],
+                           "c": [["w", "x", "y", "v"], ["z"]]},
+            "valuation": {"p": ["w", "v"], "q": ["z"]},
+        })
+        before = oracle.Evaluator(model)
+        after = oracle.Evaluator(model.update(frozenset("wxyv")))
+        for text in ("<{b}> K a p", "<[{b}]> K a p", "[<{a}>] K a p"):
+            f = parse(text)
+            assert not _positive(f), text
+            assert before.eval("w", f) and not after.eval("w", f), text
+        f = parse("<{c}> <{b}> K a p")
+        assert Evaluator(model).eval("w", f) is before.eval("w", f) is True
+
     def test_computed_once_and_not_at_construction(self):
         # a vocabulary no other test builds: an interned node, with the
         # facts cached on it, lives as long as anything refers to it

@@ -221,13 +221,6 @@ def _distinct_sets(kept: int, options: list) -> Iterator[tuple]:
     intersections have identical continuations."""
     if not options:
         yield kept, ()
-    elif len(options) == 1:
-        seen = set()
-        for option in options[0]:
-            cut = kept & option
-            if cut not in seen:
-                seen.add(cut)
-                yield cut, (option,)
     else:
         yield from _walk(options, [set() for _ in options], 0, kept, ())
 
@@ -254,26 +247,21 @@ class _ChoiceSets:
     over the options, memoised: the pairs built so far and the generator
     that builds the rest. Every iteration reads the pairs in the same
     order; a later one continues where the earliest stopped. The generator
-    calls no evaluation, so it is never re-entered. A one-member group's
-    sets are its options, since `kept & option` is the option and distinct
-    unions of classes are distinct sets; they are listed at once, with no
-    walk."""
+    calls no evaluation, so it is never re-entered. `rest` is None once
+    every set is built."""
 
     __slots__ = ("options", "found", "rest")
 
     def __init__(self, kept: int, options: list):
         self.options = options
-        if len(options) == 1:
-            self.found = [(option, (option,)) for option in options[0]]
-            self.rest = None
-        else:
-            self.found = []
-            self.rest = _distinct_sets(kept, options)
+        self.found = []
+        self.rest = _distinct_sets(kept, options)
 
     def meet(self, kept: int) -> Iterator[tuple]:
         """The sets `kept & B` over the group's sets B, each with B's
         representative, in order of first appearance (repeats allowed):
-        read off the sets when all are built, else walked by
+        read off the sets when all are built (under `certify`, or once a
+        scan has read them all), else walked by
         `_distinct_sets(kept, options)` without building them. For `kept`
         inside the restriction both give the same distinct sets in the same
         order, since `kept & B` is `kept & m1 & ... & mk` for B's choice."""

@@ -649,7 +649,7 @@ class _Token:
     column: int
 
 
-_SYMBOLS = {"~", "&", "|", "(", ")", "[", "]", "<", ">", "{", "}", ","}
+_SYMBOLS = {"~", "&", "|", "(", ")", "[", "]", "<", ">", "{", "}", ",", "K"}
 
 
 def _tokenize(text: str) -> list:
@@ -682,11 +682,6 @@ def _tokenize(text: str) -> list:
             i += 1
             col += 1
             continue
-        if ch == "K":
-            tokens.append(_Token("K", "K", line, col))
-            i += 1
-            col += 1
-            continue
         m = _IDENT_RE.match(text, i)
         if m:
             word = m.group(0)
@@ -708,9 +703,8 @@ class _Parser:
         self._toks = tokens
         self._pos = 0
 
-    def _peek(self, offset: int = 0) -> _Token:
-        idx = min(self._pos + offset, len(self._toks) - 1)
-        return self._toks[idx]
+    def _peek(self) -> _Token:
+        return self._toks[self._pos]
 
     def _advance(self) -> _Token:
         tok = self._toks[self._pos]
@@ -803,29 +797,6 @@ class _Parser:
         self._expect("}", "'}'")
         return frozenset(names)
 
-    def _group_shape_end(self, start: int, open_kind: str, close_kind: str):
-        """If tokens from index `start` match `open { id (, id)* } close`,
-        return the index just past `close`; otherwise None."""
-        i = start
-        if self._toks[i].kind != open_kind:
-            return None
-        i += 1
-        if self._toks[i].kind != "{":
-            return None
-        i += 1
-        if self._toks[i].kind == "ident":
-            i += 1
-            while self._toks[i].kind == ",":
-                if self._toks[i + 1].kind != "ident":
-                    return None
-                i += 2
-        if self._toks[i].kind != "}":
-            return None
-        i += 1
-        if self._toks[i].kind != close_kind:
-            return None
-        return i + 1
-
     def _bracketed(self, box: bool) -> Formula:
         """A box (already past '[') or a diamond (already past '<'): of a
         group `[G]`, of a coalition `[<G>]`, or of an announcement."""
@@ -834,12 +805,16 @@ class _Parser:
             group = self._group()
             self._expect(close, f"'{close}'")
             return (GroupBox if box else GroupDia)(group, self._unary())
-        end = self._group_shape_end(self._pos, inner_open, inner_close)
-        if end is not None and self._toks[end].kind == close:
-            self._advance()  # inner_open
+        start = self._pos
+        try:
+            self._expect(inner_open, f"'{inner_open}'")
             group = self._group()
             self._expect(inner_close, f"'{inner_close}'")
             self._expect(close, f"'{close}'")
+        except ParseError:
+            # not a coalition: the brackets hold an announcement
+            self._pos = start
+        else:
             return (CoalBox if box else CoalDia)(group, self._unary())
         announce = self._iff()
         self._expect(close, f"'{close}'")

@@ -28,7 +28,7 @@ from .formula import (
     agents_of, atoms, conjoin, instantiate, parse, render, size, substitute,
 )
 from .model import (
-    KripkeModel, PointedModel, _Quotient, _adopt_refinement, _bisim_key,
+    KripkeModel, PointedModel, _Quotient, _bisim_key,
     _mask_key, _refine_masks, _whole_quotient, validate,
 )
 from .translate import translate
@@ -347,7 +347,7 @@ def find_countermodel(f: Formula, params: GenParams, *,
             if key in held:
                 continue
             model = build(parts, masks)
-            _adopt_refinement(model, refined)
+            _whole_quotient(model, refined)
             hit = refuted(model)
             if hit is not None:
                 return hit
@@ -899,7 +899,9 @@ def _r_quantifier(coalition: bool) -> Callable:
 def _run_prop4(model, ev, rng, pool, index) -> _RunResult:
     if index != 0:
         return 0, [], None
-    m4, w = prop4_countermodel()
+    # the item's own evaluation is the construction's check: a failing
+    # construction is reported as a failure, not raised
+    m4, w = _prop4_candidate()
     antecedent, consequent = _prop4_parts()
     checker = Evaluator(m4, certify=ev.certify)
     failures = []

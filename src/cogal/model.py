@@ -52,10 +52,13 @@ class KripkeModel:
             raise ModelError("duplicate agent identifiers")
         if len(set(self.props)) != len(self.props):
             raise ModelError("duplicate proposition identifiers")
-        for a in self.agents:
-            _require_ident(a, "agent")
-        for p in self.props:
-            _require_ident(p, "proposition")
+        try:
+            for a in self.agents:
+                _require_ident(a, "agent")
+            for p in self.props:
+                _require_ident(p, "proposition")
+        except ValueError as exc:
+            raise ModelError(str(exc)) from None
         if set(self.partitions) != set(self.agents):
             raise ModelError("partitions must cover exactly the agent set")
         class_masks = {}
@@ -318,27 +321,12 @@ def _refine_masks(class_masks: Iterable, truth_masks: Iterable,
         levels.append(blocks)
 
 
-def _refinement(model: KripkeModel) -> tuple:
-    """`_refine` over every state of the model, computed once per model."""
-    try:
-        return model._refinement
-    except AttributeError:
-        refined = _refine(model, (1 << len(model.states)) - 1)
-        object.__setattr__(model, "_refinement", refined)
-        return refined
-
-
-def _adopt_refinement(model: KripkeModel, refined: tuple) -> None:
-    """Record `refined`, computed by `_refine_masks` from the masks the
-    model was built from, as the model's `_refinement`."""
-    object.__setattr__(model, "_refinement", refined)
-
-
 def _bisim_key(model: KripkeModel) -> tuple:
     """Name-free key of the model's bisimulation quotient: two models over
     the same vocabulary get equal keys exactly when their quotients are
     isomorphic. `_mask_key` over the model's truth masks and refinement."""
-    return _mask_key(model._truth_masks.values(), _refinement(model))
+    q = _whole_quotient(model)
+    return _mask_key(model._truth_masks.values(), (q.levels, q.classes.values()))
 
 
 def _mask_key(truth_masks: Iterable, refined: tuple) -> tuple:
@@ -519,15 +507,18 @@ class _Quotient:
                            partitions, valuation)
 
 
-def _whole_quotient(model: KripkeModel) -> _Quotient:
+def _whole_quotient(model: KripkeModel, refined: Optional[tuple] = None
+                    ) -> _Quotient:
     """The quotient of the whole model, built once per model: evaluators of
-    the model and the public contraction API share it and its
-    characteristic formulas."""
+    the model, the public contraction API and `_bisim_key` share it and its
+    characteristic formulas. `refined`, when given, is the model's
+    refinement as `_refine_masks` computed it from the masks the model was
+    built from; it spares refining the model again."""
     try:
         return model._whole_quotient
     except AttributeError:
-        quotient = _Quotient(model, (1 << len(model.states)) - 1,
-                             _refinement(model))
+        whole = (1 << len(model.states)) - 1
+        quotient = _Quotient(model, whole, refined or _refine(model, whole))
         object.__setattr__(model, "_whole_quotient", quotient)
         return quotient
 

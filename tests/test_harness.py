@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import cogal.harness as harness
 from cogal.checker import (
     Evaluator, choice_intersection, eval_formula, group_choices,
 )
+from cogal.cli import main
 from cogal.formula import (
     And, Atom, Bot, CoalDia, Fragment, Hole, Iff, Imp, ImpCtx, Know, Not, Or,
     PaBox, PaDia, Top, fragment, instantiate, parse, render, size,
@@ -195,6 +197,24 @@ class TestProp4:
         goal = prop4_formula()
         assert render(goal) == ("K b (p & q & r) & ~K a (p & q & r) "
                                 "& ~K c (p & q & r)")
+
+    def test_failing_construction_is_reported_not_raised(
+            self, monkeypatch, capsys):
+        """The item's own evaluation is the construction's check: a model on
+        which the combined announcement cannot reach the goal is a suite
+        failure (exit 1), not an internal error (exit 2)."""
+        one_state = validate({
+            "agents": ["a", "b", "c"], "props": ["p", "q", "r"],
+            "states": ["w"],
+            "partitions": {"a": [["w"]], "b": [["w"]], "c": [["w"]]},
+            "valuation": {},
+        })
+        monkeypatch.setattr(harness, "_prop4_candidate",
+                            lambda: (one_state, "w"))
+        assert main(["suite", "--models", "2", "--items", "prop4"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^prop4 +2 +1 +FAIL ", out, re.M), out
+        assert out.endswith("suite: FAIL\n")
 
     def test_split_fails_while_joint_succeeds(self):
         model, state = prop4_countermodel()

@@ -44,6 +44,15 @@ class TestValidate:
         with pytest.raises(ModelError, match="duplicate"):
             validate(train_doc)
 
+    @pytest.mark.parametrize("key, names, message", [
+        ("agents", ["A"], "invalid agent name 'A'"),
+        ("props", ["top"], "invalid proposition name 'top'"),
+    ])
+    def test_invalid_name(self, train_doc, key, names, message):
+        train_doc[key] = names
+        with pytest.raises(ModelError, match=message):
+            validate(train_doc)
+
     def test_missing_partition_agent(self, train_doc):
         del train_doc["partitions"]["c"]
         with pytest.raises(ModelError, match="exactly the agent set"):

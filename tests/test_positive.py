@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import frozenset_engine as oracle
 from cogal.checker import Evaluator, _positive, choice_intersection, group_choices
 from cogal.formula import Fragment, parse, render
-from cogal.harness import random_formula
-from cogal.model import bisim_contract, validate
+from cogal.harness import GenParams, random_formula, random_model
+from cogal.model import bisim_contract, is_contracted, validate
 from test_engine_differential import models, positive_formulas
 
 
@@ -49,6 +49,44 @@ class TestLemma:
             if _positive(f) and before.eval(w, f):
                 assert after.eval(w, f), \
                     (model.to_doc(), w, sorted(keep), render(f))
+
+    def test_restrictions_that_merge_states(self):
+        """A seeded sweep aimed at the shape that breaks preservation for the
+        announcement diamonds: a restriction that drops one state and so
+        makes two of the others bisimilar. Over contracted 4-5-state models,
+        each such restriction and every state it keeps, a formula that
+        `_positive` accepts must keep its truth. `<G> K x l`, `<[G]> K x l`
+        and `[<G>] K x l` are the candidates a wrong rule would accept (it
+        would fail here first at model 1216); `[G] K x l` and `K x l` are
+        positive."""
+        params = GenParams(max_states=5, seed=5)
+        shapes = ("<{g}> K {x} {l}", "<[{g}]> K {x} {l}", "[<{g}>] K {x} {l}",
+                  "[{g}] K {x} {l}", "K {x} {l}")
+        merging = 0
+        for i in range(1300):
+            model = random_model(params, i)
+            if len(model.states) < 4 or not is_contracted(model):
+                continue
+            formulas = dict.fromkeys(
+                parse(shape.format(g="{" + g + "}", x=x, l=l))
+                for shape in shapes for g in model.agents
+                for x in model.agents
+                for p in model.props for l in (p, "~" + p))
+            positive = [f for f in formulas if _positive(f)]
+            before = oracle.Evaluator(model)
+            for dropped in model.states:
+                keep = [s for s in model.states if s != dropped]
+                restricted = model.update(keep)
+                if is_contracted(restricted):
+                    continue
+                merging += 1
+                after = oracle.Evaluator(restricted)
+                for f in positive:
+                    for w in keep:
+                        if before.eval(w, f):
+                            assert after.eval(w, f), \
+                                (i, dropped, w, render(f))
+        assert merging > 100
 
     def test_classification(self):
         positive = ["p", "~p", "top", "bot", "K a p & (q | ~q)",
@@ -152,9 +190,24 @@ class TestOneSetDecides:
     def test_early_win_builds_one_choice_set(self):
         """A diamond whose body is neither positive nor negative scans the
         group's sets lazily: a win with the first set builds no other."""
+        sets, first = self.early_win("<{a,b}> (p | ~K c q)")
+        assert sets.found == [first] and sets.rest is not None
+
+    def test_early_win_of_one_member_builds_one_choice_set(self):
+        """A one-member group's sets are walked lazily too: a win with a's
+        first set builds none of a's other 15 unions of classes."""
+        sets, first = self.early_win("<{a}> (p | ~K c q)")
+        assert len(sets.options[0]) == 16
+        assert sets.found == [first] and sets.rest is not None
+
+    @staticmethod
+    def early_win(text):
+        """On a seeded 12-state model where a has 5 classes, at the first
+        state where the body holds after the group's first set: the
+        memoised choice sets of the group there, and that first set."""
         model = exact_model(random.Random(5), 12, {"a": 5, "b": 4, "c": 4})
         ev = Evaluator(model)
-        f = parse("<{a,b}> (p | ~K c q)")
+        f = parse(text)
         root = ev._root_quotient
         for s in model.states:
             rep = root.rep_of[model._position[s]]
@@ -162,9 +215,7 @@ class TestOneSetDecides:
             if not ev._holds_after(root, first[0], rep, f.body):
                 continue
             assert ev.eval(s, f)
-            sets = ev._choice_set_cache[root.kept, rep, f.group]
-            assert sets.found == [first] and sets.rest is not None
-            return
+            return ev._choice_set_cache[root.kept, rep, f.group], first
         raise AssertionError("no state where the first set wins")
 
 

@@ -234,10 +234,12 @@ class TestAgainstPlainLoop:
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None
         assert len(constructed) == 1140
         assert evaluators == constructed
-        # each evaluated model carries the refinement its key was read from
+        # each evaluated model's quotient holds the refinement its key was
+        # read from
         for model in evaluators:
-            assert model._refinement \
-                == _refine(model, (1 << len(model.states)) - 1)
+            levels, classes = _refine(model, (1 << len(model.states)) - 1)
+            assert model._whole_quotient.levels == levels
+            assert list(model._whole_quotient.classes.values()) == classes
 
     @pytest.mark.parametrize("text", ["p -> K a p", "K a p -> K b p",
                                       "~K c p -> K c ~p", THREE_STATES])

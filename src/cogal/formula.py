@@ -698,7 +698,34 @@ def _tokenize(text: str) -> list:
 _UNARY_START = ("'~'", "'K'", "'['", "'<'", "'('", "identifier", "'top'", "'bot'")
 
 
+# Precedence levels, tighter binds higher.
+_P_IFF, _P_IMP, _P_OR, _P_AND, _P_UNARY, _P_ATOM = 1, 2, 3, 4, 5, 6
+
+# Binary operators by token: node class, precedence, right associative.
+# Any other token ends an operand's expression, binding loosest of all.
+_BINARY = {"<->": (Iff, _P_IFF, True), "->": (Imp, _P_IMP, True),
+           "|": (Or, _P_OR, False), "&": (And, _P_AND, False)}
+_END = (None, 0, False)
+
+# Tokens that open a nesting level where an operand is expected.
+_PREFIX = frozenset({"~", "K", "[", "<", "("})
+
+# How many operators and brackets may wait on the parser's stack at once.
+_MAX_NESTING = 1000
+
+
 class _Parser:
+    """Operator-precedence parsing over an explicit stack, so nesting costs
+    no Python frames, and a formula nested too deeply fails at the same
+    token whatever the caller's own stack depth.
+
+    The stack holds, innermost last, what still waits for an operand:
+    ("pre", cls, args) a prefix operator, built as cls(*args, operand);
+    ("bin", cls, prec, left) a binary operator and its left operand;
+    ("open", close, cls) a parenthesis (cls None) or an announcement's
+    brackets, whose formula becomes cls's announcement. No entry is pushed
+    past `_MAX_NESTING`."""
+
     def __init__(self, tokens: list):
         self._toks = tokens
         self._pos = 0
@@ -720,71 +747,70 @@ class _Parser:
                              tok.line, tok.column, (what,))
         return self._advance()
 
+    @staticmethod
+    def _room(stack: list, tok: _Token) -> None:
+        """Raises at `tok` when the stack is full."""
+        if len(stack) == _MAX_NESTING:
+            raise ParseError("formula nested too deeply", tok.line, tok.column)
+
     def parse(self) -> Formula:
-        f = self._iff()
-        tok = self._peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing {tok.value!r}",
-                             tok.line, tok.column, ("end of input",))
-        return f
-
-    def _iff(self) -> Formula:
-        left = self._imp()
-        if self._peek().kind == "<->":
+        stack = []
+        while True:
+            # an operand starts: its prefix operators and brackets, then an atom
+            tok = self._peek()
+            if tok.kind in _PREFIX:
+                self._room(stack, tok)
+                self._advance()
+                if tok.kind == "~":
+                    stack.append(("pre", Not, ()))
+                elif tok.kind == "K":
+                    agent = self._expect("ident", "agent name").value
+                    stack.append(("pre", Know, (agent,)))
+                elif tok.kind == "(":
+                    stack.append(("open", ")", None))
+                else:
+                    stack.append(self._bracketed(tok.kind == "["))
+                continue
+            if tok.kind == "ident":
+                f = Atom(tok.value)
+            elif tok.kind == "top":
+                f = Top()
+            elif tok.kind == "bot":
+                f = Bot()
+            else:
+                raise ParseError(f"unexpected {tok.value!r}" if tok.kind != "eof"
+                                 else "unexpected end of input",
+                                 tok.line, tok.column, _UNARY_START)
             self._advance()
-            return Iff(left, self._iff())
-        return left
-
-    def _imp(self) -> Formula:
-        left = self._disj()
-        if self._peek().kind == "->":
-            self._advance()
-            return Imp(left, self._imp())
-        return left
-
-    def _disj(self) -> Formula:
-        f = self._conj()
-        while self._peek().kind == "|":
-            self._advance()
-            f = Or(f, self._conj())
-        return f
-
-    def _conj(self) -> Formula:
-        f = self._unary()
-        while self._peek().kind == "&":
-            self._advance()
-            f = And(f, self._unary())
-        return f
-
-    def _unary(self) -> Formula:
-        tok = self._peek()
-        if tok.kind == "~":
-            self._advance()
-            return Not(self._unary())
-        if tok.kind == "K":
-            self._advance()
-            agent = self._expect("ident", "agent name").value
-            return Know(agent, self._unary())
-        if tok.kind in ("[", "<"):
-            self._advance()
-            return self._bracketed(tok.kind == "[")
-        if tok.kind == "(":
-            self._advance()
-            f = self._iff()
-            self._expect(")", "')'")
-            return f
-        if tok.kind == "ident":
-            self._advance()
-            return Atom(tok.value)
-        if tok.kind == "top":
-            self._advance()
-            return Top()
-        if tok.kind == "bot":
-            self._advance()
-            return Bot()
-        raise ParseError(f"unexpected {tok.value!r}" if tok.kind != "eof"
-                         else "unexpected end of input",
-                         tok.line, tok.column, _UNARY_START)
+            # the operand is whole: build what waited for it, up to the next
+            # binary operator, or to the end of its brackets or of the input
+            while True:
+                while stack and stack[-1][0] == "pre":
+                    _, cls, args = stack.pop()
+                    f = cls(*args, f)
+                tok = self._peek()
+                cls, prec, right = _BINARY.get(tok.kind, _END)
+                while (stack and stack[-1][0] == "bin"
+                       and (stack[-1][2] > prec
+                            or stack[-1][2] == prec and not right)):
+                    _, left_cls, _, left = stack.pop()
+                    f = left_cls(left, f)
+                if cls is not None:
+                    self._room(stack, tok)
+                    self._advance()
+                    stack.append(("bin", cls, prec, f))
+                    break
+                if not stack:
+                    if tok.kind != "eof":
+                        raise ParseError(f"unexpected trailing {tok.value!r}",
+                                         tok.line, tok.column, ("end of input",))
+                    return f
+                _, close, cls = stack.pop()
+                self._expect(close, f"'{close}'")
+                if cls is not None:
+                    # an announcement: its body follows
+                    stack.append(("pre", cls, (f,)))
+                    break
 
     def _group(self) -> frozenset:
         self._expect("{", "'{'")
@@ -797,14 +823,15 @@ class _Parser:
         self._expect("}", "'}'")
         return frozenset(names)
 
-    def _bracketed(self, box: bool) -> Formula:
-        """A box (already past '[') or a diamond (already past '<'): of a
-        group `[G]`, of a coalition `[<G>]`, or of an announcement."""
+    def _bracketed(self, box: bool) -> tuple:
+        """The stack entry of a box (already past '[') or a diamond (already
+        past '<'): of a group `[G]`, of a coalition `[<G>]`, or of an
+        announcement, whose formula comes next."""
         close, inner_open, inner_close = ("]", "<", ">") if box else (">", "[", "]")
         if self._peek().kind == "{":
             group = self._group()
             self._expect(close, f"'{close}'")
-            return (GroupBox if box else GroupDia)(group, self._unary())
+            return "pre", GroupBox if box else GroupDia, (group,)
         start = self._pos
         try:
             self._expect(inner_open, f"'{inner_open}'")
@@ -814,11 +841,8 @@ class _Parser:
         except ParseError:
             # not a coalition: the brackets hold an announcement
             self._pos = start
-        else:
-            return (CoalBox if box else CoalDia)(group, self._unary())
-        announce = self._iff()
-        self._expect(close, f"'{close}'")
-        return (PaBox if box else PaDia)(announce, self._unary())
+            return "open", close, PaBox if box else PaDia
+        return "pre", CoalBox if box else CoalDia, (group,)
 
 
 def parse(text: str) -> Formula:
@@ -827,12 +851,10 @@ def parse(text: str) -> Formula:
     try:
         return parser.parse()
     except RecursionError:
+        # a backstop: the parser keeps its nesting on its own stack, but a
+        # caller may call it with next to no frames left
         tok = parser._peek()
         raise ParseError("formula nested too deeply", tok.line, tok.column) from None
-
-
-# Precedence levels, tighter binds higher.
-_P_IFF, _P_IMP, _P_OR, _P_AND, _P_UNARY, _P_ATOM = 1, 2, 3, 4, 5, 6
 
 
 # The brackets around each bracketed operator's announcement or group,

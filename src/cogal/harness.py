@@ -28,8 +28,8 @@ from .formula import (
     agents_of, atoms, conjoin, instantiate, parse, render, size, substitute,
 )
 from .model import (
-    KripkeModel, PointedModel, _Quotient, _bisim_key,
-    _mask_key, _refine_masks, _whole_quotient, validate,
+    KripkeModel, PointedModel, _Quotient, _bisim_key, _refine_masks,
+    _whole_quotient, validate,
 )
 from .translate import translate
 
@@ -177,9 +177,9 @@ def enumerate_models(agents, props, max_states: int) -> Iterator[KripkeModel]:
     """Every model with 1..max_states states over the vocabulary, states named
     s0, s1, ... in order. Models are not identified up to renaming: each is
     yielded once per labelling, so an isomorphism class of n-state models
-    appears up to n! times (`find_countermodel` walks the same order and
-    prunes the relabellings). Intended for small exhaustive sweeps
-    (max_states <= 3)."""
+    appears up to n! times (`find_countermodel` walks the same order, prunes
+    the relabellings and evaluates only the contracted candidates left, one
+    per class). Intended for small exhaustive sweeps (max_states <= 3)."""
     agents = tuple(agents)
     props = tuple(props)
     for n, partitions, candidates in _raw_models(len(agents), len(props),
@@ -293,10 +293,21 @@ def find_countermodel(f: Formula, params: GenParams, *,
     Truth is invariant under bisimulation and renaming, so a candidate whose
     quotient is isomorphic to that of an earlier candidate, which held
     everywhere, is skipped unevaluated: the first hit is the one a candidate
-    by candidate search finds. The exhaustive branch walks the raw
-    candidates of `enumerate_models`: it drops relabellings of earlier
-    candidates (`_least_of_orbits`), keys the rest from their masks, and
-    builds and evaluates a model only for a new key.
+    by candidate search finds. The sampled branch names each model's class
+    by `_bisim_key`. The exhaustive branch walks the raw candidates of
+    `enumerate_models`: it drops relabellings of earlier candidates
+    (`_least_of_orbits`), refines the rest from their masks, and builds and
+    evaluates a model only for a contracted one, with no key. Among the
+    orbit-least candidates, which come in order of state count, that skips
+    exactly the ones whose class came earlier:
+    - contracted implies new: two contracted models with isomorphic
+      quotients are isomorphic, so an earlier candidate of the class would
+      lie in this one's relabelling orbit, and the orbit test keeps only the
+      first candidate of an orbit;
+    - not contracted implies held: the quotient has m < n states and is a
+      model over the same vocabulary, so its orbit-least relabelling came
+      earlier among the m-state candidates; that candidate is contracted,
+      so it was evaluated, and it held, or the search would have returned.
     """
     if params.max_states > 3 and params.count < 1:
         raise ValueError("the sampled search needs at least one model")
@@ -322,10 +333,10 @@ def find_countermodel(f: Formula, params: GenParams, *,
                     return SearchHit(PointedModel(model, state), dict(assignment))
         return None
 
-    held = set()
     if params.max_states > 3:
         gen = GenParams(max_states=params.max_states, agents=agents,
                         props=props, seed=params.seed, count=params.count)
+        held = set()
         for i in range(params.count):
             model = random_model(gen, i)
             key = _bisim_key(model)
@@ -343,15 +354,13 @@ def find_countermodel(f: Formula, params: GenParams, *,
         for parts, masks in _least_of_orbits(n, partitions, candidates):
             refined = _refine_masks([partitions[i] for i in parts], masks,
                                     whole)
-            key = _mask_key(masks, refined)
-            if key in held:
+            if len(refined[0][-1]) < n:  # not contracted: an earlier class
                 continue
             model = build(parts, masks)
             _whole_quotient(model, refined)
             hit = refuted(model)
             if hit is not None:
                 return hit
-            held.add(key)
     return None
 
 

@@ -324,33 +324,26 @@ def _refine_masks(class_masks: Iterable, truth_masks: Iterable,
 def _bisim_key(model: KripkeModel) -> tuple:
     """Name-free key of the model's bisimulation quotient: two models over
     the same vocabulary get equal keys exactly when their quotients are
-    isomorphic. `_mask_key` over the model's truth masks and refinement."""
+    isomorphic.
+
+    Colour refinement over the final blocks of the model's refinement. A
+    block's level-0 colour is its truth vector; at each later level, its own
+    colour plus, per agent, the set of colours of the blocks in its class.
+    Each level's colours are numbered by rank in sorted order, so the
+    numbering is name-free too. The quotient is contracted, so the colours
+    come apart; one round later, each block's truth vector and signature
+    (own colour and per-agent colour sets, as bits of one int) spell out the
+    quotient up to renaming."""
     q = _whole_quotient(model)
-    return _mask_key(model._truth_masks.values(), (q.levels, q.classes.values()))
-
-
-def _mask_key(truth_masks: Iterable, refined: tuple) -> tuple:
-    """`_bisim_key` of the model with these truth masks, per proposition,
-    and this whole-model refinement, as `_refine_masks` returns it.
-
-    Colour refinement over the final blocks of the refinement. A block's
-    level-0 colour is its truth vector; at each later level, its own colour
-    plus, per agent, the set of colours of the blocks in its class. Each
-    level's colours are numbered by rank in sorted order, so the numbering is
-    name-free too. The quotient is contracted, so the colours come apart;
-    one round later, each block's truth vector and signature (own colour and
-    per-agent colour sets, as bits of one int) spell out the quotient up to
-    renaming."""
-    levels, classes = refined
-    blocks = levels[-1]
+    blocks = q.levels[-1]
     n = len(blocks)
     truths = [0] * n
-    for j, truth in enumerate(truth_masks):
+    for j, truth in enumerate(model._truth_masks.values()):
         for i, b in enumerate(blocks):
             if b & truth:
                 truths[i] |= 1 << j
     around = []  # per agent, per block: the positions of its class's blocks
-    for agent_classes in classes:
+    for agent_classes in q.classes.values():
         at = [None] * n
         for c in agent_classes:
             inside = [i for i, b in enumerate(blocks) if b & c]

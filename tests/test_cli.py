@@ -296,10 +296,11 @@ class TestDeepFormula:
         assert done.stderr.startswith("error: formula nested too deeply at line 1")
 
     def test_parses_but_too_deep_to_evaluate(self, train_file, tmp_path):
-        # the parser spends two frames per `<{a}>`, evaluation four (the
-        # node, the quantifier rule, the scan, the body), so 400 levels
-        # parse with room to spare and overflow evaluation; the message
-        # has no position, which tells it from the parser's
+        # the parser keeps nesting on its own stack, and 400 levels are
+        # within its limit; evaluation spends four frames per `<{a}>` (the
+        # node, the quantifier rule, the scan, the body), so they overflow
+        # evaluation; the message has no position, which tells it from the
+        # parser's
         done = self.run_check(train_file, tmp_path, 400, prefix="<{a}> ")
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
@@ -315,6 +316,26 @@ class TestDeepFormula:
     def test_parse_error_in_process(self):
         with pytest.raises(ParseError, match="formula nested too deeply"):
             parse("~" * 3000 + "p")
+
+    @pytest.mark.parametrize("text, column", [
+        ("(" * 2000 + "p" + ")" * 2000, 1001),
+        ("~" * 3000 + "p", 1001),
+        ("<{a}> " * 1500 + "p", 6001),
+        ("p -> " * 1500 + "p", 5003),
+    ], ids=["parentheses", "negations", "group-diamonds", "implications"])
+    def test_depth_error_does_not_depend_on_the_callers_stack(self, text,
+                                                              column):
+        def error(extra):
+            if extra:
+                return error(extra - 1)
+            with pytest.raises(ParseError,
+                               match="formula nested too deeply") as caught:
+                parse(text)
+            return caught.value
+
+        errors = [error(extra) for extra in (0, 20, 50)]
+        assert len({str(e) for e in errors}) == 1
+        assert errors[0].column == column
 
 
 class TestInternalError:

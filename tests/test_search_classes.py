@@ -1,12 +1,14 @@
 """Countermodel search evaluates one candidate per class of models whose
 bisimulation quotients are isomorphic.
 
-`model._bisim_key` names the class; these tests hold it to a brute-force
-canonical form, and `find_countermodel` to the candidate-by-candidate loop
-it replaced. The exhaustive search works on raw candidates: it drops
-relabellings of earlier candidates, keys the rest from their masks, and
-builds a model only for a new key. The tests hold each step to the
-model-level form it stands for."""
+`model._bisim_key` names the class in the sampled search; these tests hold
+it to a brute-force canonical form, and `find_countermodel` to the
+candidate-by-candidate loop it replaced. The exhaustive search works on raw
+candidates and computes no key: it drops relabellings of earlier candidates,
+refines the rest from their masks, and builds a model only for a contracted
+one. The tests hold each step to the model-level form it stands for, and
+the contracted test to the key: among the orbit-least candidates, the
+contracted ones are exactly the first of each class."""
 
 import itertools
 
@@ -20,8 +22,8 @@ from cogal.harness import (
     find_countermodel, instantiation_pool, random_model, set_partitions,
 )
 from cogal.model import (
-    KripkeModel, PointedModel, _bisim_key, _mask_key, _refine, _refine_masks,
-    bisim_contract,
+    KripkeModel, PointedModel, _bisim_key, _refine, _refine_masks,
+    bisim_contract, is_contracted,
 )
 
 AGENTS = ("a", "b", "c")
@@ -122,7 +124,7 @@ class TestRawCandidates:
         assert len(docs) == 8132
         assert docs == [m.to_doc() for m in labelled_models(AGENTS, PROPS, 3)]
 
-    def test_mask_key_and_refinement_match_the_built_model(self):
+    def test_refinement_matches_the_built_model(self):
         count = 0
         builders = {}
         for n, partitions, parts, masks in raw_candidates(AGENTS, PROPS, 3):
@@ -133,9 +135,30 @@ class TestRawCandidates:
                                     whole)
             model = builders[n](parts, masks)
             assert refined == _refine(model, whole)
-            assert _mask_key(masks, refined) == _bisim_key(model)
             count += 1
         assert count == 8132
+
+    def test_contracted_orbit_least_candidates_are_the_classes(self):
+        # the lemma of `find_countermodel`: among the orbit-least candidates,
+        # a contracted one starts a new class, and any other one's class was
+        # started by an earlier contracted one
+        keys = set()
+        count = 0
+        for n, partitions, candidates in _raw_models(len(AGENTS), len(PROPS),
+                                                     3):
+            build = _builder(AGENTS, PROPS, n, partitions)
+            for parts, masks in _least_of_orbits(n, partitions, candidates):
+                refined = _refine_masks([partitions[i] for i in parts], masks,
+                                        (1 << n) - 1)
+                model = build(parts, masks)
+                contracted = len(refined[0][-1]) == n
+                assert contracted == is_contracted(model)
+                key = _bisim_key(model)
+                assert (key not in keys) == contracted
+                keys.add(key)
+                count += 1
+        assert count == 1644
+        assert len(keys) == 1140
 
     def test_orbit_test_keeps_the_first_of_each_relabelling_class(self):
         first = {}
@@ -230,12 +253,20 @@ class TestAgainstPlainLoop:
         assert len(evaluators) == 1140
         assert plain_countermodel(f, EXHAUSTIVE) is None
 
+    def test_exhaustive_branch_computes_no_key(self, evaluators, monkeypatch):
+        def refuse(model):
+            raise AssertionError("the exhaustive search keyed a model")
+
+        monkeypatch.setattr(harness, "_bisim_key", refuse)
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert len(evaluators) == 1140
+
     def test_builds_a_model_only_per_class(self, constructed, evaluators):
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None
         assert len(constructed) == 1140
         assert evaluators == constructed
-        # each evaluated model's quotient holds the refinement its key was
-        # read from
+        # each evaluated model's quotient holds the refinement its contracted
+        # test was read from
         for model in evaluators:
             levels, classes = _refine(model, (1 << len(model.states)) - 1)
             assert model._whole_quotient.levels == levels

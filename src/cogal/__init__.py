@@ -10,11 +10,11 @@ from .formula import (
 from .model import (
     ContractionMap, KripkeModel, ModelError, PointedModel, bisim_contract,
     char_formula, is_contracted, load_model, realize_choice, save_model,
-    to_dot, update, validate,
+    to_dot, validate,
 )
 from .checker import (
     AnnouncementChoice, BindingError, Evaluator, Verdict, check,
-    choice_intersection, eval_formula, extension, group_choices,
+    eval_formula, extension,
 )
 from .translate import translate
 from .harness import (

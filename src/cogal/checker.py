@@ -18,9 +18,8 @@ realized from its masks, with no `KripkeModel` built.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterator, Optional
 
 from .formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, GroupBox, GroupDia, Iff, Imp,
@@ -34,8 +33,7 @@ from .model import (
 
 __all__ = [
     "AnnouncementChoice", "BindingError", "Verdict", "Evaluator",
-    "eval_formula", "extension", "check", "group_choices",
-    "choice_intersection", "class_unions",
+    "eval_formula", "extension", "check",
 ]
 
 # One set of states per group member; the joint announcement restricts the
@@ -63,15 +61,6 @@ def _check_bound(model: KripkeModel, vocab: int, f: Formula) -> None:
     raise BindingError("formula mentions unbound " + " and ".join(problems))
 
 
-def choice_intersection(model: KripkeModel, choice: AnnouncementChoice) -> frozenset:
-    """Update set denoted by a choice: intersection of the per-agent sets,
-    the full state set for the empty choice."""
-    out = frozenset(model.states)
-    for part in choice.values():
-        out &= part
-    return out
-
-
 def _unions(classes, sizes, anchor=None) -> list:
     """Unions of the class masks, ordered by increasing size (the sum of
     `sizes` over the classes combined), ties broken by the positions of the
@@ -95,50 +84,6 @@ def _unions(classes, sizes, anchor=None) -> list:
     extend(0, base, weight)
     found.sort(key=lambda item: item[0])
     return [union for _, union in found]
-
-
-def class_unions(model: KripkeModel, agent: str,
-                 w: Optional[str] = None) -> List[frozenset]:
-    """Unions of the agent's equivalence classes, ordered by increasing
-    cardinality, ties broken by the positions of the blocks combined.
-
-    With a state `w`, only the unions containing w's class: the extensions
-    of what the agent can truthfully announce at w. Without, every union,
-    the empty one included: the extensions of all the agent's knowledge
-    formulas."""
-    if agent not in model._class_masks:
-        raise ModelError(f"unknown agent {agent!r}")
-    if w is not None and w not in model._state_set:
-        raise ModelError(f"unknown state {w!r}")
-    classes = model._class_masks[agent]
-    anchor = None
-    if w is not None:
-        bit = 1 << model._position[w]
-        anchor = next(i for i, c in enumerate(classes) if c & bit)
-    sizes = [c.bit_count() for c in classes]
-    names = model.states
-    return [frozenset(names[i] for i in _bits(union))
-            for union in _unions(classes, sizes, anchor)]
-
-
-def group_choices(model: KripkeModel, w: Optional[str],
-                  group) -> Iterator[AnnouncementChoice]:
-    """Enumerate every truthful announcement choice of the group at w:
-    per member, the unions of that member's classes containing w's class.
-    Without a state, every choice: per member, every union of its classes,
-    the empty one included. Deterministic order; agents iterate in model
-    order with the last agent varying fastest. The empty group yields the
-    single trivial choice."""
-    if w is not None and w not in model._state_set:
-        raise ModelError(f"unknown state {w!r}")
-    group = frozenset(group)
-    unknown = group - set(model.agents)
-    if unknown:
-        raise ModelError(f"group mentions unknown agents {sorted(unknown)}")
-    members = [a for a in model.agents if a in group]
-    option_lists = [class_unions(model, a, w) for a in members]
-    for combo in itertools.product(*option_lists):
-        yield dict(zip(members, combo))
 
 
 def _positive(f: Formula) -> bool:
@@ -214,11 +159,11 @@ def _positive(f: Formula) -> bool:
 
 def _distinct_sets(kept: int, options: list) -> Iterator[tuple]:
     """The distinct sets `kept & m1 & ... & mk`, one mask from each list of
-    `options`, each with the first choice (the tuple of masks) of the full
-    product that yields it, in first-seen order (`group_choices` order);
-    no lists give `kept` and the empty choice. Depth first, skipping a
-    partial intersection already seen at its level: equal partial
-    intersections have identical continuations."""
+    `options`, each with the first choice (tuple of masks) that yields it in
+    the product: lists in order, the last varying fastest; for a group, the
+    members in model order, each one's unions by size, ties broken by class
+    positions (`_unions`). No lists give `kept` and the empty choice. Depth
+    first, skipping a partial intersection already seen at its level."""
     if not options:
         yield kept, ()
     else:
@@ -466,9 +411,9 @@ class Evaluator:
         return self._eval(child, child.rep_of[state], body)
 
     def _options(self, q: _Quotient, agent: str, rep: int) -> list:
-        """The agent's class unions containing the state's class, ordered as
-        `class_unions` orders them (a class weighs its number of blocks);
-        computed once per restriction and class."""
+        """The agent's class unions containing the state's class, by size (a
+        class weighs its number of blocks), ties broken by class positions
+        (`_unions`); computed once per restriction and class."""
         classes = q.classes[agent]
         k = 0
         while not classes[k] >> rep & 1:

@@ -128,8 +128,9 @@ def _cmd_check(args) -> int:
 
 
 def _choice_text(choice) -> str:
-    return "; ".join(f"{agent}: {{{', '.join(sorted(states))}}}"
-                     for agent, states in sorted(choice.items()))
+    parts = [f"{agent}: {{{', '.join(sorted(states))}}}"
+             for agent, states in sorted(choice.items())]
+    return "; ".join(parts) if parts else "(empty group)"
 
 
 def _cmd_suite(args) -> int:

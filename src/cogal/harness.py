@@ -847,10 +847,11 @@ def _necessity_forms(model, rng, pool):
 
 
 def _announcements(q: _Quotient, members: list) -> List[Formula]:
-    """One realized announcement of the members (in model order) per
-    distinct choice set on the model's quotient, over every union of each
-    member's classes, the empty one included: the first choice in
-    `group_choices` order that yields each set (`_distinct_sets`)."""
+    """One realized announcement of the members per distinct choice set on
+    the model's quotient (`_distinct_sets` over all unions of each member's
+    classes, the empty one included): the first choice that yields it,
+    members in model order, the last varying fastest, each one's unions by
+    size, ties broken by class positions."""
     options = [_unions(q.classes[a], [(c & q.reps).bit_count()
                                       for c in q.classes[a]])
                for a in members]

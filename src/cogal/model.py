@@ -19,7 +19,7 @@ from .formula import (
 
 __all__ = [
     "KripkeModel", "PointedModel", "ContractionMap", "ModelError",
-    "validate", "load_model", "save_model", "update", "bisim_contract",
+    "validate", "load_model", "save_model", "bisim_contract",
     "is_contracted", "char_formula", "realize_choice", "to_dot",
 ]
 
@@ -123,7 +123,9 @@ class KripkeModel:
         """Restriction to a non-empty subset of states.
 
         Partition blocks are intersected with the kept set (empty
-        intersections dropped) and the valuation is restricted.
+        intersections dropped) and the valuation is restricted. Unused by
+        the evaluator, which restricts masks; kept as the test oracle's
+        restriction and because `perfbench/tracing.py` wraps it by name.
         """
         kept = frozenset(keep)
         if not kept:
@@ -237,7 +239,7 @@ def load_model(path) -> tuple:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelError(f"model file {path}: {exc}") from exc
         except RecursionError:
             raise ModelError(f"model file {path}: nested too deeply") from None
@@ -248,10 +250,6 @@ def save_model(path, model: KripkeModel, designated: Optional[str] = None) -> No
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(model.to_doc(designated), handle, indent=2)
         handle.write("\n")
-
-
-def update(model: KripkeModel, keep: Iterable[str]) -> KripkeModel:
-    return model.update(keep)
 
 
 # --- bisimulation contraction -------------------------------------------------

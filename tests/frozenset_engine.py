@@ -7,14 +7,20 @@ frozensets of state names; characteristic formulas come from this module's
 own refinement ladder. `tests/test_engine_differential.py` checks the
 library's engine against it: truth, extensions, verdict documents with their
 witness order and formulas, certificates and contraction maps.
+
+Its choice layer (`class_unions`, `group_choices`, `choice_intersection`)
+is the reference the tests read choices from: the engine's own enumerator,
+`checker._unions` with `checker._distinct_sets`, works on masks only.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
-from cogal.checker import CertificateLog, Verdict, _check_bound
+from cogal.checker import (
+    AnnouncementChoice, CertificateLog, Verdict, _check_bound,
+)
 from cogal.formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, GroupBox, GroupDia, Iff, Imp,
     Know, Not, Or, PaBox, PaDia, Top, _vocab_mask, conjoin, disjoin,
@@ -158,7 +164,27 @@ def realize_choice(model: KripkeModel, w: str, group, choice) -> Formula:
 
 # --- choices ---------------------------------------------------------------------
 
+def choice_intersection(model: KripkeModel, choice: AnnouncementChoice) -> frozenset:
+    """Update set denoted by a choice: intersection of the per-agent sets,
+    the full state set for the empty choice."""
+    out = frozenset(model.states)
+    for part in choice.values():
+        out &= part
+    return out
+
+
 def class_unions(model: KripkeModel, agent: str, w: Optional[str] = None) -> list:
+    """Unions of the agent's equivalence classes, ordered by increasing
+    cardinality, ties broken by the positions of the blocks combined.
+
+    With a state `w`, only the unions containing w's class: the extensions
+    of what the agent can truthfully announce at w. Without, every union,
+    the empty one included: the extensions of all the agent's knowledge
+    formulas."""
+    if agent not in model.partitions:
+        raise ModelError(f"unknown agent {agent!r}")
+    if w is not None and w not in model._state_set:
+        raise ModelError(f"unknown state {w!r}")
     blocks = model.partitions[agent]
     if w is None:
         base = frozenset()
@@ -175,6 +201,26 @@ def class_unions(model: KripkeModel, agent: str, w: Optional[str] = None) -> lis
             options.append((len(union), tuple(i for i, _ in combo), union))
     options.sort(key=lambda item: (item[0], item[1]))
     return [union for _, _, union in options]
+
+
+def group_choices(model: KripkeModel, w: Optional[str],
+                  group) -> Iterator[AnnouncementChoice]:
+    """Enumerate every truthful announcement choice of the group at w:
+    per member, the unions of that member's classes containing w's class.
+    Without a state, every choice: per member, every union of its classes,
+    the empty one included. Deterministic order; agents iterate in model
+    order with the last agent varying fastest. The empty group yields the
+    single trivial choice."""
+    if w is not None and w not in model._state_set:
+        raise ModelError(f"unknown state {w!r}")
+    group = frozenset(group)
+    unknown = group - set(model.agents)
+    if unknown:
+        raise ModelError(f"group mentions unknown agents {sorted(unknown)}")
+    members = [a for a in model.agents if a in group]
+    option_lists = [class_unions(model, a, w) for a in members]
+    for combo in itertools.product(*option_lists):
+        yield dict(zip(members, combo))
 
 
 # --- the evaluator -----------------------------------------------------------------

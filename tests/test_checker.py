@@ -7,7 +7,7 @@ import pytest
 
 from cogal.checker import (
     BindingError, Evaluator, Verdict, _ChoiceSets, _distinct_sets, check,
-    choice_intersection, class_unions, eval_formula, extension, group_choices,
+    eval_formula, extension,
 )
 from cogal.formula import (
     And, Atom, CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Hole, Imp,
@@ -19,6 +19,7 @@ from cogal.model import (
 )
 
 import frozenset_engine as oracle
+from frozenset_engine import choice_intersection, class_unions, group_choices
 from conftest import naive_pal_eval
 from test_positive import exact_model
 
@@ -444,7 +445,9 @@ class TestVerdicts:
 
 def product_walk_verdict(model, state, f):
     """Verdict for a group or coalition diamond by walking the full product
-    of member choices in `group_choices` order, using public API only.
+    of member choices, using public API and the oracle's choices only: the
+    members in model order, the last varying fastest, and each member's
+    unions by increasing size, ties broken by class positions.
 
     Each update set is evaluated by a fresh evaluator on the contracted
     model restricted to it. The witness is the first group choice that

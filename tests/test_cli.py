@@ -1,17 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cogal
 from cogal.cli import main
 from cogal.checker import eval_formula
-from cogal.formula import ParseError, parse
-from cogal.harness import train_model
+from cogal.formula import ParseError, parse, render
+from cogal.harness import random_formula, train_model
 from cogal.model import save_model, validate
 
 
@@ -69,6 +73,17 @@ class TestCheck:
     def test_parse_error_exits_two(self, train_file, capsys):
         assert main(["check", train_file, "p ->"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_choices_are_named(self, train_file, capsys):
+        # the grand coalition has no opponents, and the empty group has
+        # one trivial choice; the JSON verdict keeps the empty mapping
+        assert main(["check", train_file, "<[{a,b,c}]> p"]) == 1
+        assert "refuting opponent choice: (empty group)\n" \
+            in capsys.readouterr().out
+        assert main(["check", train_file, "<{}> ~p"]) == 0
+        assert "witness choice: (empty group)\n" in capsys.readouterr().out
+        assert main(["check", train_file, "<{}> ~p", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"]["choice"] == {}
 
     def test_missing_model_file_names_path_and_reason(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -265,6 +280,14 @@ class TestMalformedModel:
         assert main(["check", str(path), "p"]) == 2
         assert "state ids" in capsys.readouterr().err
 
+    def test_model_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        # the decoder's own message, not its bare `args[0]` ("utf-8")
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"agents": ["\xe9"]}')
+        assert main(["check", str(path), "p"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model file {path}: 'utf-8' codec")
+
     def test_model_nested_too_deeply_exits_two(self, tmp_path, capsys):
         # the json decoder recurses once per level; the error names the
         # model file, not the formula
@@ -352,3 +375,137 @@ class TestInternalError:
         assert captured.err == "error: internal error: RuntimeError: boom\n"
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+STATES = ("w", "v", "u")
+TOKENS = ("p", "q", "r", "a", "b", "c", "K", "~", "&", "|", "->", "<->",
+          "(", ")", "[", "]", "<", ">", "{", "}", ",", "[<", "<[", ">]", "]>",
+          "top", "bot", "-", " ", "{a,b}", "{}", "K a", "<{a}>", "[{b,c}]")
+
+
+@st.composite
+def model_documents(draw):
+    """A valid model document of at most three states over the agents
+    a, b, c, so that every rendered formula is bound."""
+    states = list(STATES[:draw(st.integers(1, 3))])
+    agents = ["a", "b", "c"]
+    partitions = {}
+    for agent in agents:
+        labels = draw(st.lists(st.integers(0, len(states) - 1),
+                               min_size=len(states), max_size=len(states)))
+        blocks = {}
+        for s, label in zip(states, labels):
+            blocks.setdefault(label, []).append(s)
+        partitions[agent] = list(blocks.values())
+    return {
+        "agents": agents, "props": ["p", "q"], "states": states,
+        "partitions": partitions,
+        "valuation": {p: draw(st.lists(st.sampled_from(states), unique=True))
+                      for p in ("p", "q")},
+        "designated": draw(st.sampled_from(states)),
+    }
+
+
+def json_containers(inner):
+    return (st.lists(inner, max_size=3)
+            | st.dictionaries(st.sampled_from(("a", "p", "w")), inner,
+                              max_size=3))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.sampled_from(STATES + ("a", "p", "", "zz", "1x")),
+    json_containers, max_leaves=6)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one value replaced or one key dropped, then
+    up to three bytes of its text replaced, inserted or deleted."""
+    doc = draw(model_documents())
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        del doc[key]
+    else:
+        target, field = doc, key
+        while isinstance(target[field], (dict, list)) and target[field] \
+                and draw(st.booleans()):
+            target = target[field]
+            field = draw(st.sampled_from(sorted(target) if isinstance(
+                target, dict) else range(len(target))))
+        target[field] = draw(JSON_VALUES)
+    text = bytearray(json.dumps(doc).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        byte = draw(st.integers(0, 255))
+        if edit == "insert":
+            text[at:at] = bytes([byte])
+        elif at < len(text):
+            text[at:at + 1] = b"" if edit == "delete" else bytes([byte])
+    return bytes(text)
+
+
+# half the models and half the formulas are valid, so that about one
+# `check` in four reaches a verdict
+MODEL_BYTES = st.one_of(
+    model_documents().map(lambda doc: json.dumps(doc).encode()),
+    st.one_of(mutated_documents(), st.binary(max_size=64)),
+)
+
+@st.composite
+def rendered_formulas(draw):
+    """A random CoGAL formula over a, b, c and p, q, rendered, often under
+    a top quantifier so that `check` reports evidence, with up to two
+    tokens then dropped or inserted."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    prefix = draw(st.sampled_from(("", "<{}>", "<{a}>", "<{a,b}>",
+                                   "<[{}]>", "<[{a}]>", "<[{a,b,c}]>")))
+    tokens = (prefix + " (" + render(random_formula(
+        rng, ("a", "b", "c"), ("p", "q"), max_depth=2)) + ")").split()
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        if draw(st.booleans()):
+            tokens[at:at + 1] = []
+        else:
+            tokens.insert(at, draw(st.sampled_from(TOKENS)))
+    return " ".join(tokens)
+
+
+FORMULAS = st.one_of(
+    rendered_formulas(),
+    st.one_of(st.lists(st.sampled_from(TOKENS), max_size=12).map(" ".join),
+              st.lists(st.sampled_from(TOKENS), max_size=12).map("".join),
+              st.text(max_size=16)),
+)
+
+
+class TestFuzz:
+    """Any model bytes and any formula text end in a verdict or a clean
+    exit 2: never a traceback, and never the internal-error report."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=MODEL_BYTES, formula=FORMULAS,
+           command=st.sampled_from(("check", "check --json", "contract",
+                                    "dot")),
+           at=st.none() | st.sampled_from(STATES + ("zz",)))
+    def test_exit_codes_are_clean(self, tmp_path_factory, data, formula,
+                                  command, at):
+        path = tmp_path_factory.getbasetemp() / "fuzz-model.json"
+        path.write_bytes(data)
+        argv = command.split()[:1] + [str(path)]
+        if command.startswith("check"):
+            argv += [formula] + command.split()[1:]
+            if at is not None:
+                argv += ["--at", at]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse's usage error, e.g. for a formula starting "-"
+                code = exc.code
+        assert code in (0, 1, 2), (argv, data, err.getvalue())
+        assert "internal error" not in err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frozenset_engine as oracle
-from cogal.checker import Evaluator, class_unions
+from cogal.checker import Evaluator, _unions
 from cogal.formula import (
     And, Atom, Bot, CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Know,
     Not, Or, PaBox, Top, parse, render,
@@ -144,11 +144,21 @@ def test_contraction_agrees(model):
     table = oracle.char_table(contracted)
     for s in contracted.states:
         assert char_formula(contracted, s) == table[s]
+    # the engine's enumerator, decoded to state names, in the oracle's order:
+    # unanchored, and anchored at each class for every state in it
     for agent in model.agents:
-        assert class_unions(model, agent) == oracle.class_unions(model, agent)
-        for s in model.states:
-            assert class_unions(model, agent, s) \
-                == oracle.class_unions(model, agent, s)
+        classes = model._class_masks[agent]
+        sizes = [c.bit_count() for c in classes]
+
+        def decoded(anchor=None):
+            return [frozenset(s for i, s in enumerate(model.states)
+                              if union >> i & 1)
+                    for union in _unions(classes, sizes, anchor)]
+
+        assert decoded() == oracle.class_unions(model, agent)
+        for k, c in enumerate(classes):
+            for s in (s for i, s in enumerate(model.states) if c >> i & 1):
+                assert decoded(k) == oracle.class_unions(model, agent, s)
 
 
 # Random formulas rarely make evidence depend on the order of equal-size

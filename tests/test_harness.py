@@ -6,9 +6,7 @@ from pathlib import Path
 import pytest
 
 import cogal.harness as harness
-from cogal.checker import (
-    Evaluator, choice_intersection, eval_formula, group_choices,
-)
+from cogal.checker import Evaluator, eval_formula
 from cogal.cli import main
 from cogal.formula import (
     And, Atom, Bot, CoalDia, Fragment, Hole, Iff, Imp, ImpCtx, Know, Not, Or,
@@ -23,6 +21,7 @@ from cogal.harness import _announcements, _prop4_candidate, _subsets
 from cogal.model import (
     _whole_quotient, bisim_contract, realize_choice, validate,
 )
+from frozenset_engine import choice_intersection, group_choices
 
 
 class TestGenParams:

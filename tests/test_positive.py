@@ -6,10 +6,11 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import frozenset_engine as oracle
-from cogal.checker import Evaluator, _positive, choice_intersection, group_choices
+from cogal.checker import Evaluator, _positive
 from cogal.formula import Fragment, parse, render
 from cogal.harness import GenParams, random_formula, random_model
 from cogal.model import bisim_contract, is_contracted, validate
+from frozenset_engine import choice_intersection, group_choices
 from test_engine_differential import models, positive_formulas
 
 

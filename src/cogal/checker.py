@@ -27,7 +27,7 @@ from .formula import (
     _vocab_mask,
 )
 from .model import (
-    KripkeModel, ModelError, PointedModel, _Quotient, _bits, _refine,
+    KripkeModel, ModelError, PointedModel, _Quotient, _refine,
     _whole_quotient,
 )
 
@@ -370,8 +370,7 @@ class Evaluator:
     # -- internals ---------------------------------------------------------
 
     def _states(self, mask: int) -> frozenset:
-        names = self._root.states
-        return frozenset(names[i] for i in _bits(mask))
+        return self._root._named(mask)
 
     def _members(self, group: frozenset) -> list:
         return [a for a in self._root.agents if a in group]
@@ -383,7 +382,7 @@ class Evaluator:
     def _start(self, state: str, f: Formula) -> int:
         """Rep of a root state in the contracted root, after checking the
         state and the formula's bindings."""
-        if state not in self._root._state_set:
+        if state not in self._root._position:
             raise ModelError(f"unknown state {state!r}")
         _check_bound(self._root, self._vocab, f)
         return self._root_quotient.rep_of[self._root._position[state]]

@@ -101,7 +101,11 @@ def _cmd_check(args) -> int:
                          "--formula-file")
     if args.formula_file is not None:
         with open(args.formula_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"formula file {args.formula_file}: "
+                                 f"{exc}") from exc
     else:
         text = args.formula
     formula = parse(text)

@@ -123,16 +123,15 @@ def _raw_models(n_agents: int, n_props: int, max_states: int) -> Iterator[tuple]
 def _builder(agents: tuple, props: tuple, n: int,
              partitions: list) -> Callable[[tuple, tuple], KripkeModel]:
     """Builds the validated model of a raw n-state candidate of
-    `_raw_models`, states named s0, s1, ... in order."""
+    `_raw_models` straight from its masks, states named s0, s1, ... in
+    order."""
     states = tuple(f"s{i}" for i in range(n))
-    named = [frozenset(s for i, s in enumerate(states) if mask >> i & 1)
-             for mask in range(1 << n)]
-    blocks = [tuple(named[b] for b in part) for part in partitions]
 
     def build(parts: tuple, masks: tuple) -> KripkeModel:
-        return KripkeModel(states, agents, props,
-                           dict(zip(agents, (blocks[i] for i in parts))),
-                           dict(zip(props, (named[m] for m in masks))))
+        return KripkeModel._from_masks(
+            states, agents, props,
+            dict(zip(agents, [partitions[i] for i in parts])),
+            dict(zip(props, masks)))
 
     return build
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .formula import (
     Atom, Formula, Know, Not, Top,
@@ -28,96 +29,169 @@ class ModelError(ValueError):
     """Invalid model document or an operation violating a model precondition."""
 
 
-@dataclass(frozen=True, eq=False)
 class KripkeModel:
     """Finite S5 model: ordered states, one partition per agent, valuation.
+
+    State i is bit i, and the model is its int masks over the states: per
+    agent the class masks of its partition (`_class_masks`) and the class
+    mask at each state (`_class_at`), per proposition a truth mask
+    (`_truth_masks`). `partitions` and `valuation` are the same sets as
+    frozensets of state names. A model built from names keeps the ones it
+    was given; one built from masks (`_from_masks`) derives them when they
+    are first read. Both constructors end in `_init_masks`, the one
+    validation.
 
     All collections iterate in document order. Instances are immutable and
     compared by identity; use `to_doc` for structural comparison.
     """
 
-    states: tuple
-    agents: tuple
-    props: tuple
-    partitions: Mapping[str, tuple]
-    valuation: Mapping[str, frozenset]
+    def __init__(self, states: tuple, agents: tuple, props: tuple,
+                 partitions: Mapping[str, tuple],
+                 valuation: Mapping[str, frozenset]):
+        position = {s: i for i, s in enumerate(states)}
+        names = list(states)
 
-    def __post_init__(self):
-        if not self.states:
+        def mask(extent: Iterable[str]) -> int:
+            out = 0
+            for s in extent:
+                i = position.get(s)
+                if i is None:  # unknown: a bit past the last state
+                    i = len(names)
+                    names.append(s)
+                out |= 1 << i
+            return out
+
+        self._init_masks(
+            states, agents, props, position,
+            {agent: tuple(mask(block) for block in blocks)
+             for agent, blocks in partitions.items()},
+            {p: mask(extent) for p, extent in valuation.items()}, names)
+        vars(self).update(partitions=partitions, valuation=valuation)
+
+    @classmethod
+    def _from_masks(cls, states: tuple, agents: tuple, props: tuple,
+                    class_masks: Mapping[str, tuple],
+                    truth_masks: Mapping[str, int]) -> "KripkeModel":
+        """The model with the given states, per agent the tuple of its
+        partition's block masks and per proposition its truth mask. It
+        bypasses `__init__`: no name-level set is built until `partitions`
+        or `valuation` is read."""
+        model = cls.__new__(cls)
+        model._init_masks(states, agents, props,
+                          {s: i for i, s in enumerate(states)},
+                          class_masks, truth_masks, states)
+        return model
+
+    def _init_masks(self, states: tuple, agents: tuple, props: tuple,
+                    position: dict, class_masks: Mapping[str, tuple],
+                    truth_masks: Mapping[str, int],
+                    names: Sequence[str]) -> None:
+        """Check the full invariant set on masks and adopt them: unique
+        names (`position` maps each state to its index), agents and
+        propositions identifiers, every agent's blocks non-empty, inside the
+        state range, pairwise disjoint and covering, every truth mask inside
+        the range. `names` names the bits for error messages: the states,
+        then any unknown state names the caller mapped past the last one."""
+        if not states:
             raise ModelError("empty model: the state set must be non-empty")
-        position = {s: i for i, s in enumerate(self.states)}
-        if len(position) != len(self.states):
+        if len(position) != len(states):
             raise ModelError("duplicate state identifiers")
-        if len(set(self.agents)) != len(self.agents):
+        if len(set(agents)) != len(agents):
             raise ModelError("duplicate agent identifiers")
-        if len(set(self.props)) != len(self.props):
+        if len(set(props)) != len(props):
             raise ModelError("duplicate proposition identifiers")
         try:
-            for a in self.agents:
+            for a in agents:
                 _require_ident(a, "agent")
-            for p in self.props:
+            for p in props:
                 _require_ident(p, "proposition")
         except ValueError as exc:
             raise ModelError(str(exc)) from None
-        if set(self.partitions) != set(self.agents):
+        if set(class_masks) != set(agents):
             raise ModelError("partitions must cover exactly the agent set")
-        class_masks = {}
+        n = len(states)
+        whole = (1 << n) - 1
+
+        def unknown(mask):
+            past = mask >> n
+            i = (past & -past).bit_length() - 1 + n  # its lowest bit
+            return repr(names[i]) if i < len(names) else f"at bit {i}"
+
+        ordered = {}
         class_at = {}
-        for agent in self.agents:
-            masks = []
-            at = [0] * len(position)
-            for block in self.partitions[agent]:
+        for agent in agents:
+            blocks = class_masks[agent]
+            at = [0] * n
+            covered = 0
+            for block in blocks:
                 if not block:
                     raise ModelError(f"empty partition block for agent {agent!r}")
-                mask = 0
-                for s in block:
-                    i = position.get(s)
-                    if i is None:
-                        raise ModelError(f"partition of agent {agent!r} mentions "
-                                         f"unknown state {s!r}")
-                    if at[i]:
-                        raise ModelError(f"overlapping partition blocks for agent "
-                                         f"{agent!r} at state {s!r}")
-                    mask |= 1 << i
-                masks.append(mask)
-                for s in block:
-                    at[position[s]] = mask
-            if not all(at):
-                missing = sorted(s for s, i in position.items() if not at[i])
+                if block >> n:
+                    raise ModelError(f"partition of agent {agent!r} mentions "
+                                     f"unknown state {unknown(block)}")
+                if block & covered:
+                    first = _bits(block & covered)[0]
+                    raise ModelError(f"overlapping partition blocks for agent "
+                                     f"{agent!r} at state {states[first]!r}")
+                covered |= block
+                for i in _bits(block):
+                    at[i] = block
+            if covered != whole:
+                missing = sorted(states[i] for i in _bits(whole ^ covered))
                 raise ModelError(f"partition of agent {agent!r} does not cover "
                                  f"states {missing}")
-            class_masks[agent] = tuple(masks)
+            ordered[agent] = tuple(blocks)
             class_at[agent] = at
-        truth_masks = dict.fromkeys(self.props, 0)
-        for prop, extent in self.valuation.items():
-            if prop not in truth_masks:
+        truth = dict.fromkeys(props, 0)
+        for prop, mask in truth_masks.items():
+            if prop not in truth:
                 raise ModelError(f"valuation mentions unknown proposition {prop!r}")
-            for s in extent:
-                if s not in position:
-                    raise ModelError(f"valuation of {prop!r} mentions unknown "
-                                     f"state {s!r}")
-                truth_masks[prop] |= 1 << position[s]
-        object.__setattr__(self, "_state_set", frozenset(position))
-        # State i is bit i; every class and truth set as an int mask, and
-        # per agent the class mask of each state.
-        object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_class_masks", class_masks)
-        object.__setattr__(self, "_class_at", class_at)
-        object.__setattr__(self, "_truth_masks", truth_masks)
+            if mask >> n:
+                raise ModelError(f"valuation of {prop!r} mentions unknown "
+                                 f"state {unknown(mask)}")
+            truth[prop] = mask
+        vars(self).update(states=states, agents=agents, props=props,
+                          _position=position, _class_masks=ordered,
+                          _class_at=class_at, _truth_masks=truth)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"KripkeModel(states={self.states!r}, agents={self.agents!r}, "
+                f"props={self.props!r}, partitions={self.partitions!r}, "
+                f"valuation={self.valuation!r})")
+
+    @cached_property
+    def partitions(self) -> Mapping[str, tuple]:
+        """Per agent, the partition's blocks as frozensets of state names."""
+        return {agent: tuple(self._named(b) for b in blocks)
+                for agent, blocks in self._class_masks.items()}
+
+    @cached_property
+    def valuation(self) -> Mapping[str, frozenset]:
+        """Per proposition, its truth set as a frozenset of state names."""
+        return {p: self._named(m) for p, m in self._truth_masks.items()}
+
+    def _named(self, mask: int) -> frozenset:
+        """The names of the states in a mask."""
+        names = self.states
+        return frozenset(names[i] for i in _bits(mask))
 
     def class_of(self, agent: str, state: str) -> frozenset:
         """Equivalence class of the state under the agent's relation."""
-        names = self.states
-        return frozenset(names[i] for i in
-                         _bits(self._class_at[agent][self._position[state]]))
+        return self._named(self._class_at[agent][self._position[state]])
 
     def props_at(self, state: str) -> tuple:
         """Propositions true at the state, in document order."""
-        return tuple(p for p in self.props
-                     if state in self.valuation.get(p, frozenset()))
+        i = self._position[state]
+        return tuple(p for p, m in self._truth_masks.items() if m >> i & 1)
 
     def truth_set(self, prop: str) -> frozenset:
-        return self.valuation.get(prop, frozenset())
+        return self._named(self._truth_masks.get(prop, 0))
 
     def update(self, keep: Iterable[str]) -> "KripkeModel":
         """Restriction to a non-empty subset of states.
@@ -131,7 +205,7 @@ class KripkeModel:
         if not kept:
             raise ModelError("update with an empty state set; an unsatisfied "
                              "announcement must be handled as vacuous truth")
-        unknown = kept - self._state_set
+        unknown = [s for s in kept if s not in self._position]
         if unknown:
             raise ModelError(f"update mentions unknown states {sorted(unknown)}")
         states = tuple(s for s in self.states if s in kept)
@@ -149,20 +223,17 @@ class KripkeModel:
 
     def to_doc(self, designated: Optional[str] = None) -> dict:
         """JSON-ready document in the external model-file format."""
+        names = self.states
         doc = {
             "agents": list(self.agents),
             "props": list(self.props),
-            "states": list(self.states),
+            "states": list(names),
             "partitions": {
-                agent: [[s for s in self.states if s in block]
-                        for block in self.partitions[agent]]
-                for agent in self.agents
+                agent: [[names[i] for i in _bits(b)] for b in blocks]
+                for agent, blocks in self._class_masks.items()
             },
-            "valuation": {
-                p: [s for s in self.states
-                    if s in self.valuation.get(p, frozenset())]
-                for p in self.props
-            },
+            "valuation": {p: [names[i] for i in _bits(m)]
+                          for p, m in self._truth_masks.items()},
         }
         if designated is not None:
             doc["designated"] = designated
@@ -175,7 +246,7 @@ class PointedModel:
     point: str
 
     def __post_init__(self):
-        if self.point not in self.model._state_set:
+        if self.point not in self.model._position:
             raise ModelError(f"designated state {self.point!r} is not a state "
                              "of the model")
 
@@ -228,7 +299,7 @@ def validate(doc: dict) -> KripkeModel:
                         tuple(doc["props"]), partitions, valuation)
     designated = doc.get("designated")
     if designated is not None and (not isinstance(designated, str)
-                                   or designated not in model._state_set):
+                                   or designated not in model._position):
         raise ModelError(f"designated state {designated!r} is not a state "
                          "of the model")
     return model
@@ -284,7 +355,12 @@ def _refine_masks(class_masks: Iterable, truth_masks: Iterable,
     level splits a block wherever two of its states' classes, for some agent,
     meet different blocks of the level before. `classes` holds, per agent in
     model order, the agent's classes in the quotient as saturated masks (the
-    union of the blocks a class meets), deduplicated in partition order."""
+    union of the blocks a class meets), deduplicated in partition order.
+
+    A one-state `kept` is its own quotient: one block, one class per agent.
+    `kept` must be non-empty."""
+    if not kept & (kept - 1):
+        return [[kept]], [(kept,) for _ in class_masks]
     classes = [[cut for c in agent_classes if (cut := c & kept)]
                for agent_classes in class_masks]
     blocks = [kept]
@@ -484,18 +560,24 @@ class _Quotient:
         return conjoin(parts) if parts else Top()
 
     def decode(self) -> KripkeModel:
-        """The contracted restriction as a model, states named by reps."""
-        names, reps = self._names, self.reps
+        """The contracted restriction as a model, states named by reps: the
+        reps, in ascending order, re-indexed as bits 0, 1, ... of its
+        masks."""
+        order = _bits(self.reps)
+        index = {r: j for j, r in enumerate(order)}
 
-        def named(mask):
-            return frozenset(names[i] for i in _bits(mask & reps))
+        def packed(mask):
+            out = 0
+            for r in _bits(mask & self.reps):
+                out |= 1 << index[r]
+            return out
 
-        partitions = {agent: tuple(named(c) for c in agent_classes)
-                      for agent, agent_classes in self.classes.items()}
-        valuation = {p: named(truth) for p, truth in self._truth.items()}
-        return KripkeModel(tuple(names[i] for i in _bits(reps)),
-                           tuple(self.classes), tuple(self._truth),
-                           partitions, valuation)
+        return KripkeModel._from_masks(
+            tuple(self._names[r] for r in order), tuple(self.classes),
+            tuple(self._truth),
+            {agent: tuple(packed(c) for c in agent_classes)
+             for agent, agent_classes in self.classes.items()},
+            {p: packed(truth) for p, truth in self._truth.items()})
 
 
 def _whole_quotient(model: KripkeModel, refined: Optional[tuple] = None
@@ -543,7 +625,7 @@ def _contracted(model: KripkeModel) -> _Quotient:
 def char_formula(model: KripkeModel, state: str) -> Formula:
     """Epistemic formula whose extension in a contracted model is exactly
     the given state."""
-    if state not in model._state_set:
+    if state not in model._position:
         raise ModelError(f"unknown state {state!r}")
     return _contracted(model).chars()[model._position[state]]
 
@@ -556,7 +638,7 @@ def realize_choice(model: KripkeModel, w: str, group: Iterable[str],
     Requires a contracted model; each member's set must be a union of that
     member's equivalence classes.
     """
-    if w not in model._state_set:
+    if w not in model._position:
         raise ModelError(f"unknown state {w!r}")
     members = frozenset(group)
     unknown = members - set(model.agents)
@@ -570,13 +652,13 @@ def realize_choice(model: KripkeModel, w: str, group: Iterable[str],
                 continue
             if agent not in choice:
                 raise ModelError(f"choice is missing group member {agent!r}")
-            chosen = frozenset(choice[agent])
-            if chosen - model._state_set:
-                raise ModelError(f"choice for agent {agent!r} mentions "
-                                 f"unknown states")
             mask = 0
-            for s in chosen:
-                mask |= 1 << model._position[s]
+            for s in choice[agent]:
+                i = model._position.get(s)
+                if i is None:
+                    raise ModelError(f"choice for agent {agent!r} mentions "
+                                     f"unknown states")
+                mask |= 1 << i
             yield agent, mask
 
     return quotient.realize(masks())

@@ -55,15 +55,23 @@ def _step(f: PaBox) -> Formula:
     raise TypeError(f"announcement body outside PAL: {body!r}")
 
 
-def _t(f: Formula) -> Formula:
-    if isinstance(f, PaBox):
-        return _t(_step(f))
-    if not isinstance(f, (Atom, Top, Not, And, Know)):
-        raise TypeError(f"not in the PAL primitive fragment: {f!r}")
-    parts = []
-    for g in _parts(f):
-        parts.append(_t(g))
-    return _rebuild(f, parts)
+def _t(f: Formula, memo: dict) -> Formula:
+    """The rewrite of a node, memoised per node in `memo`: nodes are
+    hash-consed, so a subformula met twice in one call is rewritten once.
+    One frame per nesting level, so no comprehension."""
+    out = memo.get(f)
+    if out is None:
+        if isinstance(f, PaBox):
+            out = _t(_step(f), memo)
+        elif isinstance(f, (Atom, Top, Not, And, Know)):
+            parts = []
+            for g in _parts(f):
+                parts.append(_t(g, memo))
+            out = _rebuild(f, parts)
+        else:
+            raise TypeError(f"not in the PAL primitive fragment: {f!r}")
+        memo[f] = out
+    return out
 
 
 def translate(f: Formula) -> Formula:
@@ -77,4 +85,4 @@ def translate(f: Formula) -> Formula:
     if frag not in (Fragment.EL, Fragment.PAL):
         raise ValueError("translation is defined for the announcement fragment "
                          f"only; input is in {frag.name}")
-    return _t(normalize(f))
+    return _t(normalize(f), {})

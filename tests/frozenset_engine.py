@@ -183,7 +183,7 @@ def class_unions(model: KripkeModel, agent: str, w: Optional[str] = None) -> lis
     formulas."""
     if agent not in model.partitions:
         raise ModelError(f"unknown agent {agent!r}")
-    if w is not None and w not in model._state_set:
+    if w is not None and w not in model._position:
         raise ModelError(f"unknown state {w!r}")
     blocks = model.partitions[agent]
     if w is None:
@@ -211,7 +211,7 @@ def group_choices(model: KripkeModel, w: Optional[str],
     the empty one included. Deterministic order; agents iterate in model
     order with the last agent varying fastest. The empty group yields the
     single trivial choice."""
-    if w is not None and w not in model._state_set:
+    if w is not None and w not in model._position:
         raise ModelError(f"unknown state {w!r}")
     group = frozenset(group)
     unknown = group - set(model.agents)
@@ -289,7 +289,7 @@ class Evaluator:
         return {agent: entry.pullback(states) for agent, states in choice.items()}
 
     def _start(self, state: str, f: Formula) -> str:
-        if state not in self._root._state_set:
+        if state not in self._root._position:
             raise ModelError(f"unknown state {state!r}")
         _check_bound(self._root, self._vocab, f)
         return self._root_entry.fwd[state]

@@ -288,6 +288,15 @@ class TestMalformedModel:
         err = capsys.readouterr().err
         assert err.startswith(f"error: model file {path}: 'utf-8' codec")
 
+    def test_formula_file_that_is_not_utf8_exits_two(self, tmp_path,
+                                                     train_file, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"p \xe9")
+        assert main(["check", train_file, "--formula-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: formula file {path}: 'utf-8' codec "
+                              "can't decode")
+
     def test_model_nested_too_deeply_exits_two(self, tmp_path, capsys):
         # the json decoder recurses once per level; the error names the
         # model file, not the formula

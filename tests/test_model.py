@@ -6,8 +6,8 @@ from cogal.checker import Evaluator, extension
 from cogal.formula import Atom, Know, Not, Top
 from cogal.harness import GenParams, random_formula, random_model
 from cogal.model import (
-    ModelError, PointedModel, bisim_contract, char_formula, is_contracted,
-    load_model, realize_choice, save_model, to_dot, validate,
+    KripkeModel, ModelError, PointedModel, bisim_contract, char_formula,
+    is_contracted, load_model, realize_choice, save_model, to_dot, validate,
 )
 
 
@@ -81,6 +81,73 @@ class TestValidate:
     def test_doc_round_trip(self, train_doc):
         model = validate(train_doc)
         assert validate(model.to_doc()).to_doc() == model.to_doc()
+
+
+def from_masks(states=("s0", "s1"), agents=("a",), props=("p",),
+               class_masks=None, truth_masks=None):
+    """`KripkeModel._from_masks` on a valid two-state model, or on it with
+    the given parts replaced."""
+    return KripkeModel._from_masks(
+        states, agents, props,
+        class_masks if class_masks is not None else {"a": (0b01, 0b10)},
+        truth_masks if truth_masks is not None else {"p": 0b10})
+
+
+def from_names(states=("s0", "s1"), agents=("a",), props=("p",),
+               class_masks=None, truth_masks=None):
+    """The same model through the name-level constructor."""
+    def named(mask):
+        return frozenset(s for i, s in enumerate(states) if mask >> i & 1)
+
+    class_masks = class_masks if class_masks is not None else {"a": (1, 2)}
+    truth_masks = truth_masks if truth_masks is not None else {"p": 0b10}
+    return KripkeModel(
+        states, agents, props,
+        {a: tuple(named(b) for b in blocks)
+         for a, blocks in class_masks.items()},
+        {p: named(m) for p, m in truth_masks.items()})
+
+
+IDENT = ": expected [a-z][a-z0-9_]* other than the reserved words 'top' and 'bot'"
+# faults both constructors can express, with the one message they share
+SHARED_FAULTS = [
+    ({"class_masks": {"a": (0, 0b11)}}, "empty partition block for agent 'a'"),
+    ({"class_masks": {"a": (0b11, 0b10)}},
+     "overlapping partition blocks for agent 'a' at state 's1'"),
+    ({"class_masks": {"a": (0b01,)}},
+     "partition of agent 'a' does not cover states ['s1']"),
+    ({"states": ("s0", "s0")}, "duplicate state identifiers"),
+    ({"agents": ("a", "a")}, "duplicate agent identifiers"),
+    ({"agents": ("A",), "class_masks": {"A": (1, 2)}},
+     "invalid agent name 'A'" + IDENT),
+    ({"props": ("top",), "truth_masks": {"top": 0}},
+     "invalid proposition name 'top'" + IDENT),
+]
+
+
+class TestMaskConstructor:
+    def test_valid_masks(self):
+        model = from_masks()
+        assert model.to_doc() == from_names().to_doc()
+        assert model.partitions == {"a": (frozenset({"s0"}), frozenset({"s1"}))}
+        assert model.valuation == {"p": frozenset({"s1"})}
+
+    @pytest.mark.parametrize("fault, message", SHARED_FAULTS + [
+        ({"class_masks": {"a": (0b01, 0b110)}},
+         "partition of agent 'a' mentions unknown state at bit 2"),
+        ({"truth_masks": {"p": 0b100}},
+         "valuation of 'p' mentions unknown state at bit 2"),
+    ])
+    def test_invalid_masks(self, fault, message):
+        with pytest.raises(ModelError) as raised:
+            from_masks(**fault)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("fault, message", SHARED_FAULTS)
+    def test_name_level_constructor_gives_the_same_text(self, fault, message):
+        with pytest.raises(ModelError) as raised:
+            from_names(**fault)
+        assert str(raised.value) == message
 
 
 class TestUpdate:

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import frozenset_engine as oracle
 from cogal.checker import Evaluator
-from cogal.harness import _prop4_parts
+from cogal.harness import _prop4_parts, enumerate_models
 from cogal.model import (
-    KripkeModel, _Quotient, _bits, _refine, char_formula, is_contracted,
-    load_model, validate,
+    KripkeModel, _Quotient, _bits, _refine, _whole_quotient, char_formula,
+    is_contracted, load_model, validate,
 )
 from test_engine_differential import models
 
@@ -74,18 +74,51 @@ def test_characteristic_formulas_take_the_lowest_rep():
         assert char_formula(model, s) == table[s], s
 
 
+def named_decode(model, quotient):
+    """`_Quotient.decode` through the name-level constructor: each class
+    and truth set named as the frozenset of its reps' names."""
+    names, reps = model.states, quotient.reps
+
+    def named(mask):
+        return frozenset(names[i] for i in _bits(mask & reps))
+
+    return KripkeModel(
+        tuple(names[i] for i in _bits(reps)), model.agents, model.props,
+        {a: tuple(named(c) for c in classes)
+         for a, classes in quotient.classes.items()},
+        {p: named(truth) for p, truth in model._truth_masks.items()})
+
+
+def test_decode_builds_what_the_names_build():
+    """The mask-built decode, on every restriction of the shipped models and
+    on the whole of every candidate of up to 3 states that is not
+    contracted."""
+    pairs = []
+    for name in ("train.json", "prop4.json"):
+        model = load_model(MODELS / name)[0]
+        pairs += [(model, _Quotient(model, kept, _refine(model, kept)))
+                  for kept in range(1, 1 << len(model.states))]
+    candidates = [m for m in enumerate_models(("a", "b", "c"), ("p", "q"), 3)
+                  if not is_contracted(m)]
+    assert len(candidates) == 1504
+    pairs += [(m, _whole_quotient(m)) for m in candidates]
+    for model, quotient in pairs:
+        assert quotient.decode().to_doc() \
+            == named_decode(model, quotient).to_doc()
+
+
 def test_evidence_and_certificates_build_no_model(monkeypatch):
     """A witness, a refutation and a certified run on the splitting
     countermodel construct no `KripkeModel` once the model is loaded."""
     model, point = load_model(MODELS / "prop4.json")
     built = []
-    post_init = KripkeModel.__post_init__
+    init_masks = KripkeModel._init_masks  # where every construction ends
 
-    def counted(self):
+    def counted(self, *args):
         built.append(self)
-        post_init(self)
+        init_masks(self, *args)
 
-    monkeypatch.setattr(KripkeModel, "__post_init__", counted)
+    monkeypatch.setattr(KripkeModel, "_init_masks", counted)
     antecedent, consequent = _prop4_parts()
     ev = Evaluator(model)
     won = ev.check(point, antecedent)

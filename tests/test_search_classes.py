@@ -118,7 +118,69 @@ def relabelling_canonical(n, partitions, parts, masks):
     return best
 
 
+def general_refinement(class_masks, truth_masks, kept):
+    """`model._refine_masks` without its one-state case: the general loop."""
+    classes = [[cut for c in agent_classes if (cut := c & kept)]
+               for agent_classes in class_masks]
+    blocks = [kept]
+    for truth in truth_masks:
+        blocks = [part for b in blocks for part in (b & truth, b & ~truth)
+                  if part]
+    levels = [blocks]
+    while True:
+        big = [b for b in blocks if b & (b - 1)]
+        if not big:
+            return levels, [tuple(agent_classes) for agent_classes in classes]
+        saturated = []
+        for agent_classes in classes:
+            groups = {}
+            for c in agent_classes:
+                met = c
+                for b in big:
+                    if b & c:
+                        met |= b
+                groups[met] = groups.get(met, 0) | c
+            saturated.append(groups)
+        parts = big
+        for groups in saturated:
+            if len(groups) > 1:
+                parts = [part for r in parts for g in groups.values()
+                         if (part := r & g)]
+        if len(parts) == len(big):
+            return levels, [tuple(groups) for groups in saturated]
+        blocks = [b for b in blocks if not b & (b - 1)] + parts
+        levels.append(blocks)
+
+
 class TestRawCandidates:
+    def test_mask_and_name_built_models_agree(self):
+        # `enumerate_models` builds each candidate from its masks,
+        # `labelled_models` from frozensets of state names
+        count = 0
+        for by_masks, by_names in zip(enumerate_models(AGENTS, PROPS, 3),
+                                      labelled_models(AGENTS, PROPS, 3)):
+            assert by_masks.to_doc() == by_names.to_doc()
+            for attr in ("states", "_position", "_class_masks", "_class_at",
+                         "_truth_masks"):
+                assert getattr(by_masks, attr) == getattr(by_names, attr)
+            # the name views are derived only when read
+            assert "partitions" not in vars(by_masks)
+            assert "valuation" not in vars(by_masks)
+            assert by_masks.partitions == by_names.partitions
+            assert by_masks.valuation == by_names.valuation
+            count += 1
+        assert count == 8132
+
+    def test_one_state_refinement_is_the_general_loops(self):
+        count = 0
+        for n, partitions, parts, masks in raw_candidates(AGENTS, PROPS, 3):
+            classes = [partitions[i] for i in parts]
+            for i in range(n):
+                assert _refine_masks(classes, masks, 1 << i) \
+                    == general_refinement(classes, masks, 1 << i)
+                count += 1
+        assert count == 4 + 2 * 128 + 3 * 8000
+
     def test_enumeration_order_is_unchanged(self):
         docs = [m.to_doc() for m in enumerate_models(AGENTS, PROPS, 3)]
         assert len(docs) == 8132
@@ -211,15 +273,16 @@ def hit_doc(hit):
 
 @pytest.fixture()
 def constructed(monkeypatch):
-    """Counts the `KripkeModel`s constructed."""
+    """Counts the `KripkeModel`s constructed: from names or from masks,
+    each construction ends in `_init_masks`."""
     built = []
-    post_init = KripkeModel.__post_init__
+    init_masks = KripkeModel._init_masks
 
-    def counting(self):
+    def counting(self, *args):
         built.append(self)
-        post_init(self)
+        init_masks(self, *args)
 
-    monkeypatch.setattr(KripkeModel, "__post_init__", counting)
+    monkeypatch.setattr(KripkeModel, "_init_masks", counting)
     return built
 
 
@@ -271,6 +334,13 @@ class TestAgainstPlainLoop:
             levels, classes = _refine(model, (1 << len(model.states)) - 1)
             assert model._whole_quotient.levels == levels
             assert list(model._whole_quotient.classes.values()) == classes
+
+    def test_candidates_derive_no_name_views(self, evaluators):
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert len(evaluators) == 1140
+        for model in evaluators:
+            assert "partitions" not in vars(model)
+            assert "valuation" not in vars(model)
 
     @pytest.mark.parametrize("text", ["p -> K a p", "K a p -> K b p",
                                       "~K c p -> K c ~p", THREE_STATES])

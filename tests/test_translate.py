@@ -5,11 +5,11 @@ import pytest
 
 from cogal.checker import Evaluator
 from cogal.formula import (
-    And, Atom, Fragment, Know, Not, PaBox, fragment, normalize,
-    parse, render, resugar,
+    And, Atom, Fragment, Know, Not, PaBox, _parts, _rebuild, fragment,
+    normalize, parse, render, resugar,
 )
 from cogal.harness import GenParams, random_formula, random_model
-from cogal.translate import _weight, translate
+from cogal.translate import _step, _weight, translate
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -94,7 +94,9 @@ class TestTermination:
 
         monkeypatch.setattr(module, "_step", checked_step)
         rng = random.Random("t-weight")
-        for _ in range(200):
+        # a call rewrites each distinct announcement once (`_t` memoises),
+        # so 300 formulas give the 1000 rewrites checked
+        for _ in range(300):
             f = random_formula(rng, ("a", "b"), ("p", "q"),
                                frag=Fragment.PAL, max_depth=4)
             translate(f)
@@ -114,3 +116,20 @@ class TestTermination:
         step = PaBox(And(big, PaBox(big, q)), r)
         assert size(step) >= size(outer)
         assert _weight(step) < _weight(outer)
+
+
+def unmemoised(f):
+    """`translate._t` as it was before memoisation: each occurrence of a
+    subformula rewritten afresh."""
+    if isinstance(f, PaBox):
+        return unmemoised(_step(f))
+    return _rebuild(f, [unmemoised(g) for g in _parts(f)])
+
+
+class TestMemo:
+    def test_memoised_rewrite_gives_the_same_node(self):
+        rng = random.Random("t-memo")
+        for _ in range(300):
+            f = random_formula(rng, ("a", "b"), ("p", "q"),
+                               frag=Fragment.PAL, max_depth=4)
+            assert translate(f) is unmemoised(normalize(f)), render(f)

@@ -17,10 +17,12 @@ from .checker import (
     eval_formula, extension,
 )
 from .translate import translate
+from .search import (
+    GenParams, SearchHit, enumerate_models, find_countermodel,
+    instantiation_pool, random_formula, random_model,
+)
 from .harness import (
-    GenParams, SearchHit, SuiteReport, axiom_suite, enumerate_models,
-    find_countermodel, instantiation_pool, prop4_countermodel, prop4_formula,
-    random_formula, random_model, train_model,
+    SuiteReport, axiom_suite, prop4_countermodel, prop4_formula, train_model,
 )
 
 __version__ = "0.1.0"

@@ -14,10 +14,9 @@ import sys
 
 from .checker import BindingError, Evaluator
 from .formula import ParseError, parse, render, resugar
-from .harness import (
-    GenParams, axiom_suite, find_countermodel, suite_item_names,
-)
+from .harness import axiom_suite, suite_item_names
 from .model import ModelError, bisim_contract, load_model, save_model, to_dot
+from .search import GenParams, find_countermodel
 from .translate import translate
 
 _EXIT_TRUE = 0

@@ -1,5 +1,6 @@
-"""Validity laboratory: random and exhaustive model generation, bounded
-countermodel search, and the axiom/property suite.
+"""Validity laboratory: the axiom/property suite and the shipped models.
+Model generation and countermodel search live in `cogal.search`; their
+public names are bound here too.
 
 Genuine validity for this language is undecidable, so the suite samples:
 axiom schemas are instantiated from a bounded canonical pool of epistemic
@@ -18,18 +19,18 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .checker import CertificateLog, Evaluator, _distinct_sets, _unions
 from .formula import (
-    And, Atom, Bot, CoalBox, CoalDia, Formula, Fragment, GroupBox, GroupDia,
-    Hole, Iff, Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia, Top,
-    agents_of, atoms, conjoin, instantiate, parse, render, size, substitute,
+    And, Atom, Bot, CoalBox, CoalDia, Formula, GroupBox, GroupDia, Hole, Iff,
+    Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia, Top, conjoin,
+    instantiate, parse, render,
 )
-from .model import (
-    KripkeModel, PointedModel, _Quotient, _bisim_key, _refine_masks,
-    _whole_quotient, validate,
+from .model import KripkeModel, _Quotient, _whole_quotient, validate
+from .search import (
+    GenParams, SearchHit, enumerate_models, find_countermodel,
+    instantiation_pool, random_formula, random_model, set_partitions,
 )
 from .translate import translate
 
@@ -40,327 +41,6 @@ __all__ = [
     "suite_item_names", "canonical_item_name",
     "prop4_formula", "prop4_countermodel", "prop4_verifies", "train_model",
 ]
-
-
-@dataclass(frozen=True)
-class GenParams:
-    """Bounds and seed for model generation and suite sampling."""
-
-    max_states: int = 4
-    agents: tuple = ("a", "b", "c")
-    props: tuple = ("p", "q")
-    seed: int = 0
-    count: int = 200
-
-    def __post_init__(self):
-        if self.max_states < 1:
-            raise ValueError("max_states must be at least 1")
-        if not self.agents or not self.props:
-            raise ValueError("agents and props must be non-empty")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
-        object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "props", tuple(self.props))
-
-
-def random_model(params: GenParams, index: int) -> KripkeModel:
-    """Deterministic random model: a pure function of (seed, index)."""
-    rng = random.Random(f"model:{params.seed}:{index}")
-    n = rng.randint(1, params.max_states)
-    states = tuple(f"s{i}" for i in range(n))
-    partitions = {}
-    for agent in params.agents:
-        block_count = rng.randint(1, n)
-        labels = list(range(block_count)) + [rng.randrange(block_count)
-                                             for _ in range(n - block_count)]
-        rng.shuffle(labels)
-        blocks: Dict[int, set] = {}
-        for s, lab in zip(states, labels):
-            blocks.setdefault(lab, set()).add(s)
-        ordered = []
-        seen = set()
-        for s, lab in zip(states, labels):
-            if lab not in seen:
-                seen.add(lab)
-                ordered.append(frozenset(blocks[lab]))
-        partitions[agent] = tuple(ordered)
-    valuation = {p: frozenset(s for s in states if rng.random() < 0.5)
-                 for p in params.props}
-    return KripkeModel(states, params.agents, params.props, partitions, valuation)
-
-
-def set_partitions(items: tuple) -> Iterator[list]:
-    """All partitions of the items into non-empty blocks, deterministic order."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-
-
-def _raw_models(n_agents: int, n_props: int, max_states: int) -> Iterator[tuple]:
-    """Every model of 1..max_states states over `n_agents` agents and
-    `n_props` propositions, as raw masks (state i is bit i): per state count
-    n, one (n, partitions, candidates) triple. `partitions` lists the
-    partitions of the n states in `set_partitions` order, each a tuple of
-    block masks. `candidates` yields (parts, masks) pairs in enumeration
-    order, lexicographic in parts + masks: `parts` holds each agent's
-    partition as an index into `partitions`, `masks` each proposition's
-    truth mask."""
-    for n in range(1, max_states + 1):
-        partitions = [tuple(sum(1 << i for i in block) for block in part)
-                      for part in set_partitions(tuple(range(n)))]
-        yield n, partitions, itertools.product(
-            itertools.product(range(len(partitions)), repeat=n_agents),
-            itertools.product(range(1 << n), repeat=n_props))
-
-
-def _builder(agents: tuple, props: tuple, n: int,
-             partitions: list) -> Callable[[tuple, tuple], KripkeModel]:
-    """Builds the validated model of a raw n-state candidate of
-    `_raw_models` straight from its masks, states named s0, s1, ... in
-    order."""
-    states = tuple(f"s{i}" for i in range(n))
-
-    def build(parts: tuple, masks: tuple) -> KripkeModel:
-        return KripkeModel._from_masks(
-            states, agents, props,
-            dict(zip(agents, [partitions[i] for i in parts])),
-            dict(zip(props, masks)))
-
-    return build
-
-
-def _least_of_orbits(n: int, partitions: list,
-                     candidates: Iterable[tuple]) -> Iterator[tuple]:
-    """The raw n-state candidates that no non-identity permutation of the
-    states maps to a lexicographically smaller (parts, masks). The image is
-    itself a candidate, and an isomorphic one, so these are exactly the first
-    candidate of each relabelling class in enumeration order.
-
-    A permutation that maps the agents' parts to smaller parts prunes every
-    valuation of them; one that maps them to larger parts prunes none; the
-    ones that fix them are then tried on the masks."""
-    index = {frozenset(part): i for i, part in enumerate(partitions)}
-    tables = []  # per non-identity permutation: partition and mask images
-    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
-        image = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
-        tables.append(([index[frozenset(image[b] for b in part)]
-                        for part in partitions], image))
-    last, fixing = None, None
-    for parts, masks in candidates:
-        if parts != last:
-            last, fixing = parts, []
-            for part_image, mask_image in tables:
-                moved = tuple(part_image[i] for i in parts)
-                if moved < parts:
-                    fixing = None
-                    break
-                if moved == parts:
-                    fixing.append(mask_image)
-        if fixing is None or any(tuple(image[m] for m in masks) < masks
-                                 for image in fixing):
-            continue
-        yield parts, masks
-
-
-def enumerate_models(agents, props, max_states: int) -> Iterator[KripkeModel]:
-    """Every model with 1..max_states states over the vocabulary, states named
-    s0, s1, ... in order. Models are not identified up to renaming: each is
-    yielded once per labelling, so an isomorphism class of n-state models
-    appears up to n! times (`find_countermodel` walks the same order, prunes
-    the relabellings and evaluates only the contracted candidates left, one
-    per class). Intended for small exhaustive sweeps (max_states <= 3)."""
-    agents = tuple(agents)
-    props = tuple(props)
-    for n, partitions, candidates in _raw_models(len(agents), len(props),
-                                                 max_states):
-        build = _builder(agents, props, n, partitions)
-        for parts, masks in candidates:
-            yield build(parts, masks)
-
-
-def random_formula(rng: random.Random, agents, props, *,
-                   frag: Fragment = Fragment.COGAL, max_depth: int = 3) -> Formula:
-    """Random formula over the vocabulary, inside the given fragment."""
-    agents = list(agents)
-    props = list(props)
-
-    def leaf():
-        r = rng.random()
-        if r < 0.08:
-            return Top()
-        atom = Atom(rng.choice(props))
-        return atom if r < 0.62 else Not(atom)
-
-    def group():
-        k = rng.randint(1, len(agents)) if rng.random() < 0.9 else 0
-        return frozenset(rng.sample(agents, k))
-
-    def gen(depth):
-        if depth <= 0 or rng.random() < 0.2:
-            return leaf()
-        kinds = ["not", "and", "or", "imp", "know", "know"]
-        if frag >= Fragment.PAL:
-            kinds += ["pabox", "padia"]
-        if frag >= Fragment.GAL:
-            kinds += ["gbox", "gdia"]
-        if frag >= Fragment.COGAL:
-            kinds += ["cbox", "cdia"]
-        kind = rng.choice(kinds)
-        if kind == "not":
-            return Not(gen(depth - 1))
-        if kind == "and":
-            return And(gen(depth - 1), gen(depth - 1))
-        if kind == "or":
-            return Or(gen(depth - 1), gen(depth - 1))
-        if kind == "imp":
-            return Imp(gen(depth - 1), gen(depth - 1))
-        if kind == "know":
-            return Know(rng.choice(agents), gen(depth - 1))
-        if kind == "pabox":
-            return PaBox(gen(depth - 1), gen(depth - 1))
-        if kind == "padia":
-            return PaDia(gen(depth - 1), gen(depth - 1))
-        if kind == "gbox":
-            return GroupBox(group(), gen(depth - 1))
-        if kind == "gdia":
-            return GroupDia(group(), gen(depth - 1))
-        if kind == "cbox":
-            return CoalBox(group(), gen(depth - 1))
-        return CoalDia(group(), gen(depth - 1))
-
-    return gen(max_depth)
-
-
-@lru_cache(maxsize=64)
-def instantiation_pool(agents: tuple, props: tuple) -> tuple:
-    """Canonical bounded pool of purely epistemic formulas over the
-    vocabulary: literals, knowledge and nested knowledge of literals, and
-    small conjunctions, so of weighted size at most 6 and modal depth at
-    most 2."""
-    literals: List[Formula] = [Top()]
-    for p in props:
-        literals += [Atom(p), Not(Atom(p))]
-    know1 = [Know(a, lit) for a in agents for lit in literals]
-    candidates: List[Formula] = []
-    candidates += literals
-    candidates += [And(x, y) for x in literals for y in literals]
-    candidates += know1
-    candidates += [Not(k) for k in know1]
-    candidates += [Know(a, k) for a in agents for k in know1]
-    candidates += [And(lit, k) for lit in literals for k in know1]
-    candidates += [Know(a, And(x, y)) for a in agents
-                   for x in literals for y in literals]
-    out = []
-    seen = set()
-    for f in candidates:
-        # repeated names in the vocabulary repeat candidates
-        if f in seen:
-            continue
-        seen.add(f)
-        out.append(f)
-    out.sort(key=lambda f: (size(f), render(f)))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    """Falsifying instance found by countermodel search."""
-
-    pointed: PointedModel
-    assignment: dict
-
-
-def find_countermodel(f: Formula, params: GenParams, *,
-                      schematic: Iterable[str] = (),
-                      pool: Optional[Iterable[Formula]] = None) -> Optional[SearchHit]:
-    """Search for a pointed model falsifying the formula within bounds.
-
-    Exhaustive over all models up to `max_states` states when that bound is
-    at most 3, otherwise over `count` seeded random models. Atoms listed in
-    `schematic` are instantiated with every combination from the pool.
-
-    Truth is invariant under bisimulation and renaming, so a candidate whose
-    quotient is isomorphic to that of an earlier candidate, which held
-    everywhere, is skipped unevaluated: the first hit is the one a candidate
-    by candidate search finds. The sampled branch names each model's class
-    by `_bisim_key`. The exhaustive branch walks the raw candidates of
-    `enumerate_models`: it drops relabellings of earlier candidates
-    (`_least_of_orbits`), refines the rest from their masks, and builds and
-    evaluates a model only for a contracted one, with no key. Among the
-    orbit-least candidates, which come in order of state count, that skips
-    exactly the ones whose class came earlier:
-    - contracted implies new: two contracted models with isomorphic
-      quotients are isomorphic, so an earlier candidate of the class would
-      lie in this one's relabelling orbit, and the orbit test keeps only the
-      first candidate of an orbit;
-    - not contracted implies held: the quotient has m < n states and is a
-      model over the same vocabulary, so its orbit-least relabelling came
-      earlier among the m-state candidates; that candidate is contracted,
-      so it was evaluated, and it held, or the search would have returned.
-    """
-    if params.max_states > 3 and params.count < 1:
-        raise ValueError("the sampled search needs at least one model")
-    schematic = tuple(schematic)
-    agents = tuple(params.agents) + tuple(
-        sorted(agents_of(f) - set(params.agents)))
-    concrete_atoms = atoms(f) - set(schematic)
-    props = tuple(params.props) + tuple(sorted(concrete_atoms - set(params.props)))
-    pool = tuple(pool) if pool is not None else instantiation_pool(agents, props)
-    if schematic and not pool:
-        raise ValueError("schematic atoms need at least one pool formula")
-    assignments = ([{}] if not schematic else
-                   [dict(zip(schematic, combo))
-                    for combo in itertools.product(pool, repeat=len(schematic))])
-    instances = [(assignment, substitute(f, assignment))
-                 for assignment in assignments]
-
-    def refuted(model: KripkeModel) -> Optional[SearchHit]:
-        ev = Evaluator(model)
-        for assignment, g in instances:
-            for state in model.states:
-                if not ev.eval(state, g):
-                    return SearchHit(PointedModel(model, state), dict(assignment))
-        return None
-
-    if params.max_states > 3:
-        gen = GenParams(max_states=params.max_states, agents=agents,
-                        props=props, seed=params.seed, count=params.count)
-        held = set()
-        for i in range(params.count):
-            model = random_model(gen, i)
-            key = _bisim_key(model)
-            if key in held:
-                continue
-            hit = refuted(model)
-            if hit is not None:
-                return hit
-            held.add(key)
-        return None
-    for n, partitions, candidates in _raw_models(len(agents), len(props),
-                                                 params.max_states):
-        build = _builder(agents, props, n, partitions)
-        whole = (1 << n) - 1
-        for parts, masks in _least_of_orbits(n, partitions, candidates):
-            refined = _refine_masks([partitions[i] for i in parts], masks,
-                                    whole)
-            if len(refined[0][-1]) < n:  # not contracted: an earlier class
-                continue
-            model = build(parts, masks)
-            _whole_quotient(model, refined)
-            hit = refuted(model)
-            if hit is not None:
-                return hit
-    return None
 
 
 # --- shipped models -------------------------------------------------------

@@ -351,14 +351,26 @@ def _refine_masks(class_masks: Iterable, truth_masks: Iterable,
     class masks of a partition and per proposition a truth mask.
 
     Returns (levels, classes). `levels` is the ladder of block-mask lists
-    from valuation equality (level 0) down to the coarsest bisimulation: each
-    level splits a block wherever two of its states' classes, for some agent,
-    meet different blocks of the level before. `classes` holds, per agent in
-    model order, the agent's classes in the quotient as saturated masks (the
-    union of the blocks a class meets), deduplicated in partition order.
+    from valuation equality (level 0, sorted) down to the coarsest
+    bisimulation: each level splits a block wherever two of its states'
+    classes, for some agent, meet different blocks of the level before.
+    `classes` holds, per agent in model order, the agent's classes in the
+    quotient as saturated masks (the union of the blocks a class meets),
+    deduplicated in partition order.
 
     A one-state `kept` is its own quotient: one block, one class per agent.
-    `kept` must be non-empty."""
+    `kept` must be non-empty.
+
+    Lemma: the result reads the truth masks only through the partition of
+    `kept` they induce (its states grouped by valuation). Level 0 is that
+    partition, sorted, and every later level and the classes are computed
+    from the class masks and the level before alone. So truth masks that
+    induce the same partition give equal results; in particular the
+    partition's own blocks, as truth masks, give the result of any
+    valuation that induces it, which the exhaustive search shares among
+    candidates. The order of the levels' lists is read by no caller that
+    depends on it: `_Quotient` sorts its blocks, and `chars` and
+    `_bisim_key` read them through maps and ranks."""
     if not kept & (kept - 1):
         return [[kept]], [(kept,) for _ in class_masks]
     classes = [[cut for c in agent_classes if (cut := c & kept)]
@@ -367,6 +379,7 @@ def _refine_masks(class_masks: Iterable, truth_masks: Iterable,
     for truth in truth_masks:
         blocks = [part for b in blocks for part in (b & truth, b & ~truth)
                   if part]
+    blocks.sort()
     levels = [blocks]
     while True:
         # only blocks of two or more states can split, or widen a class
@@ -466,13 +479,19 @@ class _Quotient:
         levels, classes = refined
         self.kept = kept
         self.levels = levels
-        self.blocks = sorted(((b & -b).bit_length() - 1, b) for b in levels[-1])
-        self.reps = 0
         self.rep_of = list(range(len(model.states)))
-        for rep, block in self.blocks:
-            self.reps |= 1 << rep
-            for i in _bits(block ^ 1 << rep):
-                self.rep_of[i] = rep
+        if not kept & (kept - 1):
+            # one state, as `_refine_masks` returns it: one block, its own rep
+            self.blocks = [(kept.bit_length() - 1, kept)]
+            self.reps = kept
+        else:
+            self.blocks = sorted(((b & -b).bit_length() - 1, b)
+                                 for b in levels[-1])
+            self.reps = 0
+            for rep, block in self.blocks:
+                self.reps |= 1 << rep
+                for i in _bits(block ^ 1 << rep):
+                    self.rep_of[i] = rep
         self.classes = dict(zip(model.agents, classes))
         self._names = model.states
         self._truth = model._truth_masks

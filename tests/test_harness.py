@@ -116,6 +116,11 @@ class TestPool:
         assert instantiation_pool(("a", "b"), ("p",)) \
             == instantiation_pool(("a", "b"), ("p",))
 
+    def test_any_iterables_give_the_cached_tuple(self):
+        pool = instantiation_pool(("a", "b"), ("p",))
+        assert instantiation_pool(["a", "b"], ["p"]) is pool
+        assert instantiation_pool((x for x in "ab"), iter(["p"])) is pool
+
 
 class TestSearch:
     def test_valid_formula_has_no_countermodel(self):

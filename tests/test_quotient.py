@@ -107,6 +107,40 @@ def test_decode_builds_what_the_names_build():
             == named_decode(model, quotient).to_doc()
 
 
+def general_quotient(model, kept, refined):
+    """`_Quotient.__init__` without its one-state case: the general path."""
+    levels, classes = refined
+    quotient = _Quotient.__new__(_Quotient)
+    quotient.kept = kept
+    quotient.levels = levels
+    quotient.blocks = sorted(((b & -b).bit_length() - 1, b)
+                             for b in levels[-1])
+    quotient.reps = 0
+    quotient.rep_of = list(range(len(model.states)))
+    for rep, block in quotient.blocks:
+        quotient.reps |= 1 << rep
+        for i in _bits(block ^ 1 << rep):
+            quotient.rep_of[i] = rep
+    quotient.classes = dict(zip(model.agents, classes))
+    quotient._names = model.states
+    quotient._truth = model._truth_masks
+    quotient._chars = None
+    return quotient
+
+
+def test_one_state_quotient_is_the_general_paths():
+    count = 0
+    for model in enumerate_models(("a", "b", "c"), ("p", "q"), 3):
+        for i in range(len(model.states)):
+            refined = _refine(model, 1 << i)
+            fast = _Quotient(model, 1 << i, refined)
+            general = general_quotient(model, 1 << i, refined)
+            for slot in _Quotient.__slots__:
+                assert getattr(fast, slot) == getattr(general, slot), slot
+            count += 1
+    assert count == 4 + 2 * 128 + 3 * 8000
+
+
 def test_evidence_and_certificates_build_no_model(monkeypatch):
     """A witness, a refutation and a certified run on the splitting
     countermodel construct no `KripkeModel` once the model is loaded."""

@@ -4,26 +4,31 @@ bisimulation quotients are isomorphic.
 `model._bisim_key` names the class in the sampled search; these tests hold
 it to a brute-force canonical form, and `find_countermodel` to the
 candidate-by-candidate loop it replaced. The exhaustive search works on raw
-candidates and computes no key: it drops relabellings of earlier candidates,
-refines the rest from their masks, and builds a model only for a contracted
-one. The tests hold each step to the model-level form it stands for, and
-the contracted test to the key: among the orbit-least candidates, the
-contracted ones are exactly the first of each class."""
+candidates and computes no key: `search._classes` walks the agents' parts
+first, drops relabellings of earlier candidates, refines once per parts and
+level-0 partition, and yields only the contracted candidates, from which a
+model is built. The tests hold each step to the model-level form it stands
+for, the walk to the orbit test it replaced (`_least_of_orbits` below, then
+the contracted test), and the contracted test to the key: among the
+orbit-least candidates, the contracted ones are exactly the first of each
+class."""
 
 import itertools
+from typing import Iterable, Iterator
 
 import pytest
 
-import cogal.harness as harness
+import cogal.search as search
 from cogal.checker import Evaluator
 from cogal.formula import Atom, Know, agents_of, atoms, parse, substitute
-from cogal.harness import (
-    GenParams, _builder, _least_of_orbits, _raw_models, enumerate_models,
-    find_countermodel, instantiation_pool, random_model, set_partitions,
-)
 from cogal.model import (
     KripkeModel, PointedModel, _bisim_key, _refine, _refine_masks,
     bisim_contract, is_contracted,
+)
+from cogal.search import (
+    GenParams, _builder, _classes, _mask_partitions, _raw_models,
+    enumerate_models, find_countermodel, instantiation_pool, random_model,
+    set_partitions,
 )
 
 AGENTS = ("a", "b", "c")
@@ -126,6 +131,7 @@ def general_refinement(class_masks, truth_masks, kept):
     for truth in truth_masks:
         blocks = [part for b in blocks for part in (b & truth, b & ~truth)
                   if part]
+    blocks.sort()
     levels = [blocks]
     while True:
         big = [b for b in blocks if b & (b - 1)]
@@ -150,6 +156,62 @@ def general_refinement(class_masks, truth_masks, kept):
             return levels, [tuple(groups) for groups in saturated]
         blocks = [b for b in blocks if not b & (b - 1)] + parts
         levels.append(blocks)
+
+
+def _least_of_orbits(n: int, partitions: list,
+                     candidates: Iterable[tuple]) -> Iterator[tuple]:
+    """The raw n-state candidates that no non-identity permutation of the
+    states maps to a lexicographically smaller (parts, masks). The image is
+    itself a candidate, and an isomorphic one, so these are exactly the first
+    candidate of each relabelling class in enumeration order. The search ran
+    this orbit test over every raw candidate before it walked parts first.
+
+    A permutation that maps the agents' parts to smaller parts prunes every
+    valuation of them; one that maps them to larger parts prunes none; the
+    ones that fix them are then tried on the masks."""
+    index = {frozenset(part): i for i, part in enumerate(partitions)}
+    tables = []  # per non-identity permutation: partition and mask images
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        image = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(([index[frozenset(image[b] for b in part)]
+                        for part in partitions], image))
+    last, fixing = None, None
+    for parts, masks in candidates:
+        if parts != last:
+            last, fixing = parts, []
+            for part_image, mask_image in tables:
+                moved = tuple(part_image[i] for i in parts)
+                if moved < parts:
+                    fixing = None
+                    break
+                if moved == parts:
+                    fixing.append(mask_image)
+        if fixing is None or any(tuple(image[m] for m in masks) < masks
+                                 for image in fixing):
+            continue
+        yield parts, masks
+
+
+def orbit_walk(agents, props, max_states):
+    """(n, parts, masks, refined) for each candidate the orbit test keeps,
+    in order, with its refinement over all n states."""
+    for n, partitions, candidates in _raw_models(len(agents), len(props),
+                                                 max_states):
+        for parts, masks in _least_of_orbits(n, partitions, candidates):
+            yield n, parts, masks, _refine_masks(
+                [partitions[i] for i in parts], masks, (1 << n) - 1)
+
+
+def level0(n, masks):
+    """The states grouped by valuation, as sorted block masks."""
+    blocks = {}
+    for i in range(n):
+        key = tuple(m >> i & 1 for m in masks)
+        blocks[key] = blocks.get(key, 0) | 1 << i
+    return sorted(blocks.values())
 
 
 class TestRawCandidates:
@@ -200,27 +262,55 @@ class TestRawCandidates:
             count += 1
         assert count == 8132
 
+    def test_refinement_reads_only_the_level0_partition(self):
+        # the lemma of `_refine_masks`: the blocks of the partition the
+        # truth masks induce, as truth masks, give the same refinement
+        count = 0
+        for n, partitions, parts, masks in raw_candidates(AGENTS, PROPS, 3):
+            classes = [partitions[i] for i in parts]
+            whole = (1 << n) - 1
+            assert _refine_masks(classes, masks, whole) \
+                == _refine_masks(classes, level0(n, masks), whole)
+            count += 1
+        assert count == 8132
+
     def test_contracted_orbit_least_candidates_are_the_classes(self):
         # the lemma of `find_countermodel`: among the orbit-least candidates,
         # a contracted one starts a new class, and any other one's class was
         # started by an earlier contracted one
         keys = set()
         count = 0
-        for n, partitions, candidates in _raw_models(len(AGENTS), len(PROPS),
-                                                     3):
-            build = _builder(AGENTS, PROPS, n, partitions)
-            for parts, masks in _least_of_orbits(n, partitions, candidates):
-                refined = _refine_masks([partitions[i] for i in parts], masks,
-                                        (1 << n) - 1)
-                model = build(parts, masks)
-                contracted = len(refined[0][-1]) == n
-                assert contracted == is_contracted(model)
-                key = _bisim_key(model)
-                assert (key not in keys) == contracted
-                keys.add(key)
-                count += 1
+        builders = {}
+        for n, parts, masks, refined in orbit_walk(AGENTS, PROPS, 3):
+            if n not in builders:
+                builders[n] = _builder(AGENTS, PROPS, n, _mask_partitions(n))
+            model = builders[n](parts, masks)
+            contracted = len(refined[0][-1]) == n
+            assert contracted == is_contracted(model)
+            key = _bisim_key(model)
+            assert (key not in keys) == contracted
+            keys.add(key)
+            count += 1
         assert count == 1644
         assert len(keys) == 1140
+
+    def test_parts_first_walk_is_the_contracted_orbit_walk(self):
+        # same candidates, same order, same refinements: the first hit of
+        # the search is unchanged
+        walked = [(n, parts, masks, refined) for n in range(1, 4)
+                  for parts, masks, refined in _classes(
+                      n, _mask_partitions(n), len(AGENTS), len(PROPS))]
+        assert walked == [(n, parts, masks, refined)
+                          for n, parts, masks, refined
+                          in orbit_walk(AGENTS, PROPS, 3)
+                          if len(refined[0][-1]) == n]
+        assert len(walked) == 1140
+
+    @pytest.mark.parametrize("n, count", [(1, 4), (2, 48), (3, 1088),
+                                          (4, 30105)])
+    def test_classes_per_state_count(self, n, count):
+        assert sum(1 for _ in _classes(n, _mask_partitions(n), len(AGENTS),
+                                       len(PROPS))) == count
 
     def test_orbit_test_keeps_the_first_of_each_relabelling_class(self):
         first = {}
@@ -228,10 +318,7 @@ class TestRawCandidates:
             code = relabelling_canonical(n, partitions, parts, masks)
             first.setdefault(code, (n, parts, masks))
         pruned = [(n, parts, masks)
-                  for n, partitions, candidates in _raw_models(
-                      len(AGENTS), len(PROPS), 3)
-                  for parts, masks in _least_of_orbits(n, partitions,
-                                                       candidates)]
+                  for n, parts, masks, _ in orbit_walk(AGENTS, PROPS, 3)]
         assert pruned == list(first.values())
         assert len(pruned) == 1644
 
@@ -260,7 +347,7 @@ def plain_countermodel(f, params, *, schematic=(), pool=None):
         for assignment, g in instances:
             for state in model.states:
                 if not ev.eval(state, g):
-                    return harness.SearchHit(PointedModel(model, state),
+                    return search.SearchHit(PointedModel(model, state),
                                              dict(assignment))
     return None
 
@@ -296,7 +383,7 @@ def evaluators(monkeypatch):
             built.append(model)
             super().__init__(model, **kwargs)
 
-    monkeypatch.setattr(harness, "Evaluator", Counting)
+    monkeypatch.setattr(search, "Evaluator", Counting)
     return built
 
 
@@ -320,7 +407,7 @@ class TestAgainstPlainLoop:
         def refuse(model):
             raise AssertionError("the exhaustive search keyed a model")
 
-        monkeypatch.setattr(harness, "_bisim_key", refuse)
+        monkeypatch.setattr(search, "_bisim_key", refuse)
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None
         assert len(evaluators) == 1140
 

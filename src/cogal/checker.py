@@ -283,12 +283,12 @@ class Evaluator:
 
     Holds the contracted restrictions reached so far, as `model._Quotient`s
     keyed by their kept masks of root states, and the caches kept per
-    restriction: the memo table, each agent's class unions, the choice sets
-    and the certificates already checked. Every restriction is contracted,
-    so the quantifier rule enumerates exactly the announcements expressible
-    there. With `certify=True` every distinct announcement choice
-    enumerated by the quantifier rule is checked against its realizing
-    formula.
+    restriction: the memo table, each agent's class unions, the choice sets,
+    the characteristic formulas and the certificates already checked. Every
+    restriction is contracted, so the quantifier rule enumerates exactly
+    the announcements expressible there. With `certify=True` every distinct
+    announcement choice enumerated by the quantifier rule is checked
+    against its realizing formula.
     """
 
     def __init__(self, model: KripkeModel, *, certify: bool = False):
@@ -304,6 +304,7 @@ class Evaluator:
         self._memo = {}
         self._option_cache = {}
         self._choice_set_cache = {}
+        self._char_tables = {}
         self.certify = certify
         self.certificates = CertificateLog()
         self._cert_seen = set()
@@ -346,8 +347,7 @@ class Evaluator:
         if won is not None:
             return Verdict(True,
                            witness_choice=self._choice(f.group, won),
-                           witness_formula=q.realize(
-                               zip(self._members(f.group), won)))
+                           witness_formula=self._realize(q, f.group, won))
         if isinstance(f, GroupDia):
             return Verdict(False)
         first = self._first_set(q, s, f.group)[0]
@@ -364,10 +364,24 @@ class Evaluator:
                           if not self._holds_after(q, kept, s, f.body))
         return Verdict(False,
                        refutation_choice=self._choice(opponents, defeat),
-                       refutation_formula=q.realize(
-                           zip(self._members(opponents), defeat)))
+                       refutation_formula=self._realize(q, opponents, defeat))
 
     # -- internals ---------------------------------------------------------
+
+    def _share(self, quotients: Dict[int, _Quotient]) -> None:
+        """Keep restrictions in a group's cache (`search._classes`)."""
+        if quotients.get(self._root_quotient.kept) is not self._root_quotient:
+            raise ValueError("a shared cache must hold the model's own quotient")
+        self._quotients = quotients
+
+    def _realize(self, q: _Quotient, group, choice: tuple) -> Formula:
+        """The announcement formula of a choice on the restriction."""
+        chars = self._char_tables.get(q.kept)
+        if chars is None:
+            chars = self._char_tables[q.kept] = (
+                self._root._chars if q is self._root_quotient
+                else q.chars(self._root))
+        return q.realize(chars, zip(self._members(group), choice))
 
     def _states(self, mask: int) -> frozenset:
         return self._root._named(mask)
@@ -586,7 +600,7 @@ class Evaluator:
         for part in choice:
             expected &= part
         try:
-            got = self._where(q, q.realize(zip(self._members(group), choice)))
+            got = self._where(q, self._realize(q, group, choice))
         except ModelError as exc:
             problem = f"realization failed: {exc}"
         else:

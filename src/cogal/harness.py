@@ -27,7 +27,7 @@ from .formula import (
     Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia, Top, conjoin,
     instantiate, parse, render,
 )
-from .model import KripkeModel, _Quotient, _whole_quotient, validate
+from .model import KripkeModel, _whole_quotient, validate
 from .search import (
     GenParams, SearchHit, enumerate_models, find_countermodel,
     instantiation_pool, random_formula, random_model, set_partitions,
@@ -203,11 +203,8 @@ _RunResult = Tuple[int, List[_Failure], Optional[dict]]
 
 
 def _subsets(agents: tuple) -> List[frozenset]:
-    out = []
-    for r in range(len(agents) + 1):
-        for combo in itertools.combinations(agents, r):
-            out.append(frozenset(combo))
-    return out
+    return [frozenset(combo) for r in range(len(agents) + 1)
+            for combo in itertools.combinations(agents, r)]
 
 
 def _draw(rng: random.Random, pool: tuple) -> Formula:
@@ -525,16 +522,18 @@ def _necessity_forms(model, rng, pool):
     ]
 
 
-def _announcements(q: _Quotient, members: list) -> List[Formula]:
-    """One realized announcement of the members per distinct choice set on
+def _announcements(model: KripkeModel, group) -> List[Formula]:
+    """One realized announcement of the group per distinct choice set on
     the model's quotient (`_distinct_sets` over all unions of each member's
     classes, the empty one included): the first choice that yields it,
     members in model order, the last varying fastest, each one's unions by
     size, ties broken by class positions."""
+    q, chars = _whole_quotient(model), model._chars
+    members = [a for a in model.agents if a in group]
     options = [_unions(q.classes[a], [(c & q.reps).bit_count()
                                       for c in q.classes[a]])
                for a in members]
-    return [q.realize(zip(members, choice))
+    return [q.realize(chars, zip(members, choice))
             for _, choice in _distinct_sets(q.kept, options)]
 
 
@@ -554,17 +553,15 @@ def _r_quantifier(coalition: bool) -> Callable:
     def cases(model, ev, rng, pool):
         if len(model.states) > 3:
             return
-        q = _whole_quotient(model)
 
         def everywhere(f):
             return all(ev.eval(s, f) for s in model.states)
 
         groups = [g for g in _subsets(model.agents) if len(g) <= 2]
         for group in groups[:4]:
-            own = _announcements(q, [a for a in model.agents if a in group])
+            own = _announcements(model, group)
             if coalition:
-                other = _announcements(q, [a for a in model.agents
-                                           if a not in group])
+                other = _announcements(model, set(model.agents) - group)
             for form, fnote in _necessity_forms(model, rng, pool)[:2]:
                 for goal in (Top(), _draw(rng, pool)):
                     if coalition:

@@ -176,6 +176,11 @@ class KripkeModel:
         """Per proposition, its truth set as a frozenset of state names."""
         return {p: self._named(m) for p, m in self._truth_masks.items()}
 
+    @cached_property
+    def _chars(self) -> dict:
+        """The whole quotient's characteristic formulas (`_Quotient.chars`)."""
+        return _whole_quotient(self).chars(self)
+
     def _named(self, mask: int) -> frozenset:
         """The names of the states in a mask."""
         names = self.states
@@ -367,9 +372,10 @@ def _refine_masks(class_masks: Iterable, truth_masks: Iterable,
     from the class masks and the level before alone. So truth masks that
     induce the same partition give equal results; in particular the
     partition's own blocks, as truth masks, give the result of any
-    valuation that induces it, which the exhaustive search shares among
-    candidates. The order of the levels' lists is read by no caller that
-    depends on it: `_Quotient` sorts its blocks, and `chars` and
+    valuation that induces it. A partition of all states fixes the one of
+    every `kept`, so the exhaustive search shares all quotients among the
+    candidates that induce it. The order of the levels' lists is read by no
+    caller that depends on it: `_Quotient` sorts its blocks, and `chars` and
     `_bisim_key` read them through maps and ranks."""
     if not kept & (kept - 1):
         return [[kept]], [(kept,) for _ in class_masks]
@@ -470,10 +476,11 @@ class _Quotient:
     kept state to the rep of its block. `classes` holds each agent's classes,
     in model order, as unions of blocks. The contracted restriction's states
     are the reps, in ascending order.
+    It holds no valuation, so models that refine `kept` alike may share it;
+    `chars` and `decode` read the valuation of the model they are given.
     """
 
-    __slots__ = ("kept", "levels", "blocks", "reps", "rep_of", "classes",
-                 "_names", "_truth", "_chars")
+    __slots__ = ("kept", "levels", "blocks", "reps", "rep_of", "classes")
 
     def __init__(self, model: KripkeModel, kept: int, refined: tuple):
         levels, classes = refined
@@ -493,9 +500,6 @@ class _Quotient:
                 for i in _bits(block ^ 1 << rep):
                     self.rep_of[i] = rep
         self.classes = dict(zip(model.agents, classes))
-        self._names = model.states
-        self._truth = model._truth_masks
-        self._chars = None
 
     def reps_meeting(self, mask: int) -> int:
         """Reps of the blocks that meet a mask of kept states."""
@@ -506,16 +510,15 @@ class _Quotient:
             out |= 1 << self.rep_of[i]
         return out
 
-    def chars(self) -> dict:
+    def chars(self, model: KripkeModel) -> dict:
         """Rep -> characteristic formula: a purely epistemic formula whose
-        extension in the contracted restriction is exactly the rep. Built
-        once, from the ladder: two reps are told apart at the first level
-        that separates them, by the first proposition in model order on
-        which they differ (level 0) or else by the first agent in model
+        extension in the contracted restriction of the model is exactly the
+        rep. Built from the ladder: two reps are told apart at the first
+        level that separates them, by the first proposition in model order
+        on which they differ (level 0) or else by the first agent in model
         order whose classes meet different blocks of the level before."""
-        if self._chars is not None:
-            return self._chars
         reps = self.reps
+        truths = model._truth_masks
         # per level, rep -> its block; per agent, rep -> the reps of its class
         block_at = [{r: b for b in level for r in _bits(b & reps)}
                     for level in self.levels]
@@ -533,7 +536,7 @@ class _Quotient:
             while block_at[k][s] == block_at[k][t]:
                 k += 1
             if k == 0:
-                p, truth = next((p, truth) for p, truth in self._truth.items()
+                p, truth = next((p, truth) for p, truth in truths.items()
                                 if (truth >> s ^ truth >> t) & 1)
                 out = Atom(p) if truth >> s & 1 else Not(Atom(p))
             else:
@@ -556,31 +559,30 @@ class _Quotient:
             memo[s, t] = out
             return out
 
-        self._chars = {}
+        chars = {}
         for s in _bits(reps):
             parts = [delta(s, t) for t in _bits(reps) if t != s]
-            self._chars[s] = conjoin(parts) if parts else Top()
-        return self._chars
+            chars[s] = conjoin(parts) if parts else Top()
+        return chars
 
-    def realize(self, pairs: Iterable) -> Formula:
+    def realize(self, chars: dict, pairs: Iterable) -> Formula:
         """The announcement formula of a choice given as (agent, mask)
         pairs, each mask a union of the agent's classes: one knowledge
         conjunct per pair, in order, each the disjunction of the
-        characteristic formulas of the reps in its mask."""
+        characteristic formulas (`chars`) of the reps in its mask."""
         parts = []
         for agent, mask in pairs:
             for c in self.classes[agent]:
                 if c & mask and c & mask != c:
                     raise ModelError(f"choice for agent {agent!r} is not a union "
                                      f"of that agent's equivalence classes")
-            chars = self.chars()
             parts.append(Know(agent, disjoin(chars[r]
                                              for r in _bits(mask & self.reps))))
         return conjoin(parts) if parts else Top()
 
-    def decode(self) -> KripkeModel:
-        """The contracted restriction as a model, states named by reps: the
-        reps, in ascending order, re-indexed as bits 0, 1, ... of its
+    def decode(self, model: KripkeModel) -> KripkeModel:
+        """The contracted restriction of the model, states named by reps:
+        the reps, in ascending order, re-indexed as bits 0, 1, ... of its
         masks."""
         order = _bits(self.reps)
         index = {r: j for j, r in enumerate(order)}
@@ -592,27 +594,26 @@ class _Quotient:
             return out
 
         return KripkeModel._from_masks(
-            tuple(self._names[r] for r in order), tuple(self.classes),
-            tuple(self._truth),
+            tuple(model.states[r] for r in order), model.agents, model.props,
             {agent: tuple(packed(c) for c in agent_classes)
              for agent, agent_classes in self.classes.items()},
-            {p: packed(truth) for p, truth in self._truth.items()})
+            {p: packed(truth) for p, truth in model._truth_masks.items()})
 
 
-def _whole_quotient(model: KripkeModel, refined: Optional[tuple] = None
+def _whole_quotient(model: KripkeModel, shared: Optional[_Quotient] = None
                     ) -> _Quotient:
     """The quotient of the whole model, built once per model: evaluators of
-    the model, the public contraction API and `_bisim_key` share it and its
-    characteristic formulas. `refined`, when given, is the model's
-    refinement as `_refine_masks` computed it from the masks the model was
-    built from; it spares refining the model again."""
+    the model, the public contraction API and `_bisim_key` share it.
+    `shared`, when given, is adopted instead: the quotient of a model that
+    refines alike, as the exhaustive search shares it."""
     try:
         return model._whole_quotient
     except AttributeError:
-        whole = (1 << len(model.states)) - 1
-        quotient = _Quotient(model, whole, refined or _refine(model, whole))
-        object.__setattr__(model, "_whole_quotient", quotient)
-        return quotient
+        if shared is None:
+            whole = (1 << len(model.states)) - 1
+            shared = _Quotient(model, whole, _refine(model, whole))
+        object.__setattr__(model, "_whole_quotient", shared)
+        return shared
 
 
 def is_contracted(model: KripkeModel) -> bool:
@@ -627,18 +628,18 @@ def bisim_contract(model: KripkeModel) -> ContractionMap:
     quotient, under the identity mapping."""
     quotient = _whole_quotient(model)
     names = model.states
-    contracted = model if is_contracted(model) else quotient.decode()
+    contracted = model if is_contracted(model) else quotient.decode(model)
     return ContractionMap(model, contracted,
                           {s: names[r] for s, r in zip(names, quotient.rep_of)})
 
 
 # --- characteristic formulas ---------------------------------------------------
 
-def _contracted(model: KripkeModel) -> _Quotient:
+def _contracted(model: KripkeModel) -> dict:
     if not is_contracted(model):
         raise ModelError("model is not bisimulation-contracted; distinct "
                          "bisimilar states admit no distinguishing formula")
-    return _whole_quotient(model)
+    return model._chars
 
 
 def char_formula(model: KripkeModel, state: str) -> Formula:
@@ -646,7 +647,7 @@ def char_formula(model: KripkeModel, state: str) -> Formula:
     the given state."""
     if state not in model._position:
         raise ModelError(f"unknown state {state!r}")
-    return _contracted(model).chars()[model._position[state]]
+    return _contracted(model)[model._position[state]]
 
 
 def realize_choice(model: KripkeModel, w: str, group: Iterable[str],
@@ -663,7 +664,6 @@ def realize_choice(model: KripkeModel, w: str, group: Iterable[str],
     unknown = members - set(model.agents)
     if unknown:
         raise ModelError(f"choice mentions unknown agents {sorted(unknown)}")
-    quotient = _contracted(model)
 
     def masks():
         for agent in model.agents:
@@ -680,7 +680,7 @@ def realize_choice(model: KripkeModel, w: str, group: Iterable[str],
                 mask |= 1 << i
             yield agent, mask
 
-    return quotient.realize(masks())
+    return _whole_quotient(model).realize(_contracted(model), masks())
 
 
 # --- DOT export -----------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
@@ -21,7 +21,8 @@ from .formula import (
     substitute,
 )
 from .model import (
-    KripkeModel, PointedModel, _bisim_key, _refine_masks, _whole_quotient,
+    KripkeModel, PointedModel, _Quotient, _bisim_key, _refine_masks,
+    _whole_quotient,
 )
 
 
@@ -59,16 +60,11 @@ def random_model(params: GenParams, index: int) -> KripkeModel:
         labels = list(range(block_count)) + [rng.randrange(block_count)
                                              for _ in range(n - block_count)]
         rng.shuffle(labels)
+        # blocks in order of their first state
         blocks: Dict[int, set] = {}
         for s, lab in zip(states, labels):
             blocks.setdefault(lab, set()).add(s)
-        ordered = []
-        seen = set()
-        for s, lab in zip(states, labels):
-            if lab not in seen:
-                seen.add(lab)
-                ordered.append(frozenset(blocks[lab]))
-        partitions[agent] = tuple(ordered)
+        partitions[agent] = tuple(map(frozenset, blocks.values()))
     valuation = {p: frozenset(s for s in states if rng.random() < 0.5)
                  for p in params.props}
     return KripkeModel(states, params.agents, params.props, partitions, valuation)
@@ -114,18 +110,19 @@ def _classes(n: int, partitions: list, n_agents: int,
     n-state models, with its refinement: the contracted candidates that no
     non-identity permutation of the states maps to a lexicographically
     smaller (parts, masks), in enumeration order, as (parts, masks,
-    refined) triples, `refined` being `_refine_masks` of the candidate over
-    all n states. A permuted candidate is itself a candidate, and an
-    isomorphic one, so these are the first candidate of each relabelling
-    orbit that are contracted.
+    refined, quotients), `refined` being `_refine_masks` of the candidate
+    over all n states and `quotients` its group's restriction cache (kept
+    mask -> `_Quotient`), empty for the caller to fill. A permuted
+    candidate is itself a candidate, and an isomorphic one, so these are
+    the first candidate of each relabelling orbit that are contracted.
 
     Parts first: a permutation that maps the agents' parts to smaller parts
     prunes every valuation of them unseen; one that maps them to larger
     parts prunes none; the ones that fix them, the stabiliser, are tried on
     the masks. The refinement reads the truth masks only through their
     level-0 partition (the lemma of `_refine_masks`), so it is computed once
-    per surviving parts and level-0 partition, and shared by every
-    valuation that induces it."""
+    per surviving parts and level-0 partition and shared, with a cache
+    that lives until the parts are done, by every valuation inducing it."""
     whole = (1 << n) - 1
     index = {frozenset(part): i for i, part in enumerate(partitions)}
     tables = []  # per non-identity permutation: partition and mask images
@@ -158,17 +155,17 @@ def _classes(n: int, partitions: list, n_agents: int,
                 fixing.append(mask_image)
         else:
             classes = [partitions[i] for i in parts]
-            refinements = []  # per level-0 partition; None if not contracted
+            groups = []  # per level-0 partition; None if not contracted
             for partition in level0:
                 refined = _refine_masks(classes, partition, whole)
-                refinements.append(refined if len(refined[0][-1]) == n
-                                   else None)
+                groups.append((refined, {}) if len(refined[0][-1]) == n
+                              else None)
             for masks, k in zip(valuations, level0_at):
-                refined = refinements[k]
-                if refined is None or any(tuple(image[m] for m in masks)
-                                          < masks for image in fixing):
+                group = groups[k]
+                if group is None or any(tuple(image[m] for m in masks)
+                                        < masks for image in fixing):
                     continue
-                yield parts, masks, refined
+                yield (parts, masks) + group
 
 
 def _builder(agents: tuple, props: tuple, n: int,
@@ -203,6 +200,11 @@ def enumerate_models(agents, props, max_states: int) -> Iterator[KripkeModel]:
             yield build(parts, masks)
 
 
+_BINARY = {"and": And, "or": Or, "imp": Imp, "pabox": PaBox, "padia": PaDia}
+_QUANTIFIERS = {"gbox": GroupBox, "gdia": GroupDia, "cbox": CoalBox,
+                "cdia": CoalDia}
+
+
 def random_formula(rng: random.Random, agents, props, *,
                    frag: Fragment = Fragment.COGAL, max_depth: int = 3) -> Formula:
     """Random formula over the vocabulary, inside the given fragment."""
@@ -233,25 +235,11 @@ def random_formula(rng: random.Random, agents, props, *,
         kind = rng.choice(kinds)
         if kind == "not":
             return Not(gen(depth - 1))
-        if kind == "and":
-            return And(gen(depth - 1), gen(depth - 1))
-        if kind == "or":
-            return Or(gen(depth - 1), gen(depth - 1))
-        if kind == "imp":
-            return Imp(gen(depth - 1), gen(depth - 1))
         if kind == "know":
             return Know(rng.choice(agents), gen(depth - 1))
-        if kind == "pabox":
-            return PaBox(gen(depth - 1), gen(depth - 1))
-        if kind == "padia":
-            return PaDia(gen(depth - 1), gen(depth - 1))
-        if kind == "gbox":
-            return GroupBox(group(), gen(depth - 1))
-        if kind == "gdia":
-            return GroupDia(group(), gen(depth - 1))
-        if kind == "cbox":
-            return CoalBox(group(), gen(depth - 1))
-        return CoalDia(group(), gen(depth - 1))
+        if kind in _QUANTIFIERS:
+            return _QUANTIFIERS[kind](group(), gen(depth - 1))
+        return _BINARY[kind](gen(depth - 1), gen(depth - 1))
 
     return gen(max_depth)
 
@@ -280,14 +268,8 @@ def _pool(agents: tuple, props: tuple) -> tuple:
     candidates += [And(lit, k) for lit in literals for k in know1]
     candidates += [Know(a, And(x, y)) for a in agents
                    for x in literals for y in literals]
-    out = []
-    seen = set()
-    for f in candidates:
-        # repeated names in the vocabulary repeat candidates
-        if f in seen:
-            continue
-        seen.add(f)
-        out.append(f)
+    # repeated names in the vocabulary repeat candidates
+    out = list(dict.fromkeys(candidates))
     out.sort(key=lambda f: (size(f), render(f)))
     return tuple(out)
 
@@ -317,7 +299,8 @@ def find_countermodel(f: Formula, params: GenParams, *,
     it walks `_classes`, which keeps, in the order of `enumerate_models`,
     the raw candidates that are orbit-least (no relabelling came earlier)
     and contracted, each with its refinement, and it builds and evaluates a
-    model only for those. Among the orbit-least candidates, which come in
+    model only for those, sharing one whole quotient and one restriction
+    cache per group. Among the orbit-least candidates, which come in
     order of state count, that skips exactly the ones whose class came
     earlier:
     - contracted implies new: two contracted models with isomorphic
@@ -332,11 +315,13 @@ def find_countermodel(f: Formula, params: GenParams, *,
     if params.max_states > 3 and params.count < 1:
         raise ValueError("the sampled search needs at least one model")
     schematic = tuple(schematic)
-    agents = tuple(params.agents) + tuple(
-        sorted(agents_of(f) - set(params.agents)))
-    concrete_atoms = atoms(f) - set(schematic)
+    # the names of the formula and of a given pool widen the vocabulary
+    given = () if pool is None else tuple(pool)
+    agents = tuple(params.agents) + tuple(sorted(
+        agents_of(f).union(*map(agents_of, given)) - set(params.agents)))
+    concrete_atoms = (atoms(f) - set(schematic)).union(*map(atoms, given))
     props = tuple(params.props) + tuple(sorted(concrete_atoms - set(params.props)))
-    pool = tuple(pool) if pool is not None else instantiation_pool(agents, props)
+    pool = given if pool is not None else instantiation_pool(agents, props)
     if schematic and not pool:
         raise ValueError("schematic atoms need at least one pool formula")
     assignments = ([{}] if not schematic else
@@ -345,8 +330,10 @@ def find_countermodel(f: Formula, params: GenParams, *,
     instances = [(assignment, substitute(f, assignment))
                  for assignment in assignments]
 
-    def refuted(model: KripkeModel) -> Optional[SearchHit]:
+    def refuted(model: KripkeModel, quotients=None) -> Optional[SearchHit]:
         ev = Evaluator(model)
+        if quotients is not None:
+            ev._share(quotients)
         for assignment, g in instances:
             for state in model.states:
                 if not ev.eval(state, g):
@@ -354,8 +341,7 @@ def find_countermodel(f: Formula, params: GenParams, *,
         return None
 
     if params.max_states > 3:
-        gen = GenParams(max_states=params.max_states, agents=agents,
-                        props=props, seed=params.seed, count=params.count)
+        gen = replace(params, agents=agents, props=props)
         held = set()
         for i in range(params.count):
             model = random_model(gen, i)
@@ -370,11 +356,14 @@ def find_countermodel(f: Formula, params: GenParams, *,
     for n in range(1, params.max_states + 1):
         partitions = _mask_partitions(n)
         build = _builder(agents, props, n, partitions)
-        for parts, masks, refined in _classes(n, partitions, len(agents),
-                                              len(props)):
+        whole = (1 << n) - 1
+        for parts, masks, refined, quotients in _classes(
+                n, partitions, len(agents), len(props)):
             model = build(parts, masks)
-            _whole_quotient(model, refined)
-            hit = refuted(model)
+            if not quotients:
+                quotients[whole] = _Quotient(model, whole, refined)
+            _whole_quotient(model, quotients[whole])
+            hit = refuted(model, quotients)
             if hit is not None:
                 return hit
     return None

@@ -334,7 +334,6 @@ class TestQuantifierRuleAnnouncements:
             model = random_model(params, index)
             contracted = bisim_contract(model).contracted
             anchor = contracted.states[0]
-            q = _whole_quotient(model)
             # one evaluator per side, so neither reads the other's memo
             ev_full, ev_dedup = Evaluator(model), Evaluator(model)
             pool = instantiation_pool(model.agents, model.props)
@@ -343,7 +342,7 @@ class TestQuantifierRuleAnnouncements:
             for group in [g for g in _subsets(model.agents) if len(g) <= 2][:4]:
                 full = [self.full_list(contracted, anchor, g)
                         for g in (group, everyone - group)]
-                dedup = [_announcements(q, [a for a in model.agents if a in g])
+                dedup = [_announcements(model, g)
                          for g in (group, everyone - group)]
                 shorter += len(dedup[1]) < len(full[1])
                 x = pool[rng.randrange(len(pool))]
@@ -380,12 +379,10 @@ class TestQuantifierRuleAnnouncements:
         merged = 0  # models whose quotient merges states
         for index in range(params.count):
             model = random_model(params, index)
-            q = _whole_quotient(model)
-            merged += len(q.blocks) < len(model.states)
+            merged += len(_whole_quotient(model).blocks) < len(model.states)
             for group in _subsets(model.agents):
                 old = self.old_announcements(model, group)
-                new = _announcements(q, [a for a in model.agents
-                                         if a in group])
+                new = _announcements(model, group)
                 assert len(new) == len(old)
                 assert all(n is o for n, o in zip(new, old))
         assert merged > 0
@@ -394,9 +391,9 @@ class TestQuantifierRuleAnnouncements:
         groups = []
         announcements = harness._announcements
 
-        def counting(q, members):
-            out = announcements(q, members)
-            groups.extend([frozenset(members)] * len(out))
+        def counting(model, group):
+            out = announcements(model, group)
+            groups.extend([frozenset(group)] * len(out))
             return out
 
         monkeypatch.setattr(harness, "_announcements", counting)

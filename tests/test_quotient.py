@@ -39,13 +39,14 @@ def test_restriction_quotient_is_the_oracle_contraction(model, data):
     kept = data.draw(st.integers(1, (1 << len(names)) - 1))
     quotient = _Quotient(model, kept, _refine(model, kept))
     cm = oracle.bisim_contract(model.update(names[i] for i in _bits(kept)))
-    contracted = quotient.decode()
+    contracted = quotient.decode(model)
     assert contracted.to_doc() == cm.contracted.to_doc()
     assert is_contracted(contracted)
     assert {names[i]: names[quotient.rep_of[i]] for i in _bits(kept)} \
         == dict(cm.mapping)
     table = oracle.char_table(cm.contracted)
-    assert {names[r]: f for r, f in quotient.chars().items()} == table
+    chars = quotient.chars(model)
+    assert {names[r]: f for r, f in chars.items()} == table
 
     group = data.draw(st.frozensets(st.sampled_from(model.agents)))
     members = [a for a in model.agents if a in group]
@@ -62,7 +63,7 @@ def test_restriction_quotient_is_the_oracle_contraction(model, data):
     choice = {a: frozenset(names[i] for i in _bits(m & quotient.reps))
               for a, m in zip(members, masks)}
     w = data.draw(st.sampled_from(cm.contracted.states))
-    assert quotient.realize(zip(members, masks)) \
+    assert quotient.realize(chars, zip(members, masks)) \
         == oracle.realize_choice(cm.contracted, w, group, choice)
 
 
@@ -103,7 +104,7 @@ def test_decode_builds_what_the_names_build():
     assert len(candidates) == 1504
     pairs += [(m, _whole_quotient(m)) for m in candidates]
     for model, quotient in pairs:
-        assert quotient.decode().to_doc() \
+        assert quotient.decode(model).to_doc() \
             == named_decode(model, quotient).to_doc()
 
 
@@ -122,9 +123,6 @@ def general_quotient(model, kept, refined):
         for i in _bits(block ^ 1 << rep):
             quotient.rep_of[i] = rep
     quotient.classes = dict(zip(model.agents, classes))
-    quotient._names = model.states
-    quotient._truth = model._truth_masks
-    quotient._chars = None
     return quotient
 
 

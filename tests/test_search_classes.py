@@ -11,7 +11,10 @@ model is built. The tests hold each step to the model-level form it stands
 for, the walk to the orbit test it replaced (`_least_of_orbits` below, then
 the contracted test), and the contracted test to the key: among the
 orbit-least candidates, the contracted ones are exactly the first of each
-class."""
+class. The candidates of one (parts, level-0 partition) group share one
+whole quotient and one restriction cache; the tests hold every shared
+restriction to the candidate's own, and every characteristic formula and
+certificate read through them to those of a freshly validated copy."""
 
 import itertools
 from typing import Iterable, Iterator
@@ -22,8 +25,9 @@ import cogal.search as search
 from cogal.checker import Evaluator
 from cogal.formula import Atom, Know, agents_of, atoms, parse, substitute
 from cogal.model import (
-    KripkeModel, PointedModel, _bisim_key, _refine, _refine_masks,
-    bisim_contract, is_contracted,
+    KripkeModel, PointedModel, _Quotient, _bisim_key, _refine, _refine_masks,
+    _whole_quotient, bisim_contract, char_formula, is_contracted,
+    realize_choice, validate,
 )
 from cogal.search import (
     GenParams, _builder, _classes, _mask_partitions, _raw_models,
@@ -298,7 +302,7 @@ class TestRawCandidates:
         # same candidates, same order, same refinements: the first hit of
         # the search is unchanged
         walked = [(n, parts, masks, refined) for n in range(1, 4)
-                  for parts, masks, refined in _classes(
+                  for parts, masks, refined, _ in _classes(
                       n, _mask_partitions(n), len(AGENTS), len(PROPS))]
         assert walked == [(n, parts, masks, refined)
                           for n, parts, masks, refined
@@ -327,9 +331,10 @@ def plain_countermodel(f, params, *, schematic=(), pool=None):
     """Every candidate evaluated in turn: the search before it skipped
     candidates by class."""
     schematic = tuple(schematic)
-    agents = tuple(params.agents) + tuple(
-        sorted(agents_of(f) - set(params.agents)))
-    concrete_atoms = atoms(f) - set(schematic)
+    given = () if pool is None else tuple(pool)
+    agents = tuple(params.agents) + tuple(sorted(
+        set(agents_of(f)).union(*map(agents_of, given)) - set(params.agents)))
+    concrete_atoms = set(atoms(f) - set(schematic)).union(*map(atoms, given))
     props = tuple(params.props) + tuple(sorted(concrete_atoms - set(params.props)))
     gen = GenParams(max_states=params.max_states, agents=agents, props=props,
                     seed=params.seed, count=params.count)
@@ -461,3 +466,191 @@ class TestAgainstPlainLoop:
         assert (hit is not None) == refuted
         assert hit_doc(hit) == hit_doc(plain_countermodel(f, RANDOM))
         assert 0 < len(evaluators) < RANDOM.count
+
+    @pytest.mark.parametrize("name", ["q", "K b p"])
+    def test_pool_names_widen_the_vocabulary(self, name):
+        # a pool formula may name a proposition or an agent that the
+        # parameters do not
+        f = parse("x -> K a x")
+        params = GenParams(agents=("a",), props=("p",), max_states=2)
+        kwargs = {"schematic": ["x"], "pool": [parse(name)]}
+        hit = find_countermodel(f, params, **kwargs)
+        assert hit is not None
+        assert hit_doc(hit) == hit_doc(plain_countermodel(f, params, **kwargs))
+        g = substitute(f, hit.assignment)
+        assert not Evaluator(hit.pointed.model).check(hit.pointed.point,
+                                                      g).truth
+
+
+def group_key(model):
+    """A search candidate's (parts, level-0 partition) group."""
+    return (tuple(model._class_masks.values()),
+            tuple(level0(len(model.states), model._truth_masks.values())))
+
+
+def unshared(evaluators) -> int:
+    """The (evaluator, non-empty kept mask) pairs whose restriction, read
+    through the evaluator's cache, differs in some field from the one its
+    own model refines."""
+    count = 0
+    for ev in evaluators:
+        model = ev.model
+        for kept in range(1, 1 << len(model.states)):
+            shared = ev._restriction(kept)
+            own = _Quotient(model, kept, _refine(model, kept))
+            count += any(getattr(shared, slot) != getattr(own, slot)
+                         for slot in _Quotient.__slots__)
+    return count
+
+
+def parts_grouped(agents, props, max_states):
+    """Evaluators of the search's candidates that share one whole quotient
+    and one restriction cache per parts alone, not per (parts, level-0
+    partition): a grouping the lemma of `_refine_masks` does not allow."""
+    for n in range(1, max_states + 1):
+        partitions = _mask_partitions(n)
+        build = _builder(agents, props, n, partitions)
+        whole = (1 << n) - 1
+        caches = {}
+        for parts, masks, refined, _ in _classes(n, partitions, len(agents),
+                                                 len(props)):
+            model = build(parts, masks)
+            quotients = caches.setdefault(parts, {})
+            if not quotients:
+                quotients[whole] = _Quotient(model, whole, refined)
+            _whole_quotient(model, quotients[whole])
+            ev = Evaluator(model)
+            ev._share(quotients)
+            yield ev
+
+
+@pytest.fixture()
+def quotients_built(monkeypatch):
+    """Counts the `_Quotient`s built: whole ones and restrictions."""
+    built = {"whole": 0, "restriction": 0}
+    init = _Quotient.__init__
+
+    def counting(self, model, kept, refined):
+        whole = kept == (1 << len(model.states)) - 1
+        built["whole" if whole else "restriction"] += 1
+        init(self, model, kept, refined)
+
+    monkeypatch.setattr(_Quotient, "__init__", counting)
+    return built
+
+
+# evidence formulas: witnesses and refutations on the root, certificates
+# on restrictions
+EVIDENCE = ["<{a}> K b p", "<{a,b}> (K c q | K c ~q)", "<[{a}]> ~K b q",
+            "<[{b,c}]> K a (p & q)", "<{c}> [{a}] (p -> K b p)",
+            # no set wins, so every set is tried, and certified inside
+            "<{a,b,c}> <{a}> bot", "<{a,b,c}> <{b,c}> bot"]
+
+
+def evidence(model):
+    """Everything the public API reads off a model's characteristic
+    formulas and quotient."""
+    out = {"contracted": bisim_contract(model).contracted.to_doc()}
+    for state in model.states:
+        out[state, "char"] = char_formula(model, state)
+        for group in (("a",), ("b", "c")):
+            choice = {a: model.class_of(a, state) for a in group}
+            out[state, group] = realize_choice(model, state, group, choice)
+    return out
+
+
+def certified_evidence(ev):
+    """Verdicts of the evidence formulas at every state, the certificates
+    checked on the way, and the characteristic formulas they read."""
+    out = [ev.check(state, parse(text)).to_doc()
+           for state in ev.model.states for text in EVIDENCE]
+    return (out, ev.certificates.checked, ev.certificates.mismatches,
+            ev._char_tables)
+
+
+class TestSharedQuotients:
+    def test_a_sweep_builds_a_quotient_per_group(
+            self, constructed, evaluators, quotients_built):
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert len(constructed) == 1140
+        assert evaluators == constructed
+        assert 0 < quotients_built["whole"] <= 114
+        assert 0 < quotients_built["restriction"] <= 195
+
+    def test_sharing_refuses_a_foreign_root(self):
+        first, second = list(enumerate_models(AGENTS, PROPS, 1))[:2]
+        ev = Evaluator(first)
+        for foreign in ({}, {1: _whole_quotient(second)},
+                        {1: _Quotient(first, 1, _refine(first, 1))}):
+            with pytest.raises(ValueError, match="own quotient"):
+                ev._share(foreign)
+        ev._share({1: _whole_quotient(first)})
+
+    def test_group_restrictions_are_each_candidates_own(self, monkeypatch):
+        # the lemma of `_refine_masks` for every kept mask: read through
+        # its group's cache, each candidate's restriction is its own
+        sharing = []
+
+        class Keeping(Evaluator):
+            def _share(self, quotients):
+                super()._share(quotients)
+                sharing.append(self)
+
+        monkeypatch.setattr(search, "Evaluator", Keeping)
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert len(sharing) == 1140
+        caches = {}
+        for ev in sharing:
+            caches.setdefault(group_key(ev.model), set()).add(
+                id(ev._quotients))
+        # one cache per group
+        assert len(caches) == 114
+        assert all(len(ids) == 1 for ids in caches.values())
+        assert len(set().union(*caches.values())) == 114
+        assert unshared(sharing) == 0
+        # sharing by parts alone breaks it
+        assert unshared(parts_grouped(AGENTS, PROPS, 3)) > 0
+
+    def test_shared_quotients_read_each_candidates_valuation(self,
+                                                             evaluators):
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        groups = {}
+        for model in evaluators:
+            if len(model.states) == 3:
+                groups.setdefault(id(model._whole_quotient), []).append(model)
+
+        def chars(model):
+            """Per kept mask, the characteristic formulas of the model's
+            restriction, read on a fresh copy, so no cache is filled."""
+            fresh = validate(model.to_doc())
+            return [_Quotient(fresh, kept, _refine(fresh, kept)).chars(fresh)
+                    for kept in range(1, 1 << 3)]
+
+        def differ(a, b):
+            """Whether the characteristic formulas differ on the whole
+            model and on some restriction."""
+            ca, cb = chars(a), chars(b)
+            return ca[-1] != cb[-1] and ca[:-1] != cb[:-1]
+
+        first, second = next((a, b) for members in groups.values()
+                             for a, b in itertools.combinations(members, 2)
+                             if differ(a, b))
+        hit = find_countermodel(parse(THREE_STATES), EXHAUSTIVE).pointed.model
+        assert len(hit.states) == 3
+        # the two candidates read restrictions through one cache, so the
+        # certificates realize choices on shared restrictions
+        on_first = Evaluator(first, certify=True)
+        on_second = Evaluator(second, certify=True)
+        on_second._share(on_first._quotients)
+        for model, ev in ((first, on_first), (second, on_second),
+                          (hit, Evaluator(hit, certify=True))):
+            fresh = validate(model.to_doc())
+            assert evidence(model) == evidence(fresh)
+            assert certified_evidence(ev) \
+                == certified_evidence(Evaluator(fresh, certify=True))
+        # some shared restriction has other characteristic formulas on
+        # each candidate
+        whole = (1 << 3) - 1
+        assert any(table != on_second._char_tables.get(kept)
+                   for kept, table in on_first._char_tables.items()
+                   if kept != whole and kept in on_second._char_tables)

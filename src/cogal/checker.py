@@ -24,7 +24,6 @@ from typing import Dict, FrozenSet, Iterator, Optional
 from .formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, GroupBox, GroupDia, Iff, Imp,
     Know, Not, Or, PaBox, PaDia, Top, agents_of, atoms, render, _mask,
-    _vocab_mask,
 )
 from .model import (
     KripkeModel, ModelError, PointedModel, _Quotient, _refine,
@@ -46,10 +45,9 @@ class BindingError(ValueError):
     """Formula mentions agents or propositions the model does not declare."""
 
 
-def _check_bound(model: KripkeModel, vocab: int, f: Formula) -> None:
-    """Raise unless the model declares every name the formula mentions;
-    `vocab` is the mask of the model's names."""
-    if not _mask(f) & ~vocab:
+def _check_bound(model: KripkeModel, f: Formula) -> None:
+    """Raise unless the model declares every name the formula mentions."""
+    if not _mask(f) & ~model._vocab:
         return
     bad_agents = sorted(agents_of(f) - set(model.agents))
     bad_props = sorted(atoms(f) - set(model.props))
@@ -155,6 +153,10 @@ def _positive(f: Formula) -> bool:
     # long as the node lives
     object.__setattr__(f, "_positive", out)
     return out
+
+
+# `Evaluator._deciding_group`'s rule on a node when it names the opponents
+_OPPONENTS = object()
 
 
 def _distinct_sets(kept: int, options: list) -> Iterator[tuple]:
@@ -293,7 +295,6 @@ class Evaluator:
 
     def __init__(self, model: KripkeModel, *, certify: bool = False):
         self._root = model
-        self._vocab = _vocab_mask(model.agents, model.props)
         self._truth = model._truth_masks
         self._class_at = model._class_at
         self._agent_set = frozenset(model.agents)
@@ -321,7 +322,7 @@ class Evaluator:
 
     def extension(self, f: Formula) -> frozenset:
         """States of the root model satisfying the formula."""
-        _check_bound(self._root, self._vocab, f)
+        _check_bound(self._root, f)
         return self._states(self._where(self._root_quotient, f))
 
     def check(self, state: str, f: Formula) -> Verdict:
@@ -386,8 +387,14 @@ class Evaluator:
     def _states(self, mask: int) -> frozenset:
         return self._root._named(mask)
 
-    def _members(self, group: frozenset) -> list:
-        return [a for a in self._root.agents if a in group]
+    def _members(self, group: frozenset) -> tuple:
+        """The group's members in model order, listed once per frame."""
+        lists = self._root._member_lists
+        members = lists.get(group)
+        if members is None:
+            members = lists[group] = tuple(a for a in self._root.agents
+                                           if a in group)
+        return members
 
     def _choice(self, group: frozenset, masks: tuple) -> AnnouncementChoice:
         """A choice's masks (one per member, in model order) as state sets."""
@@ -398,7 +405,7 @@ class Evaluator:
         state and the formula's bindings."""
         if state not in self._root._position:
             raise ModelError(f"unknown state {state!r}")
-        _check_bound(self._root, self._vocab, f)
+        _check_bound(self._root, f)
         return self._root_quotient.rep_of[self._root._position[state]]
 
     def _restriction(self, kept: int) -> _Quotient:
@@ -483,19 +490,26 @@ class Evaluator:
         the body holds after the opponents' first set. A negative body
         takes the dual rule: `[G]` and `[<G>]` read G's first set, `<G>`
         no restriction and `<[G]>` the opponents' first set. In each case
-        the quantifier's truth is the body's truth after that one set."""
-        body = f.body
-        if _positive(body):
-            diamond = isinstance(f, (GroupDia, CoalDia))
-        elif isinstance(body, Not) and _positive(body.body):
-            diamond = isinstance(f, (GroupBox, CoalBox))
-        else:
-            return None
-        if diamond:
-            return f.group
-        if isinstance(f, (GroupBox, GroupDia)):
-            return frozenset()
-        return self._agent_set - f.group
+        the quantifier's truth is the body's truth after that one set. The
+        rule is stored on the node, as `_positive` is, and the opponents,
+        the one group that depends on the model, as `_OPPONENTS`."""
+        try:
+            rule = f._decider
+        except AttributeError:
+            body = f.body
+            if _positive(body):
+                diamond = isinstance(f, (GroupDia, CoalDia))
+            elif isinstance(body, Not) and _positive(body.body):
+                diamond = isinstance(f, (GroupBox, CoalBox))
+            else:
+                diamond = None
+            rule = (None if diamond is None else f.group if diamond
+                    else frozenset() if isinstance(f, (GroupBox, GroupDia))
+                    else _OPPONENTS)
+            object.__setattr__(f, "_decider", rule)
+        if rule is _OPPONENTS:
+            return self._agent_set - f.group
+        return rule
 
     def _quantify(self, q: _Quotient, state: int, f: Formula) -> bool:
         """The one rule for group and coalition quantifiers, a box being the

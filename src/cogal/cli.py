@@ -13,7 +13,7 @@ import json
 import sys
 
 from .checker import BindingError, Evaluator
-from .formula import ParseError, parse, render, resugar
+from .formula import ParseError, atoms, parse, render, resugar
 from .harness import axiom_suite, suite_item_names
 from .model import ModelError, bisim_contract, load_model, save_model, to_dot
 from .search import GenParams, find_countermodel
@@ -67,6 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="exhaustive up to 3 states, sampled beyond")
     p_search.add_argument("--agents", default="a,b,c")
     p_search.add_argument("--props", default="p,q")
+    p_search.add_argument("--schematic", default="",
+                          help="comma-separated atoms of the formula to "
+                               "instantiate with every formula of the "
+                               "default pool")
     p_search.add_argument("--out", default="countermodel.json",
                           help="where to write the countermodel (default "
                                "countermodel.json)")
@@ -156,13 +160,22 @@ def _cmd_search(args) -> int:
                        agents=_split_names(args.agents),
                        props=_split_names(args.props),
                        seed=args.seed, count=args.count)
-    hit = find_countermodel(formula, params)
+    schematic = _split_names(args.schematic)
+    if len(set(schematic)) < len(schematic):
+        raise ValueError("schematic atoms must be distinct")
+    unknown = sorted(set(schematic) - atoms(formula))
+    if unknown:
+        raise ValueError("schematic atoms not in the formula: "
+                         + ", ".join(unknown))
+    hit = find_countermodel(formula, params, schematic=schematic)
     if hit is None:
         print("no countermodel within bounds")
         return _EXIT_FALSE
     save_model(args.out, hit.pointed.model, designated=hit.pointed.point)
     print(f"countermodel written to {args.out} (false at state "
           f"{hit.pointed.point})")
+    for atom in schematic:
+        print(f"{atom} := {render(hit.assignment[atom])}")
     return _EXIT_TRUE
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .formula import (
     Atom, Formula, Know, Not, Top,
-    conjoin, disjoin, _require_ident,
+    conjoin, disjoin, _require_ident, _vocab_mask,
 )
 
 __all__ = [
@@ -29,6 +29,13 @@ class ModelError(ValueError):
     """Invalid model document or an operation violating a model precondition."""
 
 
+def _unknown(mask: int, names: Sequence[str], n: int) -> str:
+    """The lowest bit of a mask past the first n, named if `names` can."""
+    past = mask >> n
+    i = (past & -past).bit_length() - 1 + n
+    return repr(names[i]) if i < len(names) else f"at bit {i}"
+
+
 class KripkeModel:
     """Finite S5 model: ordered states, one partition per agent, valuation.
 
@@ -38,8 +45,8 @@ class KripkeModel:
     (`_truth_masks`). `partitions` and `valuation` are the same sets as
     frozensets of state names. A model built from names keeps the ones it
     was given; one built from masks (`_from_masks`) derives them when they
-    are first read. Both constructors end in `_init_masks`, the one
-    validation.
+    are first read. Validation is `_frame` (states, names, partitions),
+    then `_init_masks` (truth masks), where every construction ends.
 
     All collections iterate in document order. Instances are immutable and
     compared by identity; use `to_doc` for structural comparison.
@@ -61,11 +68,11 @@ class KripkeModel:
                 out |= 1 << i
             return out
 
-        self._init_masks(
-            states, agents, props, position,
-            {agent: tuple(mask(block) for block in blocks)
-             for agent, blocks in partitions.items()},
-            {p: mask(extent) for p, extent in valuation.items()}, names)
+        class_masks = {agent: tuple(mask(block) for block in blocks)
+                       for agent, blocks in partitions.items()}
+        truth_masks = {p: mask(extent) for p, extent in valuation.items()}
+        self._init_masks(self._frame(states, agents, props, class_masks,
+                                     names), truth_masks, names)
         vars(self).update(partitions=partitions, valuation=valuation)
 
     @classmethod
@@ -76,22 +83,28 @@ class KripkeModel:
         partition's block masks and per proposition its truth mask. It
         bypasses `__init__`: no name-level set is built until `partitions`
         or `valuation` is read."""
+        return cls._from_frame(
+            cls._frame(states, agents, props, class_masks, states), truth_masks)
+
+    @classmethod
+    def _from_frame(cls, frame: dict, truth_masks: Mapping[str, int]
+                    ) -> "KripkeModel":
+        """The model on a frame `_frame` validated, sharing the frame's
+        objects, which no model changes: only the truth masks are checked."""
         model = cls.__new__(cls)
-        model._init_masks(states, agents, props,
-                          {s: i for i, s in enumerate(states)},
-                          class_masks, truth_masks, states)
+        model._init_masks(frame, truth_masks, frame["states"])
         return model
 
-    def _init_masks(self, states: tuple, agents: tuple, props: tuple,
-                    position: dict, class_masks: Mapping[str, tuple],
-                    truth_masks: Mapping[str, int],
-                    names: Sequence[str]) -> None:
-        """Check the full invariant set on masks and adopt them: unique
-        names (`position` maps each state to its index), agents and
+    @staticmethod
+    def _frame(states: tuple, agents: tuple, props: tuple,
+               class_masks: Mapping[str, tuple], names: Sequence[str]) -> dict:
+        """Check the invariants that do not read the valuation and return
+        the model's attributes built from them: unique names, agents and
         propositions identifiers, every agent's blocks non-empty, inside the
-        state range, pairwise disjoint and covering, every truth mask inside
-        the range. `names` names the bits for error messages: the states,
-        then any unknown state names the caller mapped past the last one."""
+        state range, pairwise disjoint and covering. `names` names the bits
+        for error messages: the states, then any unknown state names the
+        caller mapped past the last one."""
+        position = {s: i for i, s in enumerate(states)}
         if not states:
             raise ModelError("empty model: the state set must be non-empty")
         if len(position) != len(states):
@@ -111,12 +124,6 @@ class KripkeModel:
             raise ModelError("partitions must cover exactly the agent set")
         n = len(states)
         whole = (1 << n) - 1
-
-        def unknown(mask):
-            past = mask >> n
-            i = (past & -past).bit_length() - 1 + n  # its lowest bit
-            return repr(names[i]) if i < len(names) else f"at bit {i}"
-
         ordered = {}
         class_at = {}
         for agent in agents:
@@ -128,7 +135,7 @@ class KripkeModel:
                     raise ModelError(f"empty partition block for agent {agent!r}")
                 if block >> n:
                     raise ModelError(f"partition of agent {agent!r} mentions "
-                                     f"unknown state {unknown(block)}")
+                                     f"unknown state {_unknown(block, names, n)}")
                 if block & covered:
                     first = _bits(block & covered)[0]
                     raise ModelError(f"overlapping partition blocks for agent "
@@ -142,23 +149,38 @@ class KripkeModel:
                                  f"states {missing}")
             ordered[agent] = tuple(blocks)
             class_at[agent] = at
-        truth = dict.fromkeys(props, 0)
+        return {"states": states, "agents": agents, "props": props,
+                "_position": position, "_class_masks": ordered,
+                "_class_at": class_at, "_vocab": _vocab_mask(agents, props),
+                "_member_lists": {}}  # per group (`Evaluator._members`)
+
+    def _init_masks(self, frame: dict, truth_masks: Mapping[str, int],
+                    names: Sequence[str]) -> None:
+        """Check the truth masks against a validated frame (`_frame`) and
+        adopt both: every proposition declared, every mask inside the state
+        range. Every construction ends here."""
+        n = len(frame["states"])
+        truth = dict.fromkeys(frame["props"], 0)
         for prop, mask in truth_masks.items():
             if prop not in truth:
                 raise ModelError(f"valuation mentions unknown proposition {prop!r}")
             if mask >> n:
                 raise ModelError(f"valuation of {prop!r} mentions unknown "
-                                 f"state {unknown(mask)}")
+                                 f"state {_unknown(mask, names, n)}")
             truth[prop] = mask
-        vars(self).update(states=states, agents=agents, props=props,
-                          _position=position, _class_masks=ordered,
-                          _class_at=class_at, _truth_masks=truth)
+        vars(self).update(frame, _truth_masks=truth)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the vocabulary mask's bits differ between processes (`formula._bit`),
+        # so an unpickled or copied model is validated and masked afresh
+        return KripkeModel._from_masks, (self.states, self.agents, self.props,
+                                         self._class_masks, self._truth_masks)
 
     def __repr__(self) -> str:
         return (f"KripkeModel(states={self.states!r}, agents={self.agents!r}, "
@@ -605,15 +627,17 @@ def _whole_quotient(model: KripkeModel, shared: Optional[_Quotient] = None
     """The quotient of the whole model, built once per model: evaluators of
     the model, the public contraction API and `_bisim_key` share it.
     `shared`, when given, is adopted instead: the quotient of a model that
-    refines alike, as the exhaustive search shares it."""
-    try:
-        return model._whole_quotient
-    except AttributeError:
-        if shared is None:
-            whole = (1 << len(model.states)) - 1
-            shared = _Quotient(model, whole, _refine(model, whole))
-        object.__setattr__(model, "_whole_quotient", shared)
-        return shared
+    refines alike, as the exhaustive search shares it. Read through
+    `getattr`'s default, not a caught `AttributeError`: every search
+    candidate asks once before it has one."""
+    found = getattr(model, "_whole_quotient", None)
+    if found is not None:
+        return found
+    if shared is None:
+        whole = (1 << len(model.states)) - 1
+        shared = _Quotient(model, whole, _refine(model, whole))
+    object.__setattr__(model, "_whole_quotient", shared)
+    return shared
 
 
 def is_contracted(model: KripkeModel) -> bool:

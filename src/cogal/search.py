@@ -172,14 +172,18 @@ def _builder(agents: tuple, props: tuple, n: int,
              partitions: list) -> Callable[[tuple, tuple], KripkeModel]:
     """Builds the validated model of a raw n-state candidate of
     `_raw_models` straight from its masks, states named s0, s1, ... in
-    order."""
+    order. Candidates come grouped by parts, so the frame of their parts is
+    validated when the parts change and shared until then (`_from_frame`)."""
     states = tuple(f"s{i}" for i in range(n))
+    last = frame = None  # the last candidate's parts and their frame
 
     def build(parts: tuple, masks: tuple) -> KripkeModel:
-        return KripkeModel._from_masks(
-            states, agents, props,
-            dict(zip(agents, [partitions[i] for i in parts])),
-            dict(zip(props, masks)))
+        nonlocal last, frame
+        if parts != last:
+            last, frame = parts, KripkeModel._frame(
+                states, agents, props,
+                dict(zip(agents, [partitions[i] for i in parts])), states)
+        return KripkeModel._from_frame(frame, dict(zip(props, masks)))
 
     return build
 

@@ -23,7 +23,7 @@ from cogal.checker import (
 )
 from cogal.formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, GroupBox, GroupDia, Iff, Imp,
-    Know, Not, Or, PaBox, PaDia, Top, _vocab_mask, conjoin, disjoin,
+    Know, Not, Or, PaBox, PaDia, Top, conjoin, disjoin,
 )
 from cogal.model import ContractionMap, KripkeModel, ModelError
 
@@ -250,7 +250,6 @@ class Evaluator:
 
     def __init__(self, model: KripkeModel, *, certify: bool = False):
         self._root = model
-        self._vocab = _vocab_mask(model.agents, model.props)
         self._entries: Dict[frozenset, _Entry] = {}
         self._memo = {}
         self.certify = certify
@@ -262,7 +261,7 @@ class Evaluator:
         return self._eval(self._root_entry, self._start(state, f), f)
 
     def extension(self, f: Formula) -> frozenset:
-        _check_bound(self._root, self._vocab, f)
+        _check_bound(self._root, f)
         entry = self._root_entry
         return frozenset(s for s in self._root.states
                          if self._eval(entry, entry.fwd[s], f))
@@ -291,7 +290,7 @@ class Evaluator:
     def _start(self, state: str, f: Formula) -> str:
         if state not in self._root._position:
             raise ModelError(f"unknown state {state!r}")
-        _check_bound(self._root, self._vocab, f)
+        _check_bound(self._root, f)
         return self._root_entry.fwd[state]
 
     def _entry(self, subset: frozenset) -> _Entry:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import cogal
 from cogal.cli import main
 from cogal.checker import eval_formula
-from cogal.formula import ParseError, parse, render
+from cogal.formula import ParseError, parse, render, substitute
 from cogal.harness import random_formula, train_model
 from cogal.model import save_model, validate
 
@@ -184,6 +184,43 @@ class TestSearch:
         assert code == 1
         assert "no countermodel" in capsys.readouterr().out
 
+    def test_schematic_hit_names_each_instance(self, tmp_path, capsys):
+        out = tmp_path / "cm.json"
+        code = main(["search", "x -> K a x", "--schematic", "x",
+                     "--max-states", "2", "--out", str(out)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"countermodel written to {out} ")
+        assert len(lines) == 2 and lines[1].startswith("x := ")
+        # the countermodel refutes the instance it names
+        instance = parse(lines[1][len("x := "):])
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        g = substitute(parse("x -> K a x"), {"x": instance})
+        assert eval_formula(validate(doc), doc["designated"], g) is False
+
+    def test_schematic_valid_schema_exits_one(self, tmp_path, capsys):
+        code = main(["search", "<[{a}]> x -> <{a}> [{b,c}] x",
+                     "--schematic", "x", "--max-states", "2",
+                     "--out", str(tmp_path / "cm.json")])
+        assert code == 1
+        assert capsys.readouterr().out == "no countermodel within bounds\n"
+
+    @pytest.mark.parametrize("atoms, message", [
+        ("x,x", "schematic atoms must be distinct"),
+        ("x,X1,y", "schematic atoms not in the formula: X1, y"),
+    ])
+    def test_bad_schematic_atoms_exit_two(self, tmp_path, capsys, atoms,
+                                          message):
+        # a repeated atom would multiply the instances by the pool's size,
+        # and one missing from the formula would make it a proposition
+        out = tmp_path / "x.json"
+        assert main(["search", "x -> K a x", "--schematic", atoms,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_parse_error_exits_two(self, tmp_path):
         assert main(["search", "p &", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -268,6 +305,20 @@ class TestContractDotTranslate:
 
     def test_translate_rejects_quantifiers(self, capsys):
         assert main(["translate", "[{a}] p"]) == 2
+
+    @pytest.mark.parametrize("args, code, out, err", [
+        (["translate", "[p] K a q"], 0, "p -> K a (p -> q)\n", ""),
+        (["translate", "[{a}] p"], 2, "", "error: translation is defined"),
+    ])
+    def test_package_runs_as_a_module(self, args, code, out, err):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cogal.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "cogal"] + args,
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == code
+        assert done.stdout == out
+        assert done.stderr.startswith(err)
 
 
 class TestMalformedModel:

@@ -1,7 +1,14 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cogal
 from cogal.checker import Evaluator, extension
 from cogal.formula import Atom, Know, Not, Top
 from cogal.harness import GenParams, random_formula, random_model
@@ -148,6 +155,81 @@ class TestMaskConstructor:
         with pytest.raises(ModelError) as raised:
             from_names(**fault)
         assert str(raised.value) == message
+
+
+def two_state_frame() -> dict:
+    """The validated frame of `from_masks`'s model."""
+    states = ("s0", "s1")
+    return KripkeModel._frame(states, ("a",), ("p",), {"a": (0b01, 0b10)},
+                              states)
+
+
+class TestFrameConstructor:
+    def test_models_share_the_frame(self):
+        frame = two_state_frame()
+        first = KripkeModel._from_frame(frame, {"p": 0b10})
+        second = KripkeModel._from_frame(frame, {"p": 0b01})
+        assert first.to_doc() == from_masks().to_doc()
+        assert second.to_doc() == from_masks(truth_masks={"p": 0b01}).to_doc()
+        for name in ("states", "agents", "props", "_position", "_class_masks",
+                     "_class_at", "_vocab", "_member_lists"):
+            assert getattr(first, name) is getattr(second, name) is frame[name]
+        assert first._truth_masks == {"p": 0b10}
+        assert second._truth_masks == {"p": 0b01}
+
+    @pytest.mark.parametrize("truth, message", [
+        ({"p": 0b100}, "valuation of 'p' mentions unknown state at bit 2"),
+        ({"p": 0b11 | 1 << 70},
+         "valuation of 'p' mentions unknown state at bit 70"),
+        ({"r": 0b01}, "valuation mentions unknown proposition 'r'"),
+    ])
+    def test_truth_faults_give_the_mask_constructors_text(self, truth,
+                                                          message):
+        frame = two_state_frame()
+        with pytest.raises(ModelError) as on_frame:
+            KripkeModel._from_frame(frame, truth)
+        with pytest.raises(ModelError) as from_mask_level:
+            from_masks(truth_masks=truth)
+        assert str(on_frame.value) == str(from_mask_level.value) == message
+        # a refused valuation leaves the frame as it was
+        assert frame == two_state_frame()
+        assert KripkeModel._from_frame(frame, {"p": 0b10}).to_doc() \
+            == from_masks().to_doc()
+
+
+class TestCopies:
+    def test_copies_are_validated_afresh(self, train):
+        model, _ = train
+        for copied in (copy.copy(model), copy.deepcopy(model),
+                       pickle.loads(pickle.dumps(model))):
+            assert copied is not model
+            assert copied.to_doc() == model.to_doc()
+            assert copied._class_at == model._class_at
+            assert copied._vocab == model._vocab
+
+    def test_unpickled_in_a_fresh_interpreter(self, train):
+        """The vocabulary mask's bits differ between processes: a model
+        pickled here must bind formulas there, after other names took the
+        low bits."""
+        script = (
+            "import pickle, sys\n"
+            "from cogal.checker import BindingError, Evaluator\n"
+            "from cogal.formula import parse\n"
+            "parse('K zz1 y1 & K zz2 y2 & [{zz3}] y3')\n"
+            "model = pickle.loads(sys.stdin.buffer.read())\n"
+            "ev = Evaluator(model)\n"
+            "print(ev.eval('w', parse('[~p] K c ~p')))\n"
+            "try:\n"
+            "    ev.eval('w', parse('K d q'))\n"
+            "except BindingError as exc:\n"
+            "    print(exc)\n")
+        env = dict(os.environ, PYTHONHASHSEED="4321",
+                   PYTHONPATH=str(Path(cogal.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script],
+                              input=pickle.dumps(train[0]), capture_output=True,
+                              env=env, timeout=60, check=True)
+        assert done.stdout.decode().splitlines() == [
+            "True", "formula mentions unbound agents d and propositions q"]
 
 
 class TestUpdate:

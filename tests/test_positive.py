@@ -1,14 +1,19 @@
 """Positive bodies: the preservation lemma behind `checker._positive`, the
 one-set rule it licenses, and the lazy choice-set generator."""
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
 
 import frozenset_engine as oracle
 from cogal.checker import Evaluator, _positive
-from cogal.formula import Fragment, parse, render
-from cogal.harness import GenParams, random_formula, random_model
+from cogal.formula import (
+    CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Not, parse, render,
+)
+from cogal.harness import (
+    GenParams, instantiation_pool, random_formula, random_model,
+)
 from cogal.model import bisim_contract, is_contracted, validate
 from frozenset_engine import choice_intersection, group_choices
 from test_engine_differential import models, positive_formulas
@@ -157,7 +162,53 @@ def exact_model(rng, n, classes):
                      "valuation": valuation})
 
 
+def uncached_decider(f, agents):
+    """The one-set rule of `Evaluator._deciding_group`, derived afresh from
+    the quantifier, its body and the model's agents."""
+    body = f.body
+    if _positive(body):
+        diamond = isinstance(f, (GroupDia, CoalDia))
+    elif isinstance(body, Not) and _positive(body.body):
+        diamond = isinstance(f, (GroupBox, CoalBox))
+    else:
+        return None
+    if diamond:
+        return f.group
+    if isinstance(f, (GroupBox, GroupDia)):
+        return frozenset()
+    return frozenset(agents) - f.group
+
+
 class TestOneSetDecides:
+    def test_cached_rule_is_the_uncached_rule(self):
+        """Every quantifier over every group of a, b, c, with each pool
+        formula and its negation as body: the rule cached on the node gives
+        the uncached one, asked twice, on evaluators whose agent sets, and
+        so opponents, differ."""
+        pool = instantiation_pool("abc", "pq")
+        assert len(pool) == 255
+        groups = [frozenset(g) for n in range(4)
+                  for g in itertools.combinations("abc", n)]
+        rng = random.Random("decider")
+        evaluators = [Evaluator(exact_model(rng, 2, dict.fromkeys(agents, 1)))
+                      for agents in ("abc", "abcd")]
+        decided = undecided = 0
+        for kind in (GroupBox, GroupDia, CoalBox, CoalDia):
+            for group in groups:
+                for g in pool:
+                    for body in (g, Not(g)):
+                        f = kind(group, body)
+                        for ev in evaluators:
+                            expected = uncached_decider(f, ev.model.agents)
+                            assert ev._deciding_group(f) == expected
+                            assert ev._deciding_group(f) == expected
+                            if expected is None:
+                                undecided += 1
+                            else:
+                                decided += 1
+        assert decided + undecided == 4 * 8 * 510 * 2
+        assert decided and undecided
+
     def test_positive_diamond_builds_few_restrictions(self):
         """`<{a,b}> K c p` at every state of a 32-state model: one
         restriction per state at most, where enumerating the choice sets

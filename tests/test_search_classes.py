@@ -23,7 +23,9 @@ import pytest
 
 import cogal.search as search
 from cogal.checker import Evaluator
-from cogal.formula import Atom, Know, agents_of, atoms, parse, substitute
+from cogal.formula import (
+    Atom, Know, agents_of, atoms, parse, substitute, _vocab_mask,
+)
 from cogal.model import (
     KripkeModel, PointedModel, _Quotient, _bisim_key, _refine, _refine_masks,
     _whole_quotient, bisim_contract, char_formula, is_contracted,
@@ -247,6 +249,23 @@ class TestRawCandidates:
                 count += 1
         assert count == 4 + 2 * 128 + 3 * 8000
 
+    def test_frame_built_models_are_the_validated_documents(self, frames):
+        models = list(enumerate_models(AGENTS, PROPS, 3))
+        assert len(models) == 8132
+        # one frame per part triple: 1 + 2 ** 3 + 5 ** 3
+        assert len(frames) == 134
+        # each model on a shared frame equals a fresh validation of its
+        # document, mask for mask, and reads no name-level view to get there
+        vocab = _vocab_mask(AGENTS, PROPS)
+        for model in models:
+            fresh = validate(model.to_doc())
+            assert model.to_doc() == fresh.to_doc()
+            assert model._class_at == fresh._class_at
+            assert model._truth_masks == fresh._truth_masks
+            assert model._vocab == fresh._vocab == vocab
+            assert "partitions" not in vars(model)
+            assert "valuation" not in vars(model)
+
     def test_enumeration_order_is_unchanged(self):
         docs = [m.to_doc() for m in enumerate_models(AGENTS, PROPS, 3)]
         assert len(docs) == 8132
@@ -365,17 +384,33 @@ def hit_doc(hit):
 
 @pytest.fixture()
 def constructed(monkeypatch):
-    """Counts the `KripkeModel`s constructed: from names or from masks,
-    each construction ends in `_init_masks`."""
+    """Counts the `KripkeModel`s constructed: from names, from masks or on a
+    shared frame (`_from_frame`), each construction ends in `_init_masks`,
+    the truth checks."""
     built = []
     init_masks = KripkeModel._init_masks
 
-    def counting(self, *args):
+    def counting(self, frame, truth_masks, names):
         built.append(self)
-        init_masks(self, *args)
+        init_masks(self, frame, truth_masks, names)
 
     monkeypatch.setattr(KripkeModel, "_init_masks", counting)
     return built
+
+
+@pytest.fixture()
+def frames(monkeypatch):
+    """Counts the frames validated (`KripkeModel._frame`), as the part
+    triples they were validated for: (state count, class masks)."""
+    checked = []
+    frame = KripkeModel._frame
+
+    def counting(states, agents, props, class_masks, names):
+        checked.append((len(states), tuple(class_masks.values())))
+        return frame(states, agents, props, class_masks, names)
+
+    monkeypatch.setattr(KripkeModel, "_frame", staticmethod(counting))
+    return checked
 
 
 @pytest.fixture()
@@ -426,6 +461,25 @@ class TestAgainstPlainLoop:
             levels, classes = _refine(model, (1 << len(model.states)) - 1)
             assert model._whole_quotient.levels == levels
             assert list(model._whole_quotient.classes.values()) == classes
+
+    def test_validates_a_frame_per_part_triple_with_a_class(
+            self, constructed, frames):
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert len(constructed) == 1140
+        # every part triple that yields a class, once, and no other
+        triples = {(n, tuple(_mask_partitions(n)[i] for i in parts))
+                   for n in range(1, 4)
+                   for parts, *_ in _classes(n, _mask_partitions(n),
+                                             len(AGENTS), len(PROPS))}
+        assert len(triples) == 46
+        assert sorted(frames) == sorted(triples)
+        # the candidates of one triple share its frame's objects
+        shared = {}
+        for model in constructed:
+            shared.setdefault(tuple(model._class_masks.values()),
+                              set()).add(id(model._class_at))
+        assert len(shared) == 46
+        assert all(len(ids) == 1 for ids in shared.values())
 
     def test_candidates_derive_no_name_views(self, evaluators):
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None

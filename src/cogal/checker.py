@@ -4,16 +4,20 @@ The quantified announcement operators range over joint announcements of the
 form "each group member announces something they know". On a bisimulation-
 contracted finite model those announcements denote exactly the per-agent
 unions of equivalence classes, so the evaluator enumerates such unions
-instead of formulas. Models are contracted before evaluation and re-contracted
-after every update so the enumeration stays complete at every nesting level;
-`realize_choice` certifies each enumerated choice as an actual announcement.
+instead of formulas. Models are contracted before evaluation, and every
+update is contracted wherever a quantifier enumerates, so the enumeration
+stays complete at every nesting level; `realize_choice` certifies each
+enumerated choice as an actual announcement.
 
 Inside the evaluator every set of states is an int mask over the root
 model's states (state i is bit i, in document order), so restricting,
 contracting and intersecting choices are bit operations on ints. A
 contracted restriction is a `model._Quotient`, the form the public
 contraction API reads too; witnesses, refutations and certificates are
-realized from its masks, with no `KripkeModel` built.
+realized from its masks, with no `KripkeModel` built. A restriction whose
+body is purely epistemic is read through its parent's quotient instead
+(`_Quotient.view`): truth is invariant under bisimulation, and only a
+quantifier needs the contracted classes.
 """
 
 from __future__ import annotations
@@ -94,8 +98,9 @@ def _positive(f: Formula) -> bool:
     Lemma (van Ditmarsch and Kooi, "The secret of my success", Synthese
     2006). Let phi be positive, M a model, w a state and S a set of M's
     states with w in S. If (M, w) |= phi, then (M|S, w) |= phi, where M|S
-    is M restricted to S and then contracted, as `Evaluator._restriction`
-    builds it.
+    is M restricted to S; the evaluator reads it at its contraction
+    (`Evaluator._restriction`) or through the blocks of a coarser quotient
+    (`_Quotient.view`), both bisimilar to it.
 
     Proof. Contraction first. The evaluator reads a restriction at its
     bisimulation contraction. The quotient map is a bisimulation, and truth
@@ -287,10 +292,14 @@ class Evaluator:
     keyed by their kept masks of root states, and the caches kept per
     restriction: the memo table, each agent's class unions, the choice sets,
     the characteristic formulas and the certificates already checked. Every
-    restriction is contracted, so the quantifier rule enumerates exactly
-    the announcements expressible there. With `certify=True` every distinct
-    announcement choice enumerated by the quantifier rule is checked
-    against its realizing formula.
+    restriction on which a quantifier enumerates, or a body restricts
+    further, is contracted, so the quantifier rule enumerates exactly the
+    announcements expressible there; a purely epistemic body is read on a
+    view of the parent's quotient (`_holds_after`). The memo's
+    (kept, state) keys name a state of the restriction to `kept`, however
+    it is read. With `certify=True` every distinct announcement choice
+    enumerated by the quantifier rule is checked against its realizing
+    formula.
     """
 
     def __init__(self, model: KripkeModel, *, certify: bool = False):
@@ -302,6 +311,7 @@ class Evaluator:
         self._root_quotient = _whole_quotient(model)
         self._quotients: Dict[int, _Quotient] = {
             self._root_quotient.kept: self._root_quotient}
+        self._views = {}
         self._memo = {}
         self._option_cache = {}
         self._choice_set_cache = {}
@@ -426,9 +436,26 @@ class Evaluator:
     def _holds_after(self, q: _Quotient, kept: int, state: int,
                      body: Formula) -> bool:
         """Truth of the body at the state after restricting to `kept`, a
-        union of the restriction's blocks containing the state."""
-        child = self._restriction(kept)
+        union of the restriction's blocks containing the state: on the
+        child's quotient when one is built, or when the body quantifies or
+        announces; else on a view of q (`_Quotient.view`), at the state."""
+        child = self._child(q, kept, body)
         return self._eval(child, child.rep_of[state], body)
+
+    def _child(self, q: _Quotient, kept: int, body: Formula) -> _Quotient:
+        """The restriction to `kept`, a union of q's blocks, on which to read
+        the body: its quotient when the body quantifies or announces; else
+        the one kept in `_views` for `kept`, on first reach the quotient if
+        one is built (its reps merge more) or a view of q. A view serves
+        every parent that reaches `kept`: its `rep_of` maps each kept state
+        to a bisimilar kept one."""
+        if not body._epistemic:
+            return self._restriction(kept)
+        child = self._views.get(kept)
+        if child is None:
+            child = self._views[kept] = (self._quotients.get(kept)
+                                         or q.view(kept))
+        return child
 
     def _options(self, q: _Quotient, agent: str, rep: int) -> list:
         """The agent's class unions containing the state's class, by size (a
@@ -520,7 +547,7 @@ class Evaluator:
         if not self.certify:
             decider = self._deciding_group(f)
             if decider is not None:
-                first = self._first_set(q, state, decider)[0]
+                first = q.first_sets(decider)[state]
                 return self._holds_after(q, first, state, f.body)
         won = self._winner(q, state, f)
         return (won is not None) == isinstance(f, (GroupDia, CoalDia))
@@ -566,13 +593,13 @@ class Evaluator:
             responses = None
         owns = self._choice_sets(q, state, f.group)
         body = f.body
-        quotients = self._quotients
+        children = self._views if body._epistemic else self._quotients
         verdicts = {}
-        # `_holds_after`, inlined behind the table in the three loops below:
-        # they are the evaluator's hottest
+        # `_holds_after`, inlined behind the table in the three loops below,
+        # with `_child`'s lookup: they are the evaluator's hottest
         if owns.rest is not None and first != q.kept:
             for trace, _ in _distinct_sets(first, owns.options):
-                child = quotients.get(trace) or self._restriction(trace)
+                child = children.get(trace) or self._child(q, trace, body)
                 won = verdicts[trace] = (
                     self._eval(child, child.rep_of[state], body) == goal)
                 if won:
@@ -583,7 +610,7 @@ class Evaluator:
             trace = own & first
             won = verdicts.get(trace)
             if won is None:
-                child = quotients.get(trace) or self._restriction(trace)
+                child = children.get(trace) or self._child(q, trace, body)
                 won = verdicts[trace] = (
                     self._eval(child, child.rep_of[state], body) == goal)
             if not won:
@@ -593,7 +620,7 @@ class Evaluator:
             for kept, _ in responses.meet(own):
                 won = verdicts.get(kept)
                 if won is None:
-                    child = quotients.get(kept) or self._restriction(kept)
+                    child = children.get(kept) or self._child(q, kept, body)
                     won = verdicts[kept] = (
                         self._eval(child, child.rep_of[state], body) == goal)
                 if not won:
@@ -629,9 +656,9 @@ class Evaluator:
         """Truth of the formula at a rep of the restriction. Dispatch is on
         the node's class by `is`, in order of how often a suite pass meets
         each class. Atoms, top, bottom and negations cost less to compute
-        than to look up, so they bypass the memo; every other node is
-        memoised per (restriction, rep, formula). A negation adds no frame
-        of its own."""
+        than to look up, so they bypass the memo, and knowledge of an atom
+        is not stored in it; every other node is memoised per (restriction,
+        rep, formula). A negation adds no frame of its own."""
         cls = f.__class__
         if cls is Not:
             return not self._eval(q, state, f.body)
@@ -653,10 +680,18 @@ class Evaluator:
             hit = (self._eval(q, state, f.left)
                    and self._eval(q, state, f.right))
         elif cls is Know:
-            # the agent's class in the contracted restriction: the blocks
-            # its root class meets there
-            peers = q.reps_meeting(self._class_at[f.agent][state] & q.kept)
+            # the agent's class in the restriction: its root class, cut
+            # down to the kept states
+            seen = self._class_at[f.agent][state] & q.kept
             body = f.body
+            if body.__class__ is Atom:
+                # one mask test, cheaper than the memo entry it would take:
+                # every kept state of the class satisfies the atom. Tested
+                # here, not before the lookup, where every other node would
+                # pay for the test
+                return not seen & ~self._truth[body.name]
+            # the reps of the blocks the class meets
+            peers = q.reps_meeting(seen)
             hit = True
             while peers:
                 low = peers & -peers

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .checker import BindingError, Evaluator
-from .formula import ParseError, atoms, parse, render, resugar
+from .formula import ParseError, parse, render, resugar
 from .harness import axiom_suite, suite_item_names
 from .model import ModelError, bisim_contract, load_model, save_model, to_dot
 from .search import GenParams, find_countermodel
@@ -161,12 +161,6 @@ def _cmd_search(args) -> int:
                        props=_split_names(args.props),
                        seed=args.seed, count=args.count)
     schematic = _split_names(args.schematic)
-    if len(set(schematic)) < len(schematic):
-        raise ValueError("schematic atoms must be distinct")
-    unknown = sorted(set(schematic) - atoms(formula))
-    if unknown:
-        raise ValueError("schematic atoms not in the formula: "
-                         + ", ".join(unknown))
     hit = find_countermodel(formula, params, schematic=schematic)
     if hit is None:
         print("no countermodel within bounds")

@@ -129,13 +129,19 @@ def _constructor(cls, names: tuple):
     """The `__new__` of a node class: check the node's names (a group is
     first coerced to a frozenset), then its subnodes, then return the live
     node with the same class and fields, or else build one and store its
-    `_mask`. Names are checked before subnodes, so a bad name raises
-    `ValueError` whatever the subnode. One variant per field shape (none,
-    a name, one subnode, two subnodes, a name and a subnode), so building a
-    node runs no loop over its fields. A node without fields is built once."""
+    `_mask`, and `_epistemic` = False if a subnode is not purely epistemic
+    and the class leaves the fact to the node. Names are checked before
+    subnodes, so a bad name raises `ValueError` whatever the subnode. One
+    variant per field shape (none, a name, one subnode, two subnodes, a
+    name and a subnode), so building a node runs no loop over its fields.
+    A node without fields is built once."""
     # not through `__dict__`, which would give each node a dict object
     setter, blank, get = object.__setattr__, object.__new__, _TABLE.get
     kind = _VOCAB_FIELDS.get(names[0]) if names else None
+    # whether the node's `_epistemic` follows its subnodes': not for an
+    # announcement or a quantifier (false in the class), nor a necessity
+    # form (none)
+    derived = getattr(cls, "_epistemic", False)
     role = "proposition" if kind == _PROP else "agent"
     shape = (len(names), kind is not None)
 
@@ -176,6 +182,8 @@ def _constructor(cls, names: tuple):
                 node = blank(cls)
                 setter(node, field, body)
                 setter(node, "_mask", mask)
+                if derived and not body._epistemic:
+                    setter(node, "_epistemic", False)
                 node = _intern(key, node)
             return node
 
@@ -196,6 +204,8 @@ def _constructor(cls, names: tuple):
                 setter(node, first, left)
                 setter(node, second, right)
                 setter(node, "_mask", mask)
+                if derived and not (left._epistemic and right._epistemic):
+                    setter(node, "_epistemic", False)
                 node = _intern(key, node)
             return node
 
@@ -227,6 +237,8 @@ def _constructor(cls, names: tuple):
                 setter(node, label, value)
                 setter(node, sub, body)
                 setter(node, "_mask", mask)
+                if derived and not body._epistemic:
+                    setter(node, "_epistemic", False)
                 node = _intern(key, node)
             return node
 
@@ -254,10 +266,14 @@ def _node(cls):
 
     `_mask` is the vocabulary, the atoms and agents the node mentions (see
     `_vocab_mask`): the OR of the subnodes' masks and the node's own name,
-    agent or group, computed once when the node is built. Nodes pickle and
-    copy through their constructor (`_node_reduce`), so an unpickled or
-    copied node is the interned one, with facts rebuilt in the receiving
-    process."""
+    agent or group, computed once when the node is built. `_epistemic` is
+    whether the node is purely epistemic, with no announcement and no
+    quantifier in it: true in `Formula`, false in the classes of
+    announcements and quantifiers, and stored false on a node built over a
+    subnode that is not, so the many purely epistemic nodes store nothing.
+    Nodes pickle and copy through their constructor (`_node_reduce`), so
+    an unpickled or copied node is the interned one, with facts rebuilt in
+    the receiving process."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     cls = dataclass(frozen=True, eq=False, init=False)(cls)
     cls.__new__ = _constructor(cls, names)
@@ -269,6 +285,8 @@ def _node(cls):
 class Formula:
     """Base class for formula nodes; values are immutable and interned, so
     equal formulas are one object."""
+
+    _epistemic = True  # see `_node`
 
     def __invert__(self) -> "Formula":
         return Not(self)
@@ -341,6 +359,7 @@ class PaBox(Formula):
     """Public announcement box: after a truthful announcement, the body holds."""
     announce: Formula
     body: Formula
+    _epistemic = False
 
 
 @_node
@@ -348,6 +367,7 @@ class PaDia(Formula):
     """Public announcement diamond: the announcement is truthful and the body holds after it."""
     announce: Formula
     body: Formula
+    _epistemic = False
 
 
 @_node
@@ -355,6 +375,7 @@ class GroupBox(Formula):
     """After every joint truthful announcement by the group, the body holds."""
     group: frozenset
     body: Formula
+    _epistemic = False
 
 
 @_node
@@ -362,6 +383,7 @@ class GroupDia(Formula):
     """Some joint truthful announcement by the group makes the body hold."""
     group: frozenset
     body: Formula
+    _epistemic = False
 
 
 @_node
@@ -370,6 +392,7 @@ class CoalBox(Formula):
     response after which the body holds."""
     group: frozenset
     body: Formula
+    _epistemic = False
 
 
 @_node
@@ -378,6 +401,7 @@ class CoalDia(Formula):
     the other agents announce simultaneously."""
     group: frozenset
     body: Formula
+    _epistemic = False
 
 
 _GROUPED = (GroupBox, GroupDia, CoalBox, CoalDia)
@@ -509,7 +533,7 @@ def is_group_announcement(f: Formula, group: Iterable[str]) -> bool:
             return False
         if part.agent in seen:
             return False
-        if fragment(part.body) is not Fragment.EL:
+        if not part.body._epistemic:
             return False
         seen.add(part.agent)
     return seen == members

@@ -500,9 +500,13 @@ class _Quotient:
     are the reps, in ascending order.
     It holds no valuation, so models that refine `kept` alike may share it;
     `chars` and `decode` read the valuation of the model they are given.
+    `firsts` caches `first_sets` per group: structure too, so shared alike.
+    A view (`view`) is a `_Quotient` that holds only `kept`, `reps` and
+    `rep_of`, borrowed from a larger quotient.
     """
 
-    __slots__ = ("kept", "levels", "blocks", "reps", "rep_of", "classes")
+    __slots__ = ("kept", "levels", "blocks", "reps", "rep_of", "classes",
+                 "firsts")
 
     def __init__(self, model: KripkeModel, kept: int, refined: tuple):
         levels, classes = refined
@@ -522,6 +526,7 @@ class _Quotient:
                 for i in _bits(block ^ 1 << rep):
                     self.rep_of[i] = rep
         self.classes = dict(zip(model.agents, classes))
+        self.firsts = {}
 
     def reps_meeting(self, mask: int) -> int:
         """Reps of the blocks that meet a mask of kept states."""
@@ -531,6 +536,44 @@ class _Quotient:
         for i in _bits(mask):
             out |= 1 << self.rep_of[i]
         return out
+
+    def view(self, kept: int) -> "_Quotient":
+        """The restriction to `kept`, a union of this quotient's blocks,
+        read through them: a `_Quotient` that holds only `kept`, `reps`
+        (this quotient's reps inside `kept`) and `rep_of` (this quotient's
+        list), with no refinement run and no classes, so no quantifier can
+        enumerate on it. It is of this type, not one of its own, so that
+        the evaluator's attribute reads see one type.
+
+        Lemma: this quotient's block relation, cut down to `kept`, is a
+        bisimulation of the restriction to `kept`. Proof: take s and s' in
+        one block, both kept, and t kept in s's class of some agent. The
+        block relation is a bisimulation of the larger restriction, so some
+        t' in s''s class shares t's block; `kept` is a union of blocks, so
+        t' is kept. Truth is invariant under bisimulation, so a formula that
+        restricts nothing has the same truth at a rep of the view as at
+        every kept state of its block, in the restriction to `kept` and in
+        that restriction's contraction."""
+        out = _Quotient.__new__(_Quotient)
+        out.kept = kept
+        out.reps = self.reps & kept
+        out.rep_of = self.rep_of
+        return out
+
+    def first_sets(self, group: frozenset) -> list:
+        """Each rep's first set for the group, at the rep's index: the
+        intersection of the members' classes that hold the rep (the whole
+        restriction for the empty group). Built once per group."""
+        table = self.firsts.get(group)
+        if table is None:
+            table = [self.kept] * len(self.rep_of)
+            for agent, agent_classes in self.classes.items():
+                if agent in group:
+                    for c in agent_classes:
+                        for r in _bits(c & self.reps):
+                            table[r] &= c
+            self.firsts[group] = table
+        return table
 
     def chars(self, model: KripkeModel) -> dict:
         """Rep -> characteristic formula: a purely epistemic formula whose

@@ -293,7 +293,8 @@ def find_countermodel(f: Formula, params: GenParams, *,
 
     Exhaustive over all models up to `max_states` states when that bound is
     at most 3, otherwise over `count` seeded random models. Atoms listed in
-    `schematic` are instantiated with every combination from the pool.
+    `schematic` are instantiated with every combination from the pool;
+    they must be distinct atoms of the formula, or `ValueError` is raised.
 
     Truth is invariant under bisimulation and renaming, so a candidate whose
     quotient is isomorphic to that of an earlier candidate, which held
@@ -316,9 +317,15 @@ def find_countermodel(f: Formula, params: GenParams, *,
       earlier among the m-state candidates; that candidate is contracted,
       so it was evaluated, and it held, or the search would have returned.
     """
+    schematic = tuple(schematic)
+    if len(set(schematic)) < len(schematic):
+        raise ValueError("schematic atoms must be distinct")
+    unknown = sorted(set(schematic) - atoms(f))
+    if unknown:
+        raise ValueError("schematic atoms not in the formula: "
+                         + ", ".join(unknown))
     if params.max_states > 3 and params.count < 1:
         raise ValueError("the sampled search needs at least one model")
-    schematic = tuple(schematic)
     # the names of the formula and of a given pool widen the vocabulary
     given = () if pool is None else tuple(pool)
     agents = tuple(params.agents) + tuple(sorted(

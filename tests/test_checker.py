@@ -800,6 +800,55 @@ class TestRecontraction:
         with pytest.raises(ModelError):
             realize_choice(child, "s", {"b"}, {"b": frozenset({"s", "t0"})})
 
+    def test_the_update_is_contracted(self):
+        # the announcement's body quantifies, so the update it leads to is
+        # contracted before b's unions are enumerated: the four kept states
+        # fall into two blocks there
+        model = self._model()
+        ev = Evaluator(model)
+        assert ev.eval("s", parse(self.FORMULA)) is False
+        kept = 0b01111
+        assert kept in ev._quotients
+        assert len(ev._quotients[kept].blocks) == 2
+
+
+class TestViews:
+    """A restriction whose body is purely epistemic is read on a view of the
+    parent's quotient (`_Quotient.view`); only where a quantifier enumerates,
+    or a body announces, is the restriction contracted."""
+
+    EPISTEMIC_BODIES = ["<{a,b}> (K c p & ~K a q)", "<{a,b}> K c p",
+                        "<[{a}]> (K b p & ~K c q)", "[<{b,c}>] ~K a s",
+                        "[~K a p] K c q", "<K b q> ~K a p"]
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_epistemic_bodies_contract_only_the_root(self, certify):
+        model = exact_model(random.Random(12), 12, {"a": 5, "b": 4, "c": 4})
+        assert len(bisim_contract(model).contracted.states) == 12
+        ev = Evaluator(model, certify=certify)
+        contracting = oracle.Evaluator(model)
+        for text in self.EPISTEMIC_BODIES:
+            f = parse(text)
+            truths = [ev.eval(s, f) for s in model.states]
+            assert any(truths) and not all(truths), text
+            assert truths == [contracting.eval(s, f) for s in model.states]
+        # the whole model is contracted; no restriction is
+        assert list(ev._quotients) == [ev._root_quotient.kept]
+        if certify:
+            assert ev.certificates.checked > 0
+            assert ev.certificates.mismatches == []
+
+    def test_existing_quotient_is_reused(self):
+        # once a restriction is contracted, an epistemic body is read on
+        # it too, at its own reps
+        model = TestRecontraction._model()
+        ev = Evaluator(model)
+        kept = 0b01111
+        child = ev._restriction(kept)
+        assert ev._holds_after(ev._root_quotient, kept, 1, parse("K b ~p")) \
+            is False
+        assert {key[:2] for key in ev._memo} == {(kept, child.rep_of[1])}
+
 
 class TestEdgeGroups:
     def test_empty_group_box_is_trivial_announcement(self, train):

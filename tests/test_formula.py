@@ -417,12 +417,13 @@ contexts = st.recursive(
 
 
 class TestCachedFacts:
-    """Nodes are interned and their vocabulary is computed once, at
-    construction; both must agree with the structure however the node was
-    built."""
+    """Nodes are interned and their vocabulary and whether they are purely
+    epistemic are computed once, at construction; all must agree with the
+    structure however the node was built."""
 
     def assert_facts(self, f):
         assert (atoms(f), agents_of(f)) == walked_vocabulary(f)
+        assert f._epistemic == (fragment(f) is Fragment.EL)
         g = parse(render(f))
         assert f is g
         assert f == g and hash(f) == hash(g)

@@ -137,6 +137,18 @@ class TestSearch:
         assert find_countermodel(parse("x & ~x"), GenParams(max_states=2),
                                  schematic=["x"], pool=[Top()]) is not None
 
+    @pytest.mark.parametrize("schematic, message", [
+        (["x", "x"], "schematic atoms must be distinct"),
+        (["x", "X1", "y"], "schematic atoms not in the formula: X1, y"),
+    ])
+    def test_bad_schematic_atoms_are_rejected(self, schematic, message):
+        # a repeated atom multiplies the instances with no new one, and an
+        # atom the formula lacks would leave the formula's own atoms plain
+        # propositions, so the search would answer another question
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            find_countermodel(parse("x -> K a x"), GenParams(max_states=1),
+                              schematic=schematic, pool=[Top()])
+
     def test_finds_two_state_countermodel(self):
         hit = find_countermodel(parse("p -> K a p"),
                                 GenParams(max_states=2, agents=("a",),

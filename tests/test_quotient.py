@@ -7,8 +7,14 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import frozenset_engine as oracle
+import random
+
 from cogal.checker import Evaluator
-from cogal.harness import _prop4_parts, enumerate_models
+from cogal.formula import Fragment
+from cogal.harness import (
+    GenParams, _prop4_parts, enumerate_models, instantiation_pool,
+    random_formula, random_model,
+)
 from cogal.model import (
     KripkeModel, _Quotient, _bits, _refine, _whole_quotient, char_formula,
     is_contracted, load_model, validate,
@@ -123,6 +129,7 @@ def general_quotient(model, kept, refined):
         for i in _bits(block ^ 1 << rep):
             quotient.rep_of[i] = rep
     quotient.classes = dict(zip(model.agents, classes))
+    quotient.firsts = {}
     return quotient
 
 
@@ -164,3 +171,48 @@ def test_evidence_and_certificates_build_no_model(monkeypatch):
     assert certified.certificates.checked > 0
     assert certified.certificates.mismatches == []
     assert built == []
+
+
+def test_view_reads_as_the_contracted_restriction():
+    """A view of a parent quotient against the contracted restriction: on
+    300 seeded models of up to 5 states, parents that are the whole model or a
+    random restriction, children that are random unions of the parent's
+    blocks, and epistemic pool and random formulas, the truth at each of the
+    parent's reps in the child equals the truth at its rep in the child's
+    quotient. Separate evaluators, so no memo entry crosses over."""
+    rng = random.Random("views")
+    params = GenParams(max_states=5, seed=21)
+    checked = merged = 0
+    for i in range(300):
+        model = random_model(params, i)
+        n = len(model.states)
+        pool = instantiation_pool(model.agents, model.props)
+        formulas = rng.sample(pool, 12) + [
+            random_formula(rng, model.agents, model.props,
+                           frag=Fragment.EL, max_depth=3)
+            for _ in range(4)]
+        parents = [(1 << n) - 1, rng.randint(1, (1 << n) - 1)]
+        for kept in parents:
+            parent = _Quotient(model, kept, _refine(model, kept))
+            blocks = [block for _, block in parent.blocks]
+            for _ in range(3):
+                picked = [b for b in blocks if rng.random() < 0.6]
+                child = 0
+                for block in picked or blocks[:1]:
+                    child |= block
+                view = parent.view(child)
+                quotient = _Quotient(model, child, _refine(model, child))
+                reps = _bits(parent.reps & child)
+                merged += len(quotient.blocks) < len(reps)
+                on_view, on_quotient = Evaluator(model), Evaluator(model)
+                for f in formulas:
+                    for r in reps:
+                        assert view.rep_of[r] == r
+                        assert on_view._eval(view, r, f) == \
+                            on_quotient._eval(quotient, quotient.rep_of[r], f), \
+                            (model.to_doc(), kept, child, r, f)
+                        checked += 1
+    # children whose contraction merges some of the parent's blocks, so the
+    # view reads more states than the quotient has
+    assert merged >= 40
+    assert checked > 30000

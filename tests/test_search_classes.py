@@ -545,7 +545,8 @@ def group_key(model):
 def unshared(evaluators) -> int:
     """The (evaluator, non-empty kept mask) pairs whose restriction, read
     through the evaluator's cache, differs in some field from the one its
-    own model refines."""
+    own model refines. The `firsts` cache is compared by its entries: each
+    table the shared quotient holds must be the one its own model's builds."""
     count = 0
     for ev in evaluators:
         model = ev.model
@@ -553,7 +554,9 @@ def unshared(evaluators) -> int:
             shared = ev._restriction(kept)
             own = _Quotient(model, kept, _refine(model, kept))
             count += any(getattr(shared, slot) != getattr(own, slot)
-                         for slot in _Quotient.__slots__)
+                         for slot in _Quotient.__slots__ if slot != "firsts")
+            count += any(table != own.first_sets(group)
+                         for group, table in shared.firsts.items())
     return count
 
 

@@ -30,7 +30,7 @@ from .formula import (
     Know, Not, Or, PaBox, PaDia, Top, agents_of, atoms, render, _mask,
 )
 from .model import (
-    KripkeModel, ModelError, PointedModel, _Quotient, _refine,
+    KripkeModel, ModelError, PointedModel, _Quotient, _refine_masks,
     _whole_quotient,
 )
 
@@ -84,6 +84,9 @@ def _unions(classes, sizes, anchor=None) -> list:
             extend(j + 1, grown, weight + sizes[i])
 
     extend(0, base, weight)
+    # the recursive closure refers to itself through its cell: emptying the
+    # cell frees it without the cycle collector
+    del extend
     found.sort(key=lambda item: item[0])
     return [union for _, union in found]
 
@@ -299,7 +302,8 @@ class Evaluator:
     (kept, state) keys name a state of the restriction to `kept`, however
     it is read. With `certify=True` every distinct announcement choice
     enumerated by the quantifier rule is checked against its realizing
-    formula.
+    formula. The valuation is read only through the truth masks `_truth`,
+    which `_revalue` swaps for the exhaustive search.
     """
 
     def __init__(self, model: KripkeModel, *, certify: bool = False):
@@ -379,19 +383,37 @@ class Evaluator:
 
     # -- internals ---------------------------------------------------------
 
-    def _share(self, quotients: Dict[int, _Quotient]) -> None:
-        """Keep restrictions in a group's cache (`search._classes`)."""
-        if quotients.get(self._root_quotient.kept) is not self._root_quotient:
-            raise ValueError("a shared cache must hold the model's own quotient")
-        self._quotients = quotients
+    def _revalue(self, truth: Dict[str, int]) -> None:
+        """Evaluate from now on the model with the root's frame and these
+        truth masks (checked, per proposition in model order), which must
+        refine every kept mask as the root's do: the exhaustive search
+        evaluates all candidates of one refinement group on one evaluator
+        (`search._group_evaluators`).
+
+        The memo and the characteristic formulas read the valuation, so
+        they are dropped. The restrictions, views, option lists and choice
+        sets are structure only, by the lemma of `model._refine_masks`: a
+        group's truth masks induce one partition of the states, so they
+        refine every kept mask alike; they are kept. Every later read of
+        the valuation goes through `_truth`: atoms, `K x p`, the refinement
+        of a new restriction and the characteristic formulas. A certifying
+        evaluator is refused: its certificates belong to one valuation."""
+        if self.certify:
+            raise ValueError("a certifying evaluator cannot be revalued")
+        self._truth = truth
+        self._memo = {}
+        self._char_tables = {}
 
     def _realize(self, q: _Quotient, group, choice: tuple) -> Formula:
-        """The announcement formula of a choice on the restriction."""
+        """The announcement formula of a choice on the restriction. The
+        whole quotient's characteristic formulas are the model's cached
+        ones while the evaluator reads the model's own truth masks."""
         chars = self._char_tables.get(q.kept)
         if chars is None:
             chars = self._char_tables[q.kept] = (
-                self._root._chars if q is self._root_quotient
-                else q.chars(self._root))
+                self._root._chars if (q is self._root_quotient and
+                                      self._truth is self._root._truth_masks)
+                else q.chars(self._truth))
         return q.realize(chars, zip(self._members(group), choice))
 
     def _states(self, mask: int) -> frozenset:
@@ -422,7 +444,9 @@ class Evaluator:
         q = self._quotients.get(kept)
         if q is None:
             q = self._quotients[kept] = _Quotient(
-                self._root, kept, _refine(self._root, kept))
+                self._root, kept, _refine_masks(
+                    self._root._class_masks.values(), self._truth.values(),
+                    kept))
         return q
 
     def _where(self, q: _Quotient, f: Formula) -> int:

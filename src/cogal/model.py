@@ -157,10 +157,18 @@ class KripkeModel:
     def _init_masks(self, frame: dict, truth_masks: Mapping[str, int],
                     names: Sequence[str]) -> None:
         """Check the truth masks against a validated frame (`_frame`) and
-        adopt both: every proposition declared, every mask inside the state
-        range. Every construction ends here."""
-        n = len(frame["states"])
-        truth = dict.fromkeys(frame["props"], 0)
+        adopt both (`_checked_truth`). Every construction ends here."""
+        vars(self).update(frame, _truth_masks=self._checked_truth(
+            frame["props"], len(frame["states"]), truth_masks, names))
+
+    @staticmethod
+    def _checked_truth(props: tuple, n: int, truth_masks: Mapping[str, int],
+                       names: Sequence[str]) -> dict:
+        """The truth masks of a model with these propositions and n states,
+        checked, per proposition in order (0 where none is given): every
+        proposition declared, every mask inside the state range. `names`
+        names the bits for error messages, as in `_frame`."""
+        truth = dict.fromkeys(props, 0)
         for prop, mask in truth_masks.items():
             if prop not in truth:
                 raise ModelError(f"valuation mentions unknown proposition {prop!r}")
@@ -168,7 +176,7 @@ class KripkeModel:
                 raise ModelError(f"valuation of {prop!r} mentions unknown "
                                  f"state {_unknown(mask, names, n)}")
             truth[prop] = mask
-        vars(self).update(frame, _truth_masks=truth)
+        return truth
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -201,7 +209,7 @@ class KripkeModel:
     @cached_property
     def _chars(self) -> dict:
         """The whole quotient's characteristic formulas (`_Quotient.chars`)."""
-        return _whole_quotient(self).chars(self)
+        return _whole_quotient(self).chars(self._truth_masks)
 
     def _named(self, mask: int) -> frozenset:
         """The names of the states in a mask."""
@@ -499,7 +507,8 @@ class _Quotient:
     in model order, as unions of blocks. The contracted restriction's states
     are the reps, in ascending order.
     It holds no valuation, so models that refine `kept` alike may share it;
-    `chars` and `decode` read the valuation of the model they are given.
+    `chars` reads the truth masks it is given, `decode` the valuation of the
+    model it is given.
     `firsts` caches `first_sets` per group: structure too, so shared alike.
     A view (`view`) is a `_Quotient` that holds only `kept`, `reps` and
     `rep_of`, borrowed from a larger quotient.
@@ -575,15 +584,16 @@ class _Quotient:
             self.firsts[group] = table
         return table
 
-    def chars(self, model: KripkeModel) -> dict:
+    def chars(self, truths: Mapping[str, int]) -> dict:
         """Rep -> characteristic formula: a purely epistemic formula whose
-        extension in the contracted restriction of the model is exactly the
-        rep. Built from the ladder: two reps are told apart at the first
-        level that separates them, by the first proposition in model order
-        on which they differ (level 0) or else by the first agent in model
-        order whose classes meet different blocks of the level before."""
+        extension in the contracted restriction is exactly the rep, where
+        `truths` holds each proposition's truth mask, in model order, of a
+        model that refines `kept` as this quotient says. Built from the
+        ladder: two reps are told apart at the first level that separates
+        them, by the first proposition in model order on which they differ
+        (level 0) or else by the first agent in model order whose classes
+        meet different blocks of the level before."""
         reps = self.reps
-        truths = model._truth_masks
         # per level, rep -> its block; per agent, rep -> the reps of its class
         block_at = [{r: b for b in level for r in _bits(b & reps)}
                     for level in self.levels]
@@ -628,6 +638,9 @@ class _Quotient:
         for s in _bits(reps):
             parts = [delta(s, t) for t in _bits(reps) if t != s]
             chars[s] = conjoin(parts) if parts else Top()
+        # the recursive closure refers to itself through its cell: emptying
+        # the cell frees it without the cycle collector
+        del delta
         return chars
 
     def realize(self, chars: dict, pairs: Iterable) -> Formula:

@@ -110,19 +110,21 @@ def _classes(n: int, partitions: list, n_agents: int,
     n-state models, with its refinement: the contracted candidates that no
     non-identity permutation of the states maps to a lexicographically
     smaller (parts, masks), in enumeration order, as (parts, masks,
-    refined, quotients), `refined` being `_refine_masks` of the candidate
-    over all n states and `quotients` its group's restriction cache (kept
-    mask -> `_Quotient`), empty for the caller to fill. A permuted
-    candidate is itself a candidate, and an isomorphic one, so these are
-    the first candidate of each relabelling orbit that are contracted.
+    refined), `refined` being `_refine_masks` of the candidate over all n
+    states. A permuted candidate is itself a candidate, and an isomorphic
+    one, so these are the first candidate of each relabelling orbit that
+    are contracted.
 
     Parts first: a permutation that maps the agents' parts to smaller parts
     prunes every valuation of them unseen; one that maps them to larger
     parts prunes none; the ones that fix them, the stabiliser, are tried on
-    the masks. The refinement reads the truth masks only through their
+    the masks. The valuations that no permutation of a stabiliser maps to
+    smaller masks are found once per stabiliser, and reused by every part
+    triple it fixes. The refinement reads the truth masks only through their
     level-0 partition (the lemma of `_refine_masks`), so it is computed once
-    per surviving parts and level-0 partition and shared, with a cache
-    that lives until the parts are done, by every valuation inducing it."""
+    per surviving parts and level-0 partition: the candidates of one such
+    refinement group are yielded with one `refined` object, which lives
+    until their parts are done."""
     whole = (1 << n) - 1
     index = {frozenset(part): i for i, part in enumerate(partitions)}
     tables = []  # per non-identity permutation: partition and mask images
@@ -145,27 +147,33 @@ def _classes(n: int, partitions: list, n_agents: int,
             blocks[key] = blocks.get(key, 0) | 1 << i
         level0_at.append(level0.setdefault(tuple(sorted(blocks.values())),
                                            len(level0)))
+    least: Dict[tuple, list] = {}  # per stabiliser: its orbit-least masks
     for parts in itertools.product(range(len(partitions)), repeat=n_agents):
         fixing = []
-        for part_image, mask_image in tables:
+        for j, (part_image, _) in enumerate(tables):
             moved = tuple(part_image[i] for i in parts)
             if moved < parts:
                 break
             if moved == parts:
-                fixing.append(mask_image)
+                fixing.append(j)
         else:
+            stabiliser = tuple(fixing)
+            kept = least.get(stabiliser)
+            if kept is None:
+                images = [tables[j][1] for j in stabiliser]
+                kept = least[stabiliser] = [
+                    (masks, k) for masks, k in zip(valuations, level0_at)
+                    if not any(tuple(image[m] for m in masks) < masks
+                               for image in images)]
             classes = [partitions[i] for i in parts]
             groups = []  # per level-0 partition; None if not contracted
             for partition in level0:
                 refined = _refine_masks(classes, partition, whole)
-                groups.append((refined, {}) if len(refined[0][-1]) == n
-                              else None)
-            for masks, k in zip(valuations, level0_at):
-                group = groups[k]
-                if group is None or any(tuple(image[m] for m in masks)
-                                        < masks for image in fixing):
-                    continue
-                yield (parts, masks) + group
+                groups.append(refined if len(refined[0][-1]) == n else None)
+            for masks, k in kept:
+                refined = groups[k]
+                if refined is not None:
+                    yield parts, masks, refined
 
 
 def _builder(agents: tuple, props: tuple, n: int,
@@ -186,6 +194,43 @@ def _builder(agents: tuple, props: tuple, n: int,
         return KripkeModel._from_frame(frame, dict(zip(props, masks)))
 
     return build
+
+
+def _group_evaluators(agents: tuple, props: tuple,
+                      n: int) -> Iterator[tuple]:
+    """Each candidate of `_classes(n, ...)`, in order, as (parts, masks,
+    ev): `ev` is the one evaluator of the candidate's refinement group,
+    its truth masks swapped in (`Evaluator._revalue`).
+
+    A group's first candidate gets a validated model (`_builder`), the
+    group's whole quotient, built from the shared refinement, and an
+    evaluator of it; the group's later candidates get no model. Every
+    candidate's truth masks pass the checks a model's pass
+    (`KripkeModel._checked_truth`), once per valuation of n states, before
+    any group reads them. The candidates of a part triple switch between
+    its groups, so each group's evaluator lives until its parts are done."""
+    partitions = _mask_partitions(n)
+    build = _builder(agents, props, n, partitions)
+    whole = (1 << n) - 1
+    states = tuple(f"s{i}" for i in range(n))
+    truths = {masks: KripkeModel._checked_truth(
+                  props, n, dict(zip(props, masks)), states)
+              for masks in itertools.product(range(1 << n),
+                                             repeat=len(props))}
+    last = evaluators = None  # the last parts and their groups' evaluators
+    for parts, masks, refined in _classes(n, partitions, len(agents),
+                                          len(props)):
+        if parts != last:
+            # keyed by identity: a group's refinement is one object, alive
+            # until its parts are done
+            last, evaluators = parts, {}
+        ev = evaluators.get(id(refined))
+        if ev is None:
+            model = build(parts, masks)
+            _whole_quotient(model, _Quotient(model, whole, refined))
+            ev = evaluators[id(refined)] = Evaluator(model)
+        ev._revalue(truths[masks])
+        yield parts, masks, ev
 
 
 def enumerate_models(agents, props, max_states: int) -> Iterator[KripkeModel]:
@@ -303,11 +348,13 @@ def find_countermodel(f: Formula, params: GenParams, *,
     by `_bisim_key`. The exhaustive branch computes no key: per state count
     it walks `_classes`, which keeps, in the order of `enumerate_models`,
     the raw candidates that are orbit-least (no relabelling came earlier)
-    and contracted, each with its refinement, and it builds and evaluates a
-    model only for those, sharing one whole quotient and one restriction
-    cache per group. Among the orbit-least candidates, which come in
-    order of state count, that skips exactly the ones whose class came
-    earlier:
+    and contracted, each with its refinement, and it evaluates only those.
+    The candidates of one refinement group (part triple and level-0
+    partition) are evaluated on one evaluator, which swaps in each one's
+    truth masks, checked once per valuation (`_group_evaluators`); a model
+    is built for each group's evaluator and for the hit. Among the
+    orbit-least candidates, which come in order of state count, that skips
+    exactly the ones whose class came earlier:
     - contracted implies new: two contracted models with isomorphic
       quotients are isomorphic, so an earlier candidate of the class would
       lie in this one's relabelling orbit, and only the first candidate of
@@ -341,15 +388,17 @@ def find_countermodel(f: Formula, params: GenParams, *,
     instances = [(assignment, substitute(f, assignment))
                  for assignment in assignments]
 
-    def refuted(model: KripkeModel, quotients=None) -> Optional[SearchHit]:
-        ev = Evaluator(model)
-        if quotients is not None:
-            ev._share(quotients)
+    def refuted(ev: Evaluator) -> Optional[tuple]:
+        """The first (assignment, state) at which an instance fails."""
         for assignment, g in instances:
-            for state in model.states:
+            for state in ev.model.states:
                 if not ev.eval(state, g):
-                    return SearchHit(PointedModel(model, state), dict(assignment))
+                    return assignment, state
         return None
+
+    def hit(model: KripkeModel, found: tuple) -> SearchHit:
+        assignment, state = found
+        return SearchHit(PointedModel(model, state), dict(assignment))
 
     if params.max_states > 3:
         gen = replace(params, agents=agents, props=props)
@@ -359,22 +408,15 @@ def find_countermodel(f: Formula, params: GenParams, *,
             key = _bisim_key(model)
             if key in held:
                 continue
-            hit = refuted(model)
-            if hit is not None:
-                return hit
+            found = refuted(Evaluator(model))
+            if found is not None:
+                return hit(model, found)
             held.add(key)
         return None
     for n in range(1, params.max_states + 1):
-        partitions = _mask_partitions(n)
-        build = _builder(agents, props, n, partitions)
-        whole = (1 << n) - 1
-        for parts, masks, refined, quotients in _classes(
-                n, partitions, len(agents), len(props)):
-            model = build(parts, masks)
-            if not quotients:
-                quotients[whole] = _Quotient(model, whole, refined)
-            _whole_quotient(model, quotients[whole])
-            hit = refuted(model, quotients)
-            if hit is not None:
-                return hit
+        for parts, masks, ev in _group_evaluators(agents, props, n):
+            found = refuted(ev)
+            if found is not None:
+                build = _builder(agents, props, n, _mask_partitions(n))
+                return hit(build(parts, masks), found)
     return None

@@ -13,7 +13,9 @@ from cogal.formula import (
     And, Atom, CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Hole, Imp,
     Know, KnowCtx, Not, PaBox, PaDia, Top, parse, render,
 )
-from cogal.harness import GenParams, instantiation_pool, random_formula, random_model
+from cogal.harness import (
+    GenParams, axiom_suite, instantiation_pool, random_formula, random_model,
+)
 from cogal.model import (
     ModelError, PointedModel, bisim_contract, realize_choice, validate,
 )
@@ -271,6 +273,25 @@ class TestMemo:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_certify_suite_leaves_no_cyclic_garbage(self, train):
+        # the recursive closures of `_unions` and `_Quotient.chars` must
+        # not outlive their calls in reference cycles
+        model, w = train
+        params = GenParams(seed=1000, count=4)
+        axiom_suite(params, certify=True)  # formulas and caches warmed
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            report = axiom_suite(params, certify=True)
+            verdict = Evaluator(model).check(w, parse("<{a,b}> ~K c ~p"))
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert report.certificates.checked > 0
+        assert verdict.witness_formula is not None
 
     def test_non_formula_node_is_rejected(self, train):
         # a necessity form is a node but no formula: the dispatch on node

@@ -51,7 +51,7 @@ def test_restriction_quotient_is_the_oracle_contraction(model, data):
     assert {names[i]: names[quotient.rep_of[i]] for i in _bits(kept)} \
         == dict(cm.mapping)
     table = oracle.char_table(cm.contracted)
-    chars = quotient.chars(model)
+    chars = quotient.chars(model._truth_masks)
     assert {names[r]: f for r, f in chars.items()} == table
 
     group = data.draw(st.frozensets(st.sampled_from(model.agents)))

@@ -6,17 +6,20 @@ it to a brute-force canonical form, and `find_countermodel` to the
 candidate-by-candidate loop it replaced. The exhaustive search works on raw
 candidates and computes no key: `search._classes` walks the agents' parts
 first, drops relabellings of earlier candidates, refines once per parts and
-level-0 partition, and yields only the contracted candidates, from which a
-model is built. The tests hold each step to the model-level form it stands
-for, the walk to the orbit test it replaced (`_least_of_orbits` below, then
-the contracted test), and the contracted test to the key: among the
-orbit-least candidates, the contracted ones are exactly the first of each
-class. The candidates of one (parts, level-0 partition) group share one
-whole quotient and one restriction cache; the tests hold every shared
-restriction to the candidate's own, and every characteristic formula and
-certificate read through them to those of a freshly validated copy."""
+level-0 partition, and yields only the contracted candidates. The tests
+hold each step to the model-level form it stands for, the walk to the orbit
+test it replaced (`_least_of_orbits` below, then the contracted test), and
+the contracted test to the key: among the orbit-least candidates, the
+contracted ones are exactly the first of each class. The candidates of one
+(parts, level-0 partition) group are evaluated on one evaluator, which
+swaps in each one's truth masks (`Evaluator._revalue`); the tests hold
+every restriction it keeps to the candidate's own, and every verdict,
+witness and characteristic formula it gives to those of a fresh evaluator
+of the candidate's own model."""
 
 import itertools
+import random
+from collections import Counter
 from typing import Iterable, Iterator
 
 import pytest
@@ -24,17 +27,18 @@ import pytest
 import cogal.search as search
 from cogal.checker import Evaluator
 from cogal.formula import (
-    Atom, Know, agents_of, atoms, parse, substitute, _vocab_mask,
+    Atom, CoalDia, Fragment, GroupDia, Know, agents_of, atoms, parse,
+    substitute, _vocab_mask,
 )
 from cogal.model import (
-    KripkeModel, PointedModel, _Quotient, _bisim_key, _refine, _refine_masks,
-    _whole_quotient, bisim_contract, char_formula, is_contracted,
+    KripkeModel, ModelError, PointedModel, _Quotient, _bisim_key, _refine,
+    _refine_masks, bisim_contract, char_formula, is_contracted,
     realize_choice, validate,
 )
 from cogal.search import (
     GenParams, _builder, _classes, _mask_partitions, _raw_models,
-    enumerate_models, find_countermodel, instantiation_pool, random_model,
-    set_partitions,
+    enumerate_models, find_countermodel, instantiation_pool, random_formula,
+    random_model, set_partitions,
 )
 
 AGENTS = ("a", "b", "c")
@@ -321,7 +325,7 @@ class TestRawCandidates:
         # same candidates, same order, same refinements: the first hit of
         # the search is unchanged
         walked = [(n, parts, masks, refined) for n in range(1, 4)
-                  for parts, masks, refined, _ in _classes(
+                  for parts, masks, refined in _classes(
                       n, _mask_partitions(n), len(AGENTS), len(PROPS))]
         assert walked == [(n, parts, masks, refined)
                           for n, parts, masks, refined
@@ -414,17 +418,59 @@ def frames(monkeypatch):
 
 
 @pytest.fixture()
+def truth_checks(monkeypatch):
+    """Counts the truth-mask checks (`KripkeModel._checked_truth`): each
+    model's, and each the search runs for a valuation."""
+    checked = []
+    check = KripkeModel._checked_truth
+
+    def counting(props, n, truth_masks, names):
+        checked.append((n, dict(truth_masks)))
+        return check(props, n, truth_masks, names)
+
+    monkeypatch.setattr(KripkeModel, "_checked_truth", staticmethod(counting))
+    return checked
+
+
+@pytest.fixture()
 def evaluators(monkeypatch):
-    """Counts the evaluators `find_countermodel` builds."""
+    """Keeps the evaluators `find_countermodel` builds."""
     built = []
 
     class Counting(Evaluator):
         def __init__(self, model, **kwargs):
-            built.append(model)
+            built.append(self)
             super().__init__(model, **kwargs)
 
     monkeypatch.setattr(search, "Evaluator", Counting)
     return built
+
+
+@pytest.fixture()
+def revalued(monkeypatch):
+    """Records each candidate evaluated on a group's evaluator, as the
+    (evaluator, truth masks) of its `Evaluator._revalue`."""
+    swapped = []
+    revalue = Evaluator._revalue
+
+    def recording(self, truth):
+        swapped.append((self, truth))
+        revalue(self, truth)
+
+    monkeypatch.setattr(Evaluator, "_revalue", recording)
+    return swapped
+
+
+def walked_candidates(max_states=3):
+    """The search's candidates, as `_classes` yields them: (class masks,
+    truth masks) in order."""
+    out = []
+    for n in range(1, max_states + 1):
+        partitions = _mask_partitions(n)
+        out += [(tuple(partitions[i] for i in parts), masks)
+                for parts, masks, _ in _classes(n, partitions, len(AGENTS),
+                                                len(PROPS))]
+    return out
 
 
 A11 = "<[{a}]> (K a p) -> <{a}> [{b,c}] (K a p)"
@@ -436,11 +482,17 @@ RANDOM = GenParams(max_states=4, agents=AGENTS, props=PROPS, seed=3, count=300)
 
 class TestAgainstPlainLoop:
     @pytest.mark.parametrize("text", [A11, C4])
-    def test_valid_instances(self, text, evaluators):
+    def test_valid_instances(self, text, evaluators, revalued):
         f = parse(text)
         assert find_countermodel(f, EXHAUSTIVE) is None
-        # one evaluator per class of the 8,132 candidates
-        assert len(evaluators) == 1140
+        # one evaluator per refinement group, and each of the 1,140 classes
+        # of the 8,132 candidates evaluated on its group's, in the walk's
+        # order
+        assert len(evaluators) == 114
+        assert len(revalued) == 1140
+        assert {id(ev) for ev, _ in revalued} == set(map(id, evaluators))
+        assert [(tuple(ev.model._class_masks.values()), tuple(truth.values()))
+                for ev, truth in revalued] == walked_candidates()
         assert plain_countermodel(f, EXHAUSTIVE) is None
 
     def test_exhaustive_branch_computes_no_key(self, evaluators, monkeypatch):
@@ -449,23 +501,39 @@ class TestAgainstPlainLoop:
 
         monkeypatch.setattr(search, "_bisim_key", refuse)
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None
-        assert len(evaluators) == 1140
+        assert len(evaluators) == 114
 
-    def test_builds_a_model_only_per_class(self, constructed, evaluators):
+    def test_builds_a_model_only_per_group_and_hit(
+            self, constructed, evaluators, truth_checks):
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None
-        assert len(constructed) == 1140
-        assert evaluators == constructed
-        # each evaluated model's quotient holds the refinement its contracted
+        assert len(constructed) == 114
+        assert [ev.model for ev in evaluators] == constructed
+        # each group's model's quotient holds the refinement its contracted
         # test was read from
-        for model in evaluators:
+        for model in constructed:
             levels, classes = _refine(model, (1 << len(model.states)) - 1)
             assert model._whole_quotient.levels == levels
             assert list(model._whole_quotient.classes.values()) == classes
+        # the truth checks: once per valuation of 1, 2 and 3 states, and
+        # once per model
+        checked = Counter((n, tuple(t.values())) for n, t in truth_checks)
+        checked.subtract((len(m.states), tuple(m._truth_masks.values()))
+                         for m in constructed)
+        assert checked == Counter(
+            (n, masks) for n in range(1, 4)
+            for masks in itertools.product(range(1 << n), repeat=2))
+        assert len(truth_checks) == 4 + 16 + 64 + 114
+        # a hit gets a model of its own, built after its group's
+        del constructed[:], evaluators[:]
+        hit = find_countermodel(parse(THREE_STATES), EXHAUSTIVE)
+        assert len(constructed) == len(evaluators) + 1
+        assert constructed[:-1] == [ev.model for ev in evaluators]
+        assert constructed[-1] is hit.pointed.model
 
     def test_validates_a_frame_per_part_triple_with_a_class(
             self, constructed, frames):
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None
-        assert len(constructed) == 1140
+        assert len(constructed) == 114
         # every part triple that yields a class, once, and no other
         triples = {(n, tuple(_mask_partitions(n)[i] for i in parts))
                    for n in range(1, 4)
@@ -483,10 +551,10 @@ class TestAgainstPlainLoop:
 
     def test_candidates_derive_no_name_views(self, evaluators):
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None
-        assert len(evaluators) == 1140
-        for model in evaluators:
-            assert "partitions" not in vars(model)
-            assert "valuation" not in vars(model)
+        assert len(evaluators) == 114
+        for ev in evaluators:
+            assert "partitions" not in vars(ev.model)
+            assert "valuation" not in vars(ev.model)
 
     @pytest.mark.parametrize("text", ["p -> K a p", "K a p -> K b p",
                                       "~K c p -> K c ~p", THREE_STATES])
@@ -496,14 +564,18 @@ class TestAgainstPlainLoop:
         assert hit is not None
         assert hit_doc(hit) == hit_doc(plain_countermodel(f, EXHAUSTIVE))
 
-    def test_first_hit_with_three_states(self, evaluators):
+    def test_first_hit_with_three_states(self, revalued):
         hit = find_countermodel(parse(THREE_STATES), EXHAUSTIVE)
         assert len(hit.pointed.model.states) == 3
         target = hit.pointed.model.to_doc()
         position = next(i for i, m in enumerate(enumerate_models(AGENTS, PROPS, 3))
                         if m.to_doc() == target)
-        # candidates of a class that already held were skipped on the way
-        assert len(evaluators) < position + 1
+        # candidates of a class that already held were skipped on the way;
+        # the hit is the last candidate evaluated
+        assert len(revalued) < position + 1
+        ev, truth = revalued[-1]
+        assert truth == hit.pointed.model._truth_masks
+        assert ev.model._class_masks == hit.pointed.model._class_masks
 
     @pytest.mark.parametrize("text", ["K a x -> K b x", "K a x -> x"])
     def test_schematic_atoms_with_a_pool(self, text):
@@ -542,14 +614,25 @@ def group_key(model):
             tuple(level0(len(model.states), model._truth_masks.values())))
 
 
-def unshared(evaluators) -> int:
-    """The (evaluator, non-empty kept mask) pairs whose restriction, read
-    through the evaluator's cache, differs in some field from the one its
-    own model refines. The `firsts` cache is compared by its entries: each
-    table the shared quotient holds must be the one its own model's builds."""
+def group_candidates(agents=AGENTS, props=PROPS, max_states=3):
+    """Every candidate of `_classes`, in order, as (ev, model): `ev` the
+    evaluator of its refinement group with its truth masks swapped in
+    (`search._group_evaluators`, as the search reads it), `model` the
+    candidate's own validated model. Use each pair before the next: the
+    next candidate may swap other truth masks into the same evaluator."""
+    for n in range(1, max_states + 1):
+        build = _builder(agents, props, n, _mask_partitions(n))
+        for parts, masks, ev in search._group_evaluators(agents, props, n):
+            yield ev, build(parts, masks)
+
+
+def unshared(pairs) -> int:
+    """The (candidate, non-empty kept mask) pairs whose restriction, read
+    through its evaluator, differs in some field from the one its own model
+    refines. The `firsts` cache is compared by its entries: each table the
+    evaluator's quotient holds must be the one its own model's builds."""
     count = 0
-    for ev in evaluators:
-        model = ev.model
+    for ev, model in pairs:
         for kept in range(1, 1 << len(model.states)):
             shared = ev._restriction(kept)
             own = _Quotient(model, kept, _refine(model, kept))
@@ -561,24 +644,21 @@ def unshared(evaluators) -> int:
 
 
 def parts_grouped(agents, props, max_states):
-    """Evaluators of the search's candidates that share one whole quotient
-    and one restriction cache per parts alone, not per (parts, level-0
-    partition): a grouping the lemma of `_refine_masks` does not allow."""
+    """(ev, model) per search candidate, as `group_candidates`, but with one
+    evaluator per parts alone, not per (parts, level-0 partition): a
+    grouping the lemma of `_refine_masks` does not allow."""
     for n in range(1, max_states + 1):
         partitions = _mask_partitions(n)
         build = _builder(agents, props, n, partitions)
-        whole = (1 << n) - 1
-        caches = {}
-        for parts, masks, refined, _ in _classes(n, partitions, len(agents),
-                                                 len(props)):
+        evaluators = {}
+        for parts, masks, _ in _classes(n, partitions, len(agents),
+                                        len(props)):
             model = build(parts, masks)
-            quotients = caches.setdefault(parts, {})
-            if not quotients:
-                quotients[whole] = _Quotient(model, whole, refined)
-            _whole_quotient(model, quotients[whole])
-            ev = Evaluator(model)
-            ev._share(quotients)
-            yield ev
+            ev = evaluators.get(parts)
+            if ev is None:
+                ev = evaluators[parts] = Evaluator(model)
+            ev._revalue(model._truth_masks)
+            yield ev, model
 
 
 @pytest.fixture()
@@ -596,8 +676,8 @@ def quotients_built(monkeypatch):
     return built
 
 
-# evidence formulas: witnesses and refutations on the root, certificates
-# on restrictions
+# evidence formulas: witnesses and refutations, with certificates on
+# restrictions under `certify`
 EVIDENCE = ["<{a}> K b p", "<{a,b}> (K c q | K c ~q)", "<[{a}]> ~K b q",
             "<[{b,c}]> K a (p & q)", "<{c}> [{a}] (p -> K b p)",
             # no set wins, so every set is tried, and certified inside
@@ -616,98 +696,146 @@ def evidence(model):
     return out
 
 
-def certified_evidence(ev):
-    """Verdicts of the evidence formulas at every state, the certificates
-    checked on the way, and the characteristic formulas they read."""
-    out = [ev.check(state, parse(text)).to_doc()
-           for state in ev.model.states for text in EVIDENCE]
-    return (out, ev.certificates.checked, ev.certificates.mismatches,
-            ev._char_tables)
+def evidence_docs(ev):
+    """`check`'s verdict documents of the evidence formulas at every
+    state."""
+    return [ev.check(state, parse(text)).to_doc()
+            for state in ev.model.states for text in EVIDENCE]
 
 
 class TestSharedQuotients:
     def test_a_sweep_builds_a_quotient_per_group(
             self, constructed, evaluators, quotients_built):
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None
-        assert len(constructed) == 1140
-        assert evaluators == constructed
-        assert 0 < quotients_built["whole"] <= 114
-        assert 0 < quotients_built["restriction"] <= 195
+        assert len(constructed) == 114
+        assert [ev.model for ev in evaluators] == constructed
+        assert quotients_built == {"whole": 114, "restriction": 191}
 
-    def test_sharing_refuses_a_foreign_root(self):
-        first, second = list(enumerate_models(AGENTS, PROPS, 1))[:2]
-        ev = Evaluator(first)
-        for foreign in ({}, {1: _whole_quotient(second)},
-                        {1: _Quotient(first, 1, _refine(first, 1))}):
-            with pytest.raises(ValueError, match="own quotient"):
-                ev._share(foreign)
-        ev._share({1: _whole_quotient(first)})
-
-    def test_group_restrictions_are_each_candidates_own(self, monkeypatch):
+    def test_group_restrictions_are_each_candidates_own(self):
         # the lemma of `_refine_masks` for every kept mask: read through
-        # its group's cache, each candidate's restriction is its own
-        sharing = []
-
-        class Keeping(Evaluator):
-            def _share(self, quotients):
-                super()._share(quotients)
-                sharing.append(self)
-
-        monkeypatch.setattr(search, "Evaluator", Keeping)
-        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
-        assert len(sharing) == 1140
-        caches = {}
-        for ev in sharing:
-            caches.setdefault(group_key(ev.model), set()).add(
-                id(ev._quotients))
-        # one cache per group
-        assert len(caches) == 114
-        assert all(len(ids) == 1 for ids in caches.values())
-        assert len(set().union(*caches.values())) == 114
-        assert unshared(sharing) == 0
-        # sharing by parts alone breaks it
+        # its group's evaluator, each candidate's restriction is its own
+        groups = {}
+        pairs = []
+        for ev, model in group_candidates():
+            # the evaluators are kept, so their ids stay distinct
+            groups.setdefault(group_key(model), {})[id(ev)] = ev
+            pairs.append((tuple(model._class_masks.values()),
+                          tuple(model._truth_masks.values())))
+        assert pairs == walked_candidates()
+        # one evaluator per group
+        assert len(groups) == 114
+        assert all(len(evs) == 1 for evs in groups.values())
+        assert len(set().union(*groups.values())) == 114
+        assert unshared(group_candidates()) == 0
+        # grouping by parts alone breaks it
         assert unshared(parts_grouped(AGENTS, PROPS, 3)) > 0
 
-    def test_shared_quotients_read_each_candidates_valuation(self,
-                                                             evaluators):
-        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
-        groups = {}
-        for model in evaluators:
-            if len(model.states) == 3:
-                groups.setdefault(id(model._whole_quotient), []).append(model)
-
-        def chars(model):
-            """Per kept mask, the characteristic formulas of the model's
-            restriction, read on a fresh copy, so no cache is filled."""
-            fresh = validate(model.to_doc())
-            return [_Quotient(fresh, kept, _refine(fresh, kept)).chars(fresh)
-                    for kept in range(1, 1 << 3)]
-
-        def differ(a, b):
-            """Whether the characteristic formulas differ on the whole
-            model and on some restriction."""
-            ca, cb = chars(a), chars(b)
-            return ca[-1] != cb[-1] and ca[:-1] != cb[:-1]
-
-        first, second = next((a, b) for members in groups.values()
-                             for a, b in itertools.combinations(members, 2)
-                             if differ(a, b))
+    def test_shared_quotients_read_each_candidates_valuation(self):
+        # every candidate's witnesses, refutations and the characteristic
+        # formulas behind them, read on its group's evaluator, are those of
+        # a fresh evaluator of its own model
+        count = 0
+        evaluators = []  # kept, so that their ids stay distinct
+        tables = {}  # per group evaluator and kept mask: the first table
+        differing = set()  # whether whole, for tables that differ later
+        for ev, model in group_candidates():
+            evaluators.append(ev)
+            fresh = Evaluator(model)
+            assert evidence_docs(ev) == evidence_docs(fresh)
+            assert ev._char_tables == fresh._char_tables
+            whole = (1 << len(model.states)) - 1
+            assert ev._char_tables[whole] == model._chars
+            # every restriction the group's evaluator holds reads this
+            # candidate's valuation
+            for kept, q in ev._quotients.items():
+                chars = q.chars(ev._truth)
+                own = _Quotient(model, kept, _refine(model, kept))
+                assert chars == own.chars(model._truth_masks)
+                if tables.setdefault((id(ev), kept), chars) != chars:
+                    differing.add(kept == whole)
+            count += 1
+        assert count == 1140
+        # some group's candidates have other characteristic formulas, on
+        # the whole model and on a restriction
+        assert differing == {False, True}
+        # the public API's and a certifying evaluator's reading of a hit
+        # are a fresh copy's
         hit = find_countermodel(parse(THREE_STATES), EXHAUSTIVE).pointed.model
         assert len(hit.states) == 3
-        # the two candidates read restrictions through one cache, so the
-        # certificates realize choices on shared restrictions
-        on_first = Evaluator(first, certify=True)
-        on_second = Evaluator(second, certify=True)
-        on_second._share(on_first._quotients)
-        for model, ev in ((first, on_first), (second, on_second),
-                          (hit, Evaluator(hit, certify=True))):
-            fresh = validate(model.to_doc())
-            assert evidence(model) == evidence(fresh)
-            assert certified_evidence(ev) \
-                == certified_evidence(Evaluator(fresh, certify=True))
-        # some shared restriction has other characteristic formulas on
-        # each candidate
-        whole = (1 << 3) - 1
-        assert any(table != on_second._char_tables.get(kept)
-                   for kept, table in on_first._char_tables.items()
-                   if kept != whole and kept in on_second._char_tables)
+        fresh = validate(hit.to_doc())
+        assert evidence(hit) == evidence(fresh)
+        on_hit = Evaluator(hit, certify=True)
+        on_fresh = Evaluator(fresh, certify=True)
+        assert evidence_docs(on_hit) == evidence_docs(on_fresh)
+        assert on_hit.certificates.checked == on_fresh.certificates.checked > 0
+        assert on_hit.certificates.mismatches == []
+        assert on_fresh.certificates.mismatches == []
+        assert on_hit._char_tables == on_fresh._char_tables
+
+
+# quantifiers over bodies neither positive nor negated positive, which one
+# set cannot decide, some under announcements whose restriction depends on
+# the valuation
+UNDECIDED = ["<{a}> (K b p & ~K c q)", "[{b}] (K a p | ~K c q)",
+             "<[{a}]> (K b q & ~K c p)", "[<{b,c}>] (~K a p | K b q)",
+             "[p | K a q] <{b}> (K c p & ~K a ~q)",
+             "<~K b q> [{a,c}] (K b p | ~K a p)"]
+
+
+def revalue_formulas() -> list:
+    """Seeded random formulas of every fragment, then `UNDECIDED`."""
+    rng = random.Random(2201)
+    return ([random_formula(rng, AGENTS, PROPS, frag=frag)
+             for frag in Fragment for _ in range(4)]
+            + [parse(text) for text in UNDECIDED])
+
+
+class TestRevalue:
+    def test_group_evaluators_agree_with_fresh_ones(self):
+        # every candidate: its group's evaluator, its truth masks swapped
+        # in after the group's earlier candidates filled the memo and the
+        # characteristic formulas, answers as a fresh evaluator of its own
+        # model, at every state, and gives the same evidence on a sample
+        formulas = revalue_formulas()
+        evidence_formulas = [f for f in formulas
+                             if isinstance(f, (GroupDia, CoalDia))]
+        assert len(evidence_formulas) >= 2
+        verdicts = {f: set() for f in formulas}
+        count = 0
+        for i, (ev, model) in enumerate(group_candidates()):
+            fresh = Evaluator(model)
+            for f in formulas:
+                for state in model.states:
+                    truth = ev.eval(state, f)
+                    assert truth == fresh.eval(state, f), (f, model.to_doc())
+                    verdicts[f].add(truth)
+            if i % 5 == 0:
+                for f in evidence_formulas:
+                    for state in model.states:
+                        assert ev.check(state, f).to_doc() \
+                            == fresh.check(state, f).to_doc()
+            count += 1
+        assert count == 1140
+        # the quantifiers that one set cannot decide take both values
+        for text in UNDECIDED:
+            assert verdicts[parse(text)] == {False, True}
+
+    def test_a_certifying_evaluator_is_refused(self):
+        model = next(enumerate_models(AGENTS, PROPS, 1))
+        ev = Evaluator(model, certify=True)
+        with pytest.raises(ValueError, match="certifying"):
+            ev._revalue(dict(model._truth_masks))
+        assert ev._truth is model._truth_masks
+
+    @pytest.mark.parametrize("truth", [{"p": 0b100}, {"q": 0b1010},
+                                       {"r": 1}])
+    def test_bad_truth_masks_raise_the_models_error(self, truth):
+        # the search checks each valuation as a model's construction does
+        states = ("s0", "s1")
+        with pytest.raises(ModelError) as by_model:
+            KripkeModel._from_masks(states, AGENTS, PROPS,
+                                    dict.fromkeys(AGENTS, (0b11,)), truth)
+        with pytest.raises(ModelError) as by_search:
+            KripkeModel._checked_truth(PROPS, 2, truth, states)
+        assert str(by_search.value) == str(by_model.value)
+        assert "unknown" in str(by_model.value)

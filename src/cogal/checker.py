@@ -27,7 +27,8 @@ from typing import Dict, FrozenSet, Iterator, Optional
 
 from .formula import (
     And, Atom, Bot, CoalBox, CoalDia, Formula, GroupBox, GroupDia, Iff, Imp,
-    Know, Not, Or, PaBox, PaDia, Top, agents_of, atoms, render, _mask,
+    Know, Not, Or, PaBox, PaDia, Top, agents_of, atoms, conjoin, render,
+    _mask,
 )
 from .model import (
     KripkeModel, ModelError, PointedModel, _Quotient, _refine_masks,
@@ -276,6 +277,11 @@ class Verdict:
         return doc
 
 
+# the verdicts without evidence, shared: a `Verdict` is frozen
+_TRUE = Verdict(True)
+_FALSE = Verdict(False)
+
+
 @dataclass
 class CertificateLog:
     """Tally of realize-choice certificates checked during evaluation."""
@@ -293,17 +299,19 @@ class Evaluator:
 
     Holds the contracted restrictions reached so far, as `model._Quotient`s
     keyed by their kept masks of root states, and the caches kept per
-    restriction: the memo table, each agent's class unions, the choice sets,
-    the characteristic formulas and the certificates already checked. Every
-    restriction on which a quantifier enumerates, or a body restricts
-    further, is contracted, so the quantifier rule enumerates exactly the
-    announcements expressible there; a purely epistemic body is read on a
-    view of the parent's quotient (`_holds_after`). The memo's
-    (kept, state) keys name a state of the restriction to `kept`, however
-    it is read. With `certify=True` every distinct announcement choice
-    enumerated by the quantifier rule is checked against its realizing
-    formula. The valuation is read only through the truth masks `_truth`,
-    which `_revalue` swaps for the exhaustive search.
+    restriction: the memo table, the extents of the formulas read as
+    announcements or realized, each agent's class unions, the choice sets,
+    the characteristic formulas, each member's realized announcement and
+    the certificates already checked. Every restriction on which a
+    quantifier enumerates, or a body restricts further, is contracted, so
+    the quantifier rule enumerates exactly the announcements expressible
+    there; a purely epistemic body is read on a view of the parent's
+    quotient (`_holds_after`). The memo's (kept, state) keys name a state
+    of the restriction to `kept`, however it is read. With `certify=True`
+    every distinct announcement choice enumerated by the quantifier rule
+    is checked against its realizing formula. The valuation is read only
+    through the truth masks `_truth`, which `_revalue` swaps for the
+    exhaustive search.
     """
 
     def __init__(self, model: KripkeModel, *, certify: bool = False):
@@ -320,6 +328,9 @@ class Evaluator:
         self._option_cache = {}
         self._choice_set_cache = {}
         self._char_tables = {}
+        self._extents = {}
+        self._parts = {}
+        self._names = {}
         self.certify = certify
         self.certificates = CertificateLog()
         self._cert_seen = set()
@@ -346,7 +357,7 @@ class Evaluator:
         that beats the group's first set. Only here is evidence computed;
         the evaluator itself stops at the truth value."""
         if not isinstance(f, (GroupDia, CoalDia)):
-            return Verdict(self.eval(state, f))
+            return _TRUE if self.eval(state, f) else _FALSE
         q = self._root_quotient
         s = self._start(state, f)
         if self.certify or self._deciding_group(f) is None:
@@ -364,7 +375,7 @@ class Evaluator:
                            witness_choice=self._choice(f.group, won),
                            witness_formula=self._realize(q, f.group, won))
         if isinstance(f, GroupDia):
-            return Verdict(False)
+            return _FALSE
         first = self._first_set(q, s, f.group)[0]
         opponents = self._agent_set - f.group
         # The opponents' first set is their first response, read off their
@@ -390,34 +401,57 @@ class Evaluator:
         evaluates all candidates of one refinement group on one evaluator
         (`search._group_evaluators`).
 
-        The memo and the characteristic formulas read the valuation, so
-        they are dropped. The restrictions, views, option lists and choice
-        sets are structure only, by the lemma of `model._refine_masks`: a
-        group's truth masks induce one partition of the states, so they
-        refine every kept mask alike; they are kept. Every later read of
-        the valuation goes through `_truth`: atoms, `K x p`, the refinement
-        of a new restriction and the characteristic formulas. A certifying
+        The memo, the extents, the characteristic formulas and the realized
+        parts read the valuation, so they are dropped, each in one step. The
+        restrictions, views, option lists, choice sets and named state sets
+        are structure only, by the lemma of `model._refine_masks`: a group's
+        truth masks induce one partition of the states, so they refine
+        every kept mask alike; they are kept. Every later read of the
+        valuation goes through `_truth`: atoms, `K x p`, the refinement of a
+        new restriction and the characteristic formulas. A certifying
         evaluator is refused: its certificates belong to one valuation."""
         if self.certify:
             raise ValueError("a certifying evaluator cannot be revalued")
         self._truth = truth
         self._memo = {}
+        self._extents = {}
         self._char_tables = {}
+        self._parts = {}
 
     def _realize(self, q: _Quotient, group, choice: tuple) -> Formula:
-        """The announcement formula of a choice on the restriction. The
-        whole quotient's characteristic formulas are the model's cached
-        ones while the evaluator reads the model's own truth masks."""
+        """The announcement formula of a choice on the restriction: the
+        conjunction of the members' parts (`_Quotient.part`), each realized
+        once per restriction, agent and union. A part whose realization
+        raises `ModelError` is not stored: every choice that needs it
+        raises, and `_certify` records each."""
+        parts = []
+        for agent, mask in zip(self._members(group), choice):
+            key = (q.kept, agent, mask)
+            part = self._parts.get(key)
+            if part is None:
+                part = self._parts[key] = q.part(self._char_table(q), agent,
+                                                 mask)
+            parts.append(part)
+        return conjoin(parts)
+
+    def _char_table(self, q: _Quotient) -> dict:
+        """The restriction's characteristic formulas. The whole quotient's
+        are the model's cached ones while the evaluator reads the model's
+        own truth masks."""
         chars = self._char_tables.get(q.kept)
         if chars is None:
             chars = self._char_tables[q.kept] = (
                 self._root._chars if (q is self._root_quotient and
                                       self._truth is self._root._truth_masks)
                 else q.chars(self._truth))
-        return q.realize(chars, zip(self._members(group), choice))
+        return chars
 
     def _states(self, mask: int) -> frozenset:
-        return self._root._named(mask)
+        """The names of the states in a mask, named once per mask."""
+        names = self._names.get(mask)
+        if names is None:
+            names = self._names[mask] = self._root._named(mask)
+        return names
 
     def _members(self, group: frozenset) -> tuple:
         """The group's members in model order, listed once per frame."""
@@ -450,11 +484,18 @@ class Evaluator:
         return q
 
     def _where(self, q: _Quotient, f: Formula) -> int:
-        """The union of the restriction's blocks at which the formula holds."""
-        out = 0
-        for rep, block in q.blocks:
-            if self._eval(q, rep, f):
-                out |= block
+        """The union of the restriction's blocks at which the formula holds:
+        its extent, computed once per restriction and formula. It does not
+        depend on the state asked about, so a sweep over the states reads
+        each announcement's extent once."""
+        key = (q.kept, f)
+        out = self._extents.get(key)
+        if out is None:
+            out = 0
+            for rep, block in q.blocks:
+                if self._eval(q, rep, f):
+                    out |= block
+            self._extents[key] = out
         return out
 
     def _holds_after(self, q: _Quotient, kept: int, state: int,

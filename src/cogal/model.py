@@ -646,17 +646,18 @@ class _Quotient:
     def realize(self, chars: dict, pairs: Iterable) -> Formula:
         """The announcement formula of a choice given as (agent, mask)
         pairs, each mask a union of the agent's classes: one knowledge
-        conjunct per pair, in order, each the disjunction of the
-        characteristic formulas (`chars`) of the reps in its mask."""
-        parts = []
-        for agent, mask in pairs:
-            for c in self.classes[agent]:
-                if c & mask and c & mask != c:
-                    raise ModelError(f"choice for agent {agent!r} is not a union "
-                                     f"of that agent's equivalence classes")
-            parts.append(Know(agent, disjoin(chars[r]
-                                             for r in _bits(mask & self.reps))))
-        return conjoin(parts) if parts else Top()
+        conjunct per pair (`part`), in order."""
+        return conjoin(self.part(chars, agent, mask) for agent, mask in pairs)
+
+    def part(self, chars: dict, agent: str, mask: int) -> Formula:
+        """One member's announcement: that the agent knows the disjunction
+        of the characteristic formulas (`chars`) of the reps in `mask`, a
+        union of the agent's classes."""
+        for c in self.classes[agent]:
+            if c & mask and c & mask != c:
+                raise ModelError(f"choice for agent {agent!r} is not a union "
+                                 f"of that agent's equivalence classes")
+        return Know(agent, disjoin(chars[r] for r in _bits(mask & self.reps)))
 
     def decode(self, model: KripkeModel) -> KripkeModel:
         """The contracted restriction of the model, states named by reps:

@@ -1,17 +1,21 @@
 import gc
+import importlib.util
 import itertools
 import random
 import weakref
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import cogal.model
 from cogal.checker import (
     BindingError, Evaluator, Verdict, _ChoiceSets, _distinct_sets, check,
     eval_formula, extension,
 )
 from cogal.formula import (
     And, Atom, CoalBox, CoalDia, Fragment, GroupBox, GroupDia, Hole, Imp,
-    Know, KnowCtx, Not, PaBox, PaDia, Top, parse, render,
+    Know, KnowCtx, Not, PaBox, PaDia, Top, fragment, parse, render,
 )
 from cogal.harness import (
     GenParams, axiom_suite, instantiation_pool, random_formula, random_model,
@@ -300,6 +304,116 @@ class TestMemo:
         for form in (Hole(), KnowCtx("a", Hole())):
             with pytest.raises(TypeError, match="^not a formula: "):
                 Evaluator(model).eval(w, form)
+
+
+# announcements inside quantifier bodies, quantifiers inside announcements
+NESTED = ["<{a}> [p | K b q] K c p", "[<{a,b}> K c p] K a q",
+          "<[{a}]> <K b p> ~K c q", "[{a,b}] <~K c p> K a p",
+          "<<{b}> ~K a p> [<{a,c}>] K c q", "<{a,b}> (K a p & [q] ~K b p)",
+          "[{b,c}] <[{a}]> [~q] K b ~p"]
+
+
+class TestSweep:
+    """A sweep over every state on one evaluator reads each restriction's
+    announcement extents, realized announcements and named state sets once
+    (`Evaluator._where`, `_realize`, `_states`); it must answer exactly as a
+    fresh evaluator per state does."""
+
+    MODELS = 24
+
+    @staticmethod
+    def _formulas(rng, agents, props):
+        out = [random_formula(rng, agents, props, frag=frag)
+               for frag in Fragment for _ in range(2)]
+        return out + [parse(text) for text in NESTED]
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_sweep_agrees_with_a_fresh_evaluator_per_state(self, certify):
+        params = GenParams(max_states=6, seed=2301, count=self.MODELS)
+        rng = random.Random("sweep")
+        fragments = set()
+        checked = 0
+        for i in range(self.MODELS):
+            model = random_model(params, i)
+            for f in self._formulas(rng, model.agents, model.props):
+                fragments.add(fragment(f))
+                sweep = Evaluator(model, certify=certify)
+                docs = [sweep.check(s, f).to_doc() for s in model.states]
+                seen = set()
+                for s, doc in zip(model.states, docs):
+                    fresh = Evaluator(model, certify=certify)
+                    assert doc == fresh.check(s, f).to_doc(), (render(f), s)
+                    seen |= fresh._cert_seen
+                    assert fresh.certificates.mismatches == []
+                truths = frozenset(s for s, doc in zip(model.states, docs)
+                                   if doc["truth"])
+                assert sweep.extension(f) == truths
+                assert oracle.Evaluator(model).extension(f) == truths
+                # the sweep certifies the choices the fresh evaluators do,
+                # each once
+                assert sweep.certificates.checked == len(seen)
+                assert sweep.certificates.mismatches == []
+                checked += sweep.certificates.checked
+        assert fragments == set(Fragment)
+        assert (checked > 0) == certify
+
+
+def scale_model(n: int):
+    """The benchmark's first model of n states at its panel seed 1000
+    (`perfbench/modelgen.py`)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "modelgen.py"
+    spec = importlib.util.spec_from_file_location("modelgen", path)
+    modelgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(modelgen)
+    return validate(modelgen.exact_model_doc(
+        random.Random(f"scale:1000:{n}:0"), n))
+
+
+class TestSweepCounts:
+    """What a sweep reads once per restriction, counted on a 16-state
+    benchmark model."""
+
+    def test_each_announcement_extent_is_evaluated_once(self, monkeypatch):
+        model = scale_model(16)
+        f = parse("[p] K c q")
+        reads = Counter()
+        inner = Evaluator._eval
+
+        def counted(self, q, state, g):
+            if g is f.announce:
+                reads[q.kept] += 1
+            return inner(self, q, state, g)
+
+        monkeypatch.setattr(Evaluator, "_eval", counted)
+        ev = Evaluator(model)
+        truths = [ev.check(s, f).truth for s in model.states]
+        root = ev._root_quotient
+        # p holds at more than one state, so a sweep that recomputed its
+        # extent per state would evaluate it more than once per block
+        assert len(model.truth_set("p")) > 1 and len(root.blocks) > 1
+        assert any(truths) and not all(truths)
+        # at each state, to test the announcement, and once per block, for
+        # its extent
+        assert reads == {root.kept: len(model.states) + len(root.blocks)}
+
+    def test_each_member_announcement_is_realized_once(self, monkeypatch):
+        model = scale_model(16)
+        f = parse("<{a,b}> K c p")
+        realized = []
+        inner = cogal.model.disjoin
+
+        def counted(parts):
+            realized.append(None)
+            return inner(parts)
+
+        monkeypatch.setattr(cogal.model, "disjoin", counted)
+        ev = Evaluator(model)
+        witnesses = [ev.check(s, f).witness_choice for s in model.states]
+        parts = [(a, states) for choice in witnesses if choice
+                 for a, states in choice.items()]
+        # the sweep's witnesses repeat parts; each is realized once
+        assert len(set(parts)) < len(parts)
+        assert len(realized) == len(set(parts))
 
 
 class TestBinding:

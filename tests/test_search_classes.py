@@ -820,6 +820,29 @@ class TestRevalue:
         for text in UNDECIDED:
             assert verdicts[parse(text)] == {False, True}
 
+    def test_candidates_read_their_own_extents_and_witnesses(self):
+        # the announcement extents and realized announcements read the
+        # valuation: within a group, one candidate's must not answer for
+        # the next, which may give the announcement another extent and the
+        # witness other characteristic formulas
+        pal, dia = parse("[p] K a q"), parse("<{a,b}> K c p")
+        varied = 0
+        for ev, pairs in itertools.groupby(group_candidates(),
+                                           key=lambda pair: pair[0]):
+            extents, witnesses = set(), set()
+            for _, model in pairs:
+                fresh = Evaluator(model)
+                for f in (pal, dia):
+                    for state in model.states:
+                        doc = fresh.check(state, f).to_doc()
+                        assert ev.check(state, f).to_doc() == doc, (
+                            f, state, model.to_doc())
+                        if f is dia and doc["witness"]:
+                            witnesses.add(doc["witness"]["formula"])
+                extents.add(model.truth_set("p"))
+            varied += len(extents) > 1 and len(witnesses) > 1
+        assert varied > 0
+
     def test_a_certifying_evaluator_is_refused(self):
         model = next(enumerate_models(AGENTS, PROPS, 1))
         ev = Evaluator(model, certify=True)

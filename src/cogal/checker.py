@@ -32,7 +32,6 @@ from .formula import (
 )
 from .model import (
     KripkeModel, ModelError, PointedModel, _Quotient, _refine_masks,
-    _whole_quotient,
 )
 
 __all__ = [
@@ -320,7 +319,7 @@ class Evaluator:
         self._class_at = model._class_at
         self._agent_set = frozenset(model.agents)
         # the whole model's quotient is shared with every evaluator of it
-        self._root_quotient = _whole_quotient(model)
+        self._root_quotient = model._whole_quotient
         self._quotients: Dict[int, _Quotient] = {
             self._root_quotient.kept: self._root_quotient}
         self._views = {}

@@ -27,7 +27,7 @@ from .formula import (
     Imp, ImpCtx, Know, KnowCtx, Not, Or, PaBox, PaCtx, PaDia, Top, conjoin,
     instantiate, parse, render,
 )
-from .model import KripkeModel, _whole_quotient, validate
+from .model import KripkeModel, validate
 from .search import (
     GenParams, SearchHit, enumerate_models, find_countermodel,
     instantiation_pool, random_formula, random_model, set_partitions,
@@ -528,12 +528,13 @@ def _announcements(model: KripkeModel, group) -> List[Formula]:
     classes, the empty one included): the first choice that yields it,
     members in model order, the last varying fastest, each one's unions by
     size, ties broken by class positions."""
-    q, chars = _whole_quotient(model), model._chars
+    q, chars = model._whole_quotient, model._chars
     members = [a for a in model.agents if a in group]
     options = [_unions(q.classes[a], [(c & q.reps).bit_count()
                                       for c in q.classes[a]])
                for a in members]
-    return [q.realize(chars, zip(members, choice))
+    return [conjoin(q.part(chars, agent, mask)
+                    for agent, mask in zip(members, choice))
             for _, choice in _distinct_sets(q.kept, options)]
 
 

@@ -39,14 +39,16 @@ def _unknown(mask: int, names: Sequence[str], n: int) -> str:
 class KripkeModel:
     """Finite S5 model: ordered states, one partition per agent, valuation.
 
-    State i is bit i, and the model is its int masks over the states: per
-    agent the class masks of its partition (`_class_masks`) and the class
-    mask at each state (`_class_at`), per proposition a truth mask
-    (`_truth_masks`). `partitions` and `valuation` are the same sets as
-    frozensets of state names. A model built from names keeps the ones it
-    was given; one built from masks (`_from_masks`) derives them when they
-    are first read. Validation is `_frame` (states, names, partitions),
-    then `_init_masks` (truth masks), where every construction ends.
+    State i is bit i, and the model is its name tuples (`states`, `agents`,
+    `props`) and its int masks over the states: per agent the class masks
+    of its partition (`_class_masks`) and the class mask at each state
+    (`_class_at`), per proposition a truth mask (`_truth_masks`). It keeps
+    none of the caller's containers. `partitions` and `valuation` are the
+    same sets as frozensets of state names, derived from the masks when
+    they are first read, however the model was built; `valuation` lists
+    every declared proposition. Validation is `_frame` (states, names,
+    partitions), then `_init_masks` (truth masks), where every construction
+    ends.
 
     All collections iterate in document order. Instances are immutable and
     compared by identity; use `to_doc` for structural comparison.
@@ -73,7 +75,6 @@ class KripkeModel:
         truth_masks = {p: mask(extent) for p, extent in valuation.items()}
         self._init_masks(self._frame(states, agents, props, class_masks,
                                      names), truth_masks, names)
-        vars(self).update(partitions=partitions, valuation=valuation)
 
     @classmethod
     def _from_masks(cls, states: tuple, agents: tuple, props: tuple,
@@ -81,8 +82,7 @@ class KripkeModel:
                     truth_masks: Mapping[str, int]) -> "KripkeModel":
         """The model with the given states, per agent the tuple of its
         partition's block masks and per proposition its truth mask. It
-        bypasses `__init__`: no name-level set is built until `partitions`
-        or `valuation` is read."""
+        bypasses `__init__`: it builds no name-level set."""
         return cls._from_frame(
             cls._frame(states, agents, props, class_masks, states), truth_masks)
 
@@ -99,11 +99,12 @@ class KripkeModel:
     def _frame(states: tuple, agents: tuple, props: tuple,
                class_masks: Mapping[str, tuple], names: Sequence[str]) -> dict:
         """Check the invariants that do not read the valuation and return
-        the model's attributes built from them: unique names, agents and
-        propositions identifiers, every agent's blocks non-empty, inside the
-        state range, pairwise disjoint and covering. `names` names the bits
-        for error messages: the states, then any unknown state names the
-        caller mapped past the last one."""
+        the model's attributes built from them, the names as tuples of its
+        own: unique names, agents and propositions identifiers, every
+        agent's blocks non-empty, inside the state range, pairwise disjoint
+        and covering. `names` names the bits for error messages: the states,
+        then any unknown state names the caller mapped past the last one."""
+        states, agents, props = tuple(states), tuple(agents), tuple(props)
         position = {s: i for i, s in enumerate(states)}
         if not states:
             raise ModelError("empty model: the state set must be non-empty")
@@ -207,9 +208,18 @@ class KripkeModel:
         return {p: self._named(m) for p, m in self._truth_masks.items()}
 
     @cached_property
+    def _whole_quotient(self) -> "_Quotient":
+        """The quotient of the whole model, built once per model: evaluators
+        of the model, the public contraction API and `_bisim_key` share it.
+        The exhaustive search stores the quotient of a model that refines
+        alike in this slot (`vars(model)`) before the first read."""
+        whole = (1 << len(self.states)) - 1
+        return _Quotient(self, whole, _refine(self, whole))
+
+    @cached_property
     def _chars(self) -> dict:
         """The whole quotient's characteristic formulas (`_Quotient.chars`)."""
-        return _whole_quotient(self).chars(self._truth_masks)
+        return self._whole_quotient.chars(self._truth_masks)
 
     def _named(self, mask: int) -> frozenset:
         """The names of the states in a mask."""
@@ -252,8 +262,7 @@ class KripkeModel:
                 if cut:
                     blocks.append(cut)
             partitions[agent] = tuple(blocks)
-        valuation = {p: self.valuation.get(p, frozenset()) & kept
-                     for p in self.props}
+        valuation = {p: truth & kept for p, truth in self.valuation.items()}
         return KripkeModel(states, self.agents, self.props, partitions, valuation)
 
     def to_doc(self, designated: Optional[str] = None) -> dict:
@@ -380,6 +389,17 @@ def _refine(model: KripkeModel, kept: int) -> tuple:
                          model._truth_masks.values(), kept)
 
 
+def _level0(truth_masks: Iterable, kept: int) -> list:
+    """Level 0 of the refinement of `kept`: its states grouped by valuation
+    (by the truth masks), as block masks in ascending order."""
+    blocks = [kept]
+    for truth in truth_masks:
+        blocks = [part for b in blocks for part in (b & truth, b & ~truth)
+                  if part]
+    blocks.sort()
+    return blocks
+
+
 def _refine_masks(class_masks: Iterable, truth_masks: Iterable,
                   kept: int) -> tuple:
     """Partition refinement of the states in `kept`, given per agent the
@@ -398,10 +418,10 @@ def _refine_masks(class_masks: Iterable, truth_masks: Iterable,
 
     Lemma: the result reads the truth masks only through the partition of
     `kept` they induce (its states grouped by valuation). Level 0 is that
-    partition, sorted, and every later level and the classes are computed
-    from the class masks and the level before alone. So truth masks that
-    induce the same partition give equal results; in particular the
-    partition's own blocks, as truth masks, give the result of any
+    partition, sorted (`_level0`), and every later level and the classes
+    are computed from the class masks and the level before alone. So truth
+    masks that induce the same partition give equal results; in particular
+    the partition's own blocks, as truth masks, give the result of any
     valuation that induces it. A partition of all states fixes the one of
     every `kept`, so the exhaustive search shares all quotients among the
     candidates that induce it. The order of the levels' lists is read by no
@@ -411,11 +431,7 @@ def _refine_masks(class_masks: Iterable, truth_masks: Iterable,
         return [[kept]], [(kept,) for _ in class_masks]
     classes = [[cut for c in agent_classes if (cut := c & kept)]
                for agent_classes in class_masks]
-    blocks = [kept]
-    for truth in truth_masks:
-        blocks = [part for b in blocks for part in (b & truth, b & ~truth)
-                  if part]
-    blocks.sort()
+    blocks = _level0(truth_masks, kept)
     levels = [blocks]
     while True:
         # only blocks of two or more states can split, or widen a class
@@ -457,7 +473,7 @@ def _bisim_key(model: KripkeModel) -> tuple:
     come apart; one round later, each block's truth vector and signature
     (own colour and per-agent colour sets, as bits of one int) spell out the
     quotient up to renaming."""
-    q = _whole_quotient(model)
+    q = model._whole_quotient
     blocks = q.levels[-1]
     n = len(blocks)
     truths = [0] * n
@@ -522,18 +538,13 @@ class _Quotient:
         self.kept = kept
         self.levels = levels
         self.rep_of = list(range(len(model.states)))
-        if not kept & (kept - 1):
-            # one state, as `_refine_masks` returns it: one block, its own rep
-            self.blocks = [(kept.bit_length() - 1, kept)]
-            self.reps = kept
-        else:
-            self.blocks = sorted(((b & -b).bit_length() - 1, b)
-                                 for b in levels[-1])
-            self.reps = 0
-            for rep, block in self.blocks:
-                self.reps |= 1 << rep
-                for i in _bits(block ^ 1 << rep):
-                    self.rep_of[i] = rep
+        self.blocks = sorted(((b & -b).bit_length() - 1, b)
+                             for b in levels[-1])
+        self.reps = 0
+        for rep, block in self.blocks:
+            self.reps |= 1 << rep
+            for i in _bits(block ^ 1 << rep):
+                self.rep_of[i] = rep
         self.classes = dict(zip(model.agents, classes))
         self.firsts = {}
 
@@ -643,12 +654,6 @@ class _Quotient:
         del delta
         return chars
 
-    def realize(self, chars: dict, pairs: Iterable) -> Formula:
-        """The announcement formula of a choice given as (agent, mask)
-        pairs, each mask a union of the agent's classes: one knowledge
-        conjunct per pair (`part`), in order."""
-        return conjoin(self.part(chars, agent, mask) for agent, mask in pairs)
-
     def part(self, chars: dict, agent: str, mask: int) -> Formula:
         """One member's announcement: that the agent knows the disjunction
         of the characteristic formulas (`chars`) of the reps in `mask`, a
@@ -679,27 +684,9 @@ class _Quotient:
             {p: packed(truth) for p, truth in model._truth_masks.items()})
 
 
-def _whole_quotient(model: KripkeModel, shared: Optional[_Quotient] = None
-                    ) -> _Quotient:
-    """The quotient of the whole model, built once per model: evaluators of
-    the model, the public contraction API and `_bisim_key` share it.
-    `shared`, when given, is adopted instead: the quotient of a model that
-    refines alike, as the exhaustive search shares it. Read through
-    `getattr`'s default, not a caught `AttributeError`: every search
-    candidate asks once before it has one."""
-    found = getattr(model, "_whole_quotient", None)
-    if found is not None:
-        return found
-    if shared is None:
-        whole = (1 << len(model.states)) - 1
-        shared = _Quotient(model, whole, _refine(model, whole))
-    object.__setattr__(model, "_whole_quotient", shared)
-    return shared
-
-
 def is_contracted(model: KripkeModel) -> bool:
     """Whether no two distinct states are bisimilar."""
-    return len(_whole_quotient(model).blocks) == len(model.states)
+    return len(model._whole_quotient.blocks) == len(model.states)
 
 
 def bisim_contract(model: KripkeModel) -> ContractionMap:
@@ -707,7 +694,7 @@ def bisim_contract(model: KripkeModel) -> ContractionMap:
     agent relations. Contracted states are named by their first original
     state in document order. An already contracted model is its own
     quotient, under the identity mapping."""
-    quotient = _whole_quotient(model)
+    quotient = model._whole_quotient
     names = model.states
     contracted = model if is_contracted(model) else quotient.decode(model)
     return ContractionMap(model, contracted,
@@ -761,7 +748,8 @@ def realize_choice(model: KripkeModel, w: str, group: Iterable[str],
                 mask |= 1 << i
             yield agent, mask
 
-    return _whole_quotient(model).realize(_contracted(model), masks())
+    q, chars = model._whole_quotient, _contracted(model)
+    return conjoin(q.part(chars, agent, mask) for agent, mask in masks())
 
 
 # --- DOT export -----------------------------------------------------------------

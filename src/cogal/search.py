@@ -21,8 +21,7 @@ from .formula import (
     substitute,
 )
 from .model import (
-    KripkeModel, PointedModel, _Quotient, _bisim_key, _refine_masks,
-    _whole_quotient,
+    KripkeModel, PointedModel, _Quotient, _bisim_key, _level0, _refine_masks,
 )
 
 
@@ -136,17 +135,11 @@ def _classes(n: int, partitions: list, n_agents: int,
         tables.append(([index[frozenset(image[b] for b in part)]
                         for part in partitions], image))
     # every truth-mask tuple in order, with the index of its level-0
-    # partition: the states grouped by valuation, as sorted block masks
+    # partition (`_level0`)
     valuations = list(itertools.product(range(1 << n), repeat=n_props))
     level0: Dict[tuple, int] = {}
-    level0_at = []
-    for masks in valuations:
-        blocks: Dict[tuple, int] = {}
-        for i in range(n):
-            key = tuple(m >> i & 1 for m in masks)
-            blocks[key] = blocks.get(key, 0) | 1 << i
-        level0_at.append(level0.setdefault(tuple(sorted(blocks.values())),
-                                           len(level0)))
+    level0_at = [level0.setdefault(tuple(_level0(masks, whole)), len(level0))
+                 for masks in valuations]
     least: Dict[tuple, list] = {}  # per stabiliser: its orbit-least masks
     for parts in itertools.product(range(len(partitions)), repeat=n_agents):
         fixing = []
@@ -227,7 +220,7 @@ def _group_evaluators(agents: tuple, props: tuple,
         ev = evaluators.get(id(refined))
         if ev is None:
             model = build(parts, masks)
-            _whole_quotient(model, _Quotient(model, whole, refined))
+            vars(model)["_whole_quotient"] = _Quotient(model, whole, refined)
             ev = evaluators[id(refined)] = Evaluator(model)
         ev._revalue(truths[masks])
         yield parts, masks, ev

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cogal.model
+from cogal.cli import main as cli_main
 from cogal.checker import (
     BindingError, Evaluator, Verdict, _ChoiceSets, _distinct_sets, check,
     eval_formula, extension,
@@ -1005,3 +1006,72 @@ class TestEdgeGroups:
             for s in model.states:
                 assert ev.eval(s, CoalDia(everyone, body)) \
                     == ev.eval(s, GroupDia(everyone, body))
+
+
+class TestCertificateCanary:
+    """The certifier records a wrong realization, and one that raises, as
+    mismatches: `_Quotient.part` is patched to get them."""
+
+    # a contracted model in which a's union {s0, s1} is needed by several
+    # distinct choices of {a, b}: b's classes cut it into different sets
+    MODEL = {
+        "agents": ["a", "b"], "props": ["p", "q"],
+        "states": ["s0", "s1", "s2"],
+        "partitions": {"a": [["s0", "s1"], ["s2"]],
+                       "b": [["s0"], ["s1"], ["s2"]]},
+        "valuation": {"p": ["s0"], "q": ["s1"]},
+    }
+
+    @staticmethod
+    def wrong_extent(monkeypatch):
+        """`K a top`, true everywhere, for every union of a's classes that
+        misses one of them."""
+        part = cogal.model._Quotient.part
+
+        def patched(self, chars, agent, mask):
+            if agent == "a" and any(not c & mask for c in self.classes["a"]):
+                return Know("a", Top())
+            return part(self, chars, agent, mask)
+
+        monkeypatch.setattr(cogal.model._Quotient, "part", patched)
+
+    def test_wrong_and_failed_realizations_are_recorded(self, monkeypatch):
+        self.wrong_extent(monkeypatch)
+        wrong = cogal.model._Quotient.part
+        failed = []
+
+        def patched(self, chars, agent, mask):
+            if (agent, mask) == ("a", 0b011):
+                failed.append(mask)
+                raise ModelError("patched failure")
+            return wrong(self, chars, agent, mask)
+
+        monkeypatch.setattr(cogal.model._Quotient, "part", patched)
+        model = validate(self.MODEL)
+        ev = Evaluator(model, certify=True)
+        for s in model.states:
+            ev.eval(s, parse("<{a,b}> p"))
+            ev.eval(s, parse("<{a}> p"))
+        problems = [problem for _, _, problem in ev.certificates.mismatches]
+        assert not ev.certificates.ok
+        assert "extension ['s0', 's1', 's2'] != choice intersection ['s2']" \
+            in problems
+        raised = [p for p in problems
+                  if p == "realization failed: patched failure"]
+        # a part that raises is not stored: each choice that needs it
+        # realizes it again and records its own mismatch
+        assert len(raised) == len(failed) >= 2
+        assert len(problems) == len(raised) + 1
+
+    def test_suite_fails_on_a_wrong_realization(self, monkeypatch, capsys):
+        self.wrong_extent(monkeypatch)
+        params = GenParams(max_states=3, seed=7, count=10)
+        report = axiom_suite(params, items=("A11",), certify=True)
+        assert not report.passed
+        line = next(l for l in report.to_text().splitlines()
+                    if l.startswith("certificates: "))
+        checked, mismatches = (int(word) for word in line.split()[1::2])
+        assert 0 < mismatches <= checked
+        assert cli_main(["suite", "--certify", "--seed", "7", "--models", "10",
+                         "--max-states", "3", "--items", "A11"]) == 1
+        assert "suite: FAIL" in capsys.readouterr().out

@@ -331,6 +331,13 @@ class TestMalformedModel:
         assert main(["check", str(path), "p"]) == 2
         assert "state ids" in capsys.readouterr().err
 
+    def test_model_that_is_a_list_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]", encoding="utf-8")
+        assert main(["check", str(path), "p"]) == 2
+        assert capsys.readouterr().err \
+            == "error: model document must be a JSON object\n"
+
     def test_model_that_is_not_utf8_exits_two(self, tmp_path, capsys):
         # the decoder's own message, not its bare `args[0]` ("utf-8")
         path = tmp_path / "latin1.json"

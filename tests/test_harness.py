@@ -18,9 +18,7 @@ from cogal.harness import (
     prop4_verifies, random_formula, random_model, set_partitions, train_model,
 )
 from cogal.harness import _announcements, _prop4_candidate, _subsets
-from cogal.model import (
-    _whole_quotient, bisim_contract, realize_choice, validate,
-)
+from cogal.model import bisim_contract, realize_choice, validate
 from frozenset_engine import choice_intersection, group_choices
 
 
@@ -391,7 +389,7 @@ class TestQuantifierRuleAnnouncements:
         merged = 0  # models whose quotient merges states
         for index in range(params.count):
             model = random_model(params, index)
-            merged += len(_whole_quotient(model).blocks) < len(model.states)
+            merged += len(model._whole_quotient.blocks) < len(model.states)
             for group in _subsets(model.agents):
                 old = self.old_announcements(model, group)
                 new = _announcements(model, group)

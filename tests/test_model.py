@@ -475,3 +475,85 @@ class TestFiles:
         assert '"W-1"' in dot and '"state 2"' in dot
         cm = bisim_contract(model)
         assert cm.contracted.states == ("W-1", "state 2")
+
+
+class TestOwnership:
+    def test_callers_containers_do_not_change_a_built_model(self):
+        """A model keeps tuples and masks of its own: mutating the lists and
+        dicts it was built from changes none of its views, its document,
+        its updates or its evaluation."""
+        states, agents, props = ["w", "v"], ["a"], ["p", "q"]
+        blocks = [{"w"}, {"v"}]
+        partitions = {"a": blocks}
+        valuation = {"p": {"v"}}
+        model = KripkeModel(states, agents, props, partitions, valuation)
+        states.append("u")
+        agents.append("b")
+        props.append("r")
+        blocks[0].add("u")
+        blocks.append({"x"})
+        partitions["b"] = [{"w", "v"}]
+        valuation["p"] = {"w"}
+        valuation["q"] = {"w", "v"}
+        assert model.states == ("w", "v")
+        assert model.agents == ("a",)
+        assert model.props == ("p", "q")
+        assert model.partitions == {"a": (frozenset({"w"}), frozenset({"v"}))}
+        # every declared proposition, an empty truth set included
+        assert model.valuation == {"p": frozenset({"v"}), "q": frozenset()}
+        assert model.to_doc() == {
+            "agents": ["a"], "props": ["p", "q"], "states": ["w", "v"],
+            "partitions": {"a": [["w"], ["v"]]},
+            "valuation": {"p": ["v"], "q": []}}
+        assert validate(model.to_doc()).to_doc() == model.to_doc()
+        assert model.update(["v"]).to_doc() == {
+            "agents": ["a"], "props": ["p", "q"], "states": ["v"],
+            "partitions": {"a": [["v"]]}, "valuation": {"p": ["v"], "q": []}}
+        assert extension(model, Atom("p")) == frozenset({"v"})
+
+
+# inputs that each raise one exception, with its type and exact message
+INPUT_ERRORS = [
+    pytest.param(lambda doc, model: validate([]), ModelError,
+                 "model document must be a JSON object", id="doc-list"),
+    pytest.param(lambda doc, model: validate(dict(doc, valuation=[["v"]])),
+                 ModelError,
+                 "field 'valuation' must map propositions to state lists",
+                 id="valuation-list"),
+    pytest.param(lambda doc, model: validate(
+                     dict(doc, partitions=dict(doc["partitions"],
+                                               a=[["w", "w"], ["v"]]))),
+                 ModelError,
+                 "partition block ['w', 'w'] of agent 'a' repeats a state",
+                 id="block-repeats-a-state"),
+    pytest.param(lambda doc, model: realize_choice(
+                     model, "w", {"a", "z"}, {"a": frozenset({"w"})}),
+                 ModelError, "choice mentions unknown agents ['z']",
+                 id="choice-unknown-agent"),
+    pytest.param(lambda doc, model: realize_choice(
+                     model, "w", {"a"}, {"a": frozenset({"w", "x"})}),
+                 ModelError, "choice for agent 'a' mentions unknown states",
+                 id="choice-unknown-state"),
+    pytest.param(lambda doc, model: realize_choice(
+                     model, "x", {"a"}, {"a": frozenset({"w"})}),
+                 ModelError, "unknown state 'x'", id="choice-unknown-point"),
+    pytest.param(lambda doc, model: realize_choice(
+                     model, "w", {"a", "b"}, {"a": frozenset({"w"})}),
+                 ModelError, "choice is missing group member 'b'",
+                 id="choice-missing-member"),
+    pytest.param(lambda doc, model: char_formula(model, "x"), ModelError,
+                 "unknown state 'x'", id="char-formula-unknown-state"),
+    pytest.param(lambda doc, model: GenParams(count=-1), ValueError,
+                 "count must be non-negative", id="negative-count"),
+    pytest.param(lambda doc, model: setattr(model, "states", ("w",)),
+                 AttributeError, "cannot assign to field 'states'",
+                 id="assign-field"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", INPUT_ERRORS)
+def test_input_errors_name_the_fault(train_doc, call, kind, message):
+    with pytest.raises(Exception) as raised:
+        call(train_doc, validate(train_doc))
+    assert raised.type is kind
+    assert str(raised.value) == message

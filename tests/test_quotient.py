@@ -10,14 +10,14 @@ import frozenset_engine as oracle
 import random
 
 from cogal.checker import Evaluator
-from cogal.formula import Fragment
+from cogal.formula import Fragment, conjoin
 from cogal.harness import (
     GenParams, _prop4_parts, enumerate_models, instantiation_pool,
     random_formula, random_model,
 )
 from cogal.model import (
-    KripkeModel, _Quotient, _bits, _refine, _whole_quotient, char_formula,
-    is_contracted, load_model, validate,
+    KripkeModel, _Quotient, _bits, _refine, char_formula, is_contracted,
+    load_model, validate,
 )
 from test_engine_differential import models
 
@@ -69,7 +69,7 @@ def test_restriction_quotient_is_the_oracle_contraction(model, data):
     choice = {a: frozenset(names[i] for i in _bits(m & quotient.reps))
               for a, m in zip(members, masks)}
     w = data.draw(st.sampled_from(cm.contracted.states))
-    assert quotient.realize(chars, zip(members, masks)) \
+    assert conjoin(quotient.part(chars, a, m) for a, m in zip(members, masks)) \
         == oracle.realize_choice(cm.contracted, w, group, choice)
 
 
@@ -108,14 +108,15 @@ def test_decode_builds_what_the_names_build():
     candidates = [m for m in enumerate_models(("a", "b", "c"), ("p", "q"), 3)
                   if not is_contracted(m)]
     assert len(candidates) == 1504
-    pairs += [(m, _whole_quotient(m)) for m in candidates]
+    pairs += [(m, m._whole_quotient) for m in candidates]
     for model, quotient in pairs:
         assert quotient.decode(model).to_doc() \
             == named_decode(model, quotient).to_doc()
 
 
 def general_quotient(model, kept, refined):
-    """`_Quotient.__init__` without its one-state case: the general path."""
+    """`_Quotient.__init__`'s one path, written out: the reference that a
+    one-state quotient is checked against."""
     levels, classes = refined
     quotient = _Quotient.__new__(_Quotient)
     quotient.kept = kept

@@ -298,10 +298,10 @@ class Evaluator:
 
     Holds the contracted restrictions reached so far, as `model._Quotient`s
     keyed by their kept masks of root states, and the caches kept per
-    restriction: the memo table, the extents of the formulas read as
-    announcements or realized, each agent's class unions, the choice sets,
-    the characteristic formulas, each member's realized announcement and
-    the certificates already checked. Every restriction on which a
+    restriction: the memo table, the extents computed a set at a time
+    (`_where`), each agent's class unions, the choice sets, the
+    characteristic formulas, each member's realized announcement and the
+    certificates already checked. Every restriction on which a
     quantifier enumerates, or a body restricts further, is contracted, so
     the quantifier rule enumerates exactly the announcements expressible
     there; a purely epistemic body is read on a view of the parent's
@@ -483,18 +483,73 @@ class Evaluator:
         return q
 
     def _where(self, q: _Quotient, f: Formula) -> int:
-        """The union of the restriction's blocks at which the formula holds:
-        its extent, computed once per restriction and formula. It does not
-        depend on the state asked about, so a sweep over the states reads
-        each announcement's extent once."""
+        """The kept states of the restriction at which the formula holds:
+        its extent, computed a set at a time, node by node, memoised per
+        (kept, formula). `K a phi` keeps a's root classes, cut to the kept
+        states, inside phi's extent; an announcement reads its body on the
+        child restricted to its extent; a quantifier that one set decides
+        (`_deciding_group`) reads its body on the child of each first set,
+        and the first sets partition the kept states. Any other quantifier
+        is read by `_eval` at each block's rep, and so, under `certify`, is
+        every node that is not purely epistemic: a connective read a set at
+        a time reads both operands everywhere, so it would certify choices
+        that the per-state reads never reach."""
+        cls = f.__class__
+        if cls is Not:
+            return q.kept & ~self._where(q, f.body)
+        if cls is Atom:
+            return self._truth[f.name] & q.kept
+        if cls is Top:
+            return q.kept
+        if cls is Bot:
+            return 0
         key = (q.kept, f)
         out = self._extents.get(key)
+        if out is not None:
+            return out
+        if self.certify and not f._epistemic:
+            pass  # read per block, below
+        elif cls is And:
+            out = self._where(q, f.left)
+            if out:
+                out &= self._where(q, f.right)
+        elif cls is Or:
+            out = self._where(q, f.left)
+            if out != q.kept:
+                out |= self._where(q, f.right)
+        elif cls is Imp:
+            out = q.kept & ~self._where(q, f.left)
+            if out != q.kept:
+                out |= self._where(q, f.right)
+        elif cls is Iff:
+            out = ~(self._where(q, f.left) ^ self._where(q, f.right)) & q.kept
+        elif cls is Know:
+            body = self._where(q, f.body)
+            out = 0
+            for c in self._root._class_masks[f.agent]:
+                cut = c & q.kept
+                if cut & body == cut:
+                    out |= cut
+        elif cls is PaDia or cls is PaBox:
+            told = self._where(q, f.announce)
+            out = told and self._where(self._child(q, told, f.body), f.body)
+            if cls is PaBox:
+                out |= q.kept & ~told
+        else:
+            decider = self._deciding_group(f)
+            if decider is not None:
+                firsts, left, out = q.first_sets(decider), q.kept, 0
+                while left:
+                    # the lowest state left is its block's rep
+                    first = firsts[(left & -left).bit_length() - 1]
+                    out |= self._where(self._child(q, first, f.body), f.body)
+                    left &= ~first
         if out is None:
             out = 0
             for rep, block in q.blocks:
                 if self._eval(q, rep, f):
                     out |= block
-            self._extents[key] = out
+        self._extents[key] = out
         return out
 
     def _holds_after(self, q: _Quotient, kept: int, state: int,

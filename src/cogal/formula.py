@@ -11,7 +11,7 @@ import itertools
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping
 
@@ -275,7 +275,9 @@ def _node(cls):
     an unpickled or copied node is the interned one, with facts rebuilt in
     the receiving process."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    # `repr` and the frozen setters come from the base class, written once
+    # rather than generated per class
+    cls = dataclass(eq=False, init=False, repr=False)(cls)
     cls.__new__ = _constructor(cls, names)
     cls._field_names = names
     cls.__reduce__ = _node_reduce
@@ -302,6 +304,17 @@ class Formula:
 
     def __str__(self) -> str:
         return render(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._field_names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @_node
@@ -611,6 +624,10 @@ def order_lt(f: Formula, g: Formula) -> bool:
 class NecessityForm:
     """Formula context with exactly one hole, closed under implication tails,
     knowledge operators, and announcement prefixes."""
+
+    __repr__ = Formula.__repr__
+    __setattr__ = Formula.__setattr__
+    __delattr__ = Formula.__delattr__
 
 
 @_node

@@ -57,20 +57,25 @@ class KripkeModel:
     def __init__(self, states: tuple, agents: tuple, props: tuple,
                  partitions: Mapping[str, tuple],
                  valuation: Mapping[str, frozenset]):
+        if not all(isinstance(s, str) for s in states):
+            raise ModelError("field 'states' must be a list of strings")
         position = {s: i for i, s in enumerate(states)}
         names = list(states)
 
-        def mask(extent: Iterable[str]) -> int:
+        def mask(extent: Iterable[str], agent: Optional[str] = None) -> int:
             out = 0
             for s in extent:
                 i = position.get(s)
                 if i is None:  # unknown: a bit past the last state
                     i = len(names)
                     names.append(s)
+                elif out >> i & 1 and agent is not None:
+                    raise ModelError(f"partition block {list(extent)} of "
+                                     f"agent {agent!r} repeats a state")
                 out |= 1 << i
             return out
 
-        class_masks = {agent: tuple(mask(block) for block in blocks)
+        class_masks = {agent: tuple(mask(block, agent) for block in blocks)
                        for agent, blocks in partitions.items()}
         truth_masks = {p: mask(extent) for p, extent in valuation.items()}
         self._init_masks(self._frame(states, agents, props, class_masks,
@@ -328,11 +333,7 @@ def validate(doc: dict) -> KripkeModel:
                 or not all(isinstance(s, str) for b in blocks for s in b)):
             raise ModelError(f"partition of agent {agent!r} must be a list of "
                              "blocks (lists of state ids)")
-        partitions[agent] = tuple(frozenset(b) for b in blocks)
-        for block, raw in zip(partitions[agent], blocks):
-            if len(block) != len(raw):
-                raise ModelError(f"partition block {raw} of agent {agent!r} "
-                                 "repeats a state")
+        partitions[agent] = blocks
     valuation = {}
     for prop, states in doc["valuation"].items():
         if (not isinstance(states, list)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from .checker import Evaluator
+from .checker import Evaluator, _check_bound
 from .formula import (
     And, Atom, CoalBox, CoalDia, Formula, Fragment, GroupBox, GroupDia, Imp,
     Know, Not, Or, PaBox, PaDia, Top, agents_of, atoms, render, size,
@@ -382,11 +382,16 @@ def find_countermodel(f: Formula, params: GenParams, *,
                  for assignment in assignments]
 
     def refuted(ev: Evaluator) -> Optional[tuple]:
-        """The first (assignment, state) at which an instance fails."""
+        """The first (assignment, state) at which an instance fails: the
+        lowest state, state i being bit i, outside the instance's extent on
+        the whole model (`Evaluator._where`)."""
+        whole = ev._root_quotient
         for assignment, g in instances:
-            for state in ev.model.states:
-                if not ev.eval(state, g):
-                    return assignment, state
+            _check_bound(ev.model, g)
+            failing = whole.kept & ~ev._where(whole, g)
+            if failing:
+                return assignment, ev.model.states[
+                    (failing & -failing).bit_length() - 1]
         return None
 
     def hit(model: KripkeModel, found: tuple) -> SearchHit:

@@ -376,26 +376,31 @@ class TestSweepCounts:
 
     def test_each_announcement_extent_is_evaluated_once(self, monkeypatch):
         model = scale_model(16)
-        f = parse("[p] K c q")
-        reads = Counter()
-        inner = Evaluator._eval
+        # an atom's extent is its truth mask, stored nowhere; a disjunction's
+        # is computed and stored
+        f = parse("[p | q] K c q")
+        reads, misses = Counter(), Counter()
+        inner = Evaluator._where
 
-        def counted(self, q, state, g):
+        def counted(self, q, g):
             if g is f.announce:
                 reads[q.kept] += 1
-            return inner(self, q, state, g)
+                misses[q.kept] += (q.kept, g) not in self._extents
+            return inner(self, q, g)
 
-        monkeypatch.setattr(Evaluator, "_eval", counted)
+        monkeypatch.setattr(Evaluator, "_where", counted)
         ev = Evaluator(model)
         truths = [ev.check(s, f).truth for s in model.states]
         root = ev._root_quotient
-        # p holds at more than one state, so a sweep that recomputed its
-        # extent per state would evaluate it more than once per block
-        assert len(model.truth_set("p")) > 1 and len(root.blocks) > 1
+        told = ev.extension(f.announce)
+        # the announcement holds at more than one state, so a sweep that
+        # recomputed its extent per state would compute it more than once
+        assert len(told) > 1 and len(root.blocks) > 1
         assert any(truths) and not all(truths)
-        # at each state, to test the announcement, and once per block, for
-        # its extent
-        assert reads == {root.kept: len(model.states) + len(root.blocks)}
+        # read at each state where the announcement holds, and by
+        # `extension`; computed once
+        assert reads == {root.kept: len(told) + 1}
+        assert misses == {root.kept: 1}
 
     def test_each_member_announcement_is_realized_once(self, monkeypatch):
         model = scale_model(16)

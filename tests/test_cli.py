@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cogal
 from cogal.cli import main
-from cogal.checker import eval_formula
+from cogal.checker import Evaluator, eval_formula
 from cogal.formula import ParseError, parse, render, substitute
 from cogal.harness import random_formula, train_model
 from cogal.model import save_model, validate
@@ -402,6 +402,47 @@ class TestDeepFormula:
         assert done.returncode == 1
         assert done.stderr == ""
         assert done.stdout.endswith("truth: false\n")
+
+    def run_search(self, tmp_path, depth, prefix):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cogal.__file__).resolve().parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "cogal.cli", "search", prefix * depth + "p",
+             "--out", str(tmp_path / "cm.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+
+    def test_search_too_deep_to_evaluate(self, tmp_path):
+        # the search reads each instance's extent (`Evaluator._where`); a
+        # quantifier that no one set decides is read per block by `_eval`,
+        # which overflows as `check` does
+        done = self.run_search(tmp_path, 400, "<{a}> ")
+        assert done.returncode == 2
+        assert done.stderr == "error: formula nested too deeply\n"
+        assert not (tmp_path / "cm.json").exists()
+
+    @pytest.mark.parametrize("depth, prefix, code, last", [
+        (400, "[p] ", 1, "no countermodel within bounds\n"),
+        (600, "~", 0, "(false at state s0)\n"),
+    ], ids=["announcements", "negations"])
+    def test_deep_search_gets_a_verdict(self, tmp_path, depth, prefix, code,
+                                        last):
+        # one extent frame per announcement, and a negation is answered in
+        # its operand's frame
+        done = self.run_search(tmp_path, depth, prefix)
+        assert done.returncode == code
+        assert done.stderr == ""
+        assert done.stdout.endswith(last)
+
+    def test_deep_extensions_in_process(self):
+        model, _ = train_model()
+        everything = frozenset(model.states)
+        ev = Evaluator(model)
+        assert ev.extension(parse("[p] " * 400 + "p")) == everything
+        assert ev.extension(parse("~" * 600 + "p")) == model.truth_set("p")
+        assert ev.extension(parse("~" * 601 + "p")) \
+            == everything - model.truth_set("p")
+        with pytest.raises(RecursionError):
+            Evaluator(model).extension(parse("<{a}> " * 400 + "p"))
 
     def test_parse_error_in_process(self):
         with pytest.raises(ParseError, match="formula nested too deeply"):

@@ -587,6 +587,37 @@ class TestInterning:
         assert dataclasses.replace(ImpCtx(p, Hole()), premise=q) is ImpCtx(q, Hole())
         assert Top() is Top() and Bot() is Bot() and Hole() is Hole()
 
+    @pytest.mark.parametrize("node, name", [
+        (Atom("p"), "name"), (Top(), "name"), (Know("a", p), "body"),
+        (CoalDia({"a"}, p), "group"), (KnowCtx("a", Hole()), "tail"),
+        (Hole(), "tail")], ids=repr)
+    def test_fields_are_frozen(self, node, name):
+        before = repr(node)
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(node, name, q)
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot delete field '{name}'$"):
+            delattr(node, name)
+        assert repr(node) == before
+
+    def test_dataclass_api_and_pickling(self):
+        f = CoalDia({"a"}, PaBox(p, Know("b", Not(q))))
+        form = ImpCtx(p, KnowCtx("a", PaCtx(q, Hole())))
+        assert [fld.name for fld in dataclasses.fields(f)] == ["group", "body"]
+        assert [fld.name for fld in dataclasses.fields(form)] == [
+            "premise", "tail"]
+        assert dataclasses.fields(Top()) == ()
+        assert dataclasses.replace(f, group={"b"}) is CoalDia({"b"}, f.body)
+        assert dataclasses.replace(form, premise=q) is ImpCtx(q, form.tail)
+        for node in (f, form, Top(), Hole()):
+            assert dataclasses.is_dataclass(node)
+            assert pickle.loads(pickle.dumps(node)) is node
+        assert repr(f.body) == ("PaBox(announce=Atom(name='p'), body=Know("
+                                "agent='b', body=Not(body=Atom(name='q'))))")
+        assert repr(form.tail.tail) == (
+            "PaCtx(announce=Atom(name='q'), tail=Hole())")
+
     def test_list_and_frozenset_groups_give_one_node(self):
         for cls in (GroupBox, GroupDia, CoalBox, CoalDia):
             f = cls(["b", "a", "b"], p)

@@ -526,6 +526,18 @@ INPUT_ERRORS = [
                  ModelError,
                  "partition block ['w', 'w'] of agent 'a' repeats a state",
                  id="block-repeats-a-state"),
+    # the constructor refuses what `validate` refuses, so every model's
+    # `to_doc` validates
+    pytest.param(lambda doc, model: KripkeModel(
+                     [0, 1], ["a"], ["p"], {"a": [[0], [1]]}, {"p": [1]}),
+                 ModelError, "field 'states' must be a list of strings",
+                 id="constructor-state-not-a-string"),
+    pytest.param(lambda doc, model: KripkeModel(
+                     ["w", "v"], ["a"], ["p"], {"a": [["w", "w"], ["v"]]},
+                     {"p": ["v"]}),
+                 ModelError,
+                 "partition block ['w', 'w'] of agent 'a' repeats a state",
+                 id="constructor-block-repeats-a-state"),
     pytest.param(lambda doc, model: realize_choice(
                      model, "w", {"a", "z"}, {"a": frozenset({"w"})}),
                  ModelError, "choice mentions unknown agents ['z']",

@@ -709,7 +709,9 @@ class TestSharedQuotients:
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None
         assert len(constructed) == 114
         assert [ev.model for ev in evaluators] == constructed
-        assert quotients_built == {"whole": 114, "restriction": 191}
+        # the instance's extent reads the consequent's first-set children
+        # also where the antecedent fails
+        assert quotients_built == {"whole": 114, "restriction": 195}
 
     def test_group_restrictions_are_each_candidates_own(self):
         # the lemma of `_refine_masks` for every kept mask: read through

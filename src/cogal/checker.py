@@ -14,10 +14,10 @@ model's states (state i is bit i, in document order), so restricting,
 contracting and intersecting choices are bit operations on ints. A
 contracted restriction is a `model._Quotient`, the form the public
 contraction API reads too; witnesses, refutations and certificates are
-realized from its masks, with no `KripkeModel` built. A restriction whose
-body is purely epistemic is read through its parent's quotient instead
-(`_Quotient.view`): truth is invariant under bisimulation, and only a
-quantifier needs the contracted classes.
+realized from its masks, with no `KripkeModel` built. A purely epistemic
+formula is read only as an extent, the kept states where it holds
+(`Evaluator._where`), on the restriction itself: truth is invariant under
+bisimulation, and only a quantifier needs the contracted classes.
 """
 
 from __future__ import annotations
@@ -102,20 +102,21 @@ def _positive(f: Formula) -> bool:
     2006). Let phi be positive, M a model, w a state and S a set of M's
     states with w in S. If (M, w) |= phi, then (M|S, w) |= phi, where M|S
     is M restricted to S; the evaluator reads it at its contraction
-    (`Evaluator._restriction`) or through the blocks of a coarser quotient
-    (`_Quotient.view`), both bisimilar to it.
+    (`Evaluator._restriction`), bisimilar to it, or, where phi is purely
+    epistemic, on M|S itself (`Evaluator._where`).
 
-    Proof. Contraction first. The evaluator reads a restriction at its
-    bisimulation contraction. The quotient map is a bisimulation, and truth
-    is invariant under it: the quantifiers range over the extensions of
-    announcement formulas, which are invariant too. So M|S may be read
-    uncontracted, each quantifier ranging over the pullbacks of the unions
-    of classes its contraction offers. The key step: an agent's classes in
-    M|S are S intersected with its classes in M, so a union of its classes
-    in M|S is S intersected with a union of its classes in M. A pullback of
-    a union of the contraction's classes is such a union. So every choice
-    set of a group at (M|S, w) is a subset of S that contains w, and
-    restricting M|S to it is restricting M to it. Then by induction on phi:
+    Proof. Contraction first. Where a quantifier enumerates, the evaluator
+    reads a restriction at its bisimulation contraction. The quotient map
+    is a bisimulation, and truth is invariant under it: the quantifiers
+    range over the extensions of announcement formulas, which are invariant
+    too. So M|S may be read uncontracted, each quantifier ranging over the
+    pullbacks of the unions of classes its contraction offers. The key
+    step: an agent's classes in M|S are S intersected with its classes in
+    M, so a union of its classes in M|S is S intersected with a union of
+    its classes in M. A pullback of a union of the contraction's classes is
+    such a union. So every choice set of a group at (M|S, w) is a subset of
+    S that contains w, and restricting M|S to it is restricting M to it.
+    Then by induction on phi:
 
     - A literal, top or bottom: the valuation at w does not change.
     - `&` and `|`: by induction.
@@ -301,16 +302,14 @@ class Evaluator:
     restriction: the memo table, the extents computed a set at a time
     (`_where`), each agent's class unions, the choice sets, the
     characteristic formulas, each member's realized announcement and the
-    certificates already checked. Every restriction on which a
-    quantifier enumerates, or a body restricts further, is contracted, so
-    the quantifier rule enumerates exactly the announcements expressible
-    there; a purely epistemic body is read on a view of the parent's
-    quotient (`_holds_after`). The memo's (kept, state) keys name a state
-    of the restriction to `kept`, however it is read. With `certify=True`
-    every distinct announcement choice enumerated by the quantifier rule
-    is checked against its realizing formula. The valuation is read only
-    through the truth masks `_truth`, which `_revalue` swaps for the
-    exhaustive search.
+    certificates already checked. A purely epistemic formula is read only
+    as its extent on the kept states (`_where`); a restriction on which
+    any other formula is read is contracted, so the quantifier rule
+    enumerates exactly the announcements expressible there. With
+    `certify=True` every distinct announcement choice enumerated by the
+    quantifier rule is checked against its realizing formula. The
+    valuation is read only through the truth masks `_truth`, which
+    `_revalue` swaps for the exhaustive search.
     """
 
     def __init__(self, model: KripkeModel, *, certify: bool = False):
@@ -322,7 +321,6 @@ class Evaluator:
         self._root_quotient = model._whole_quotient
         self._quotients: Dict[int, _Quotient] = {
             self._root_quotient.kept: self._root_quotient}
-        self._views = {}
         self._memo = {}
         self._option_cache = {}
         self._choice_set_cache = {}
@@ -347,7 +345,7 @@ class Evaluator:
     def extension(self, f: Formula) -> frozenset:
         """States of the root model satisfying the formula."""
         _check_bound(self._root, f)
-        return self._states(self._where(self._root_quotient, f))
+        return self._states(self._where(self._root_quotient.kept, f))
 
     def check(self, state: str, f: Formula) -> Verdict:
         """Evaluate and extract witness or refutation evidence for a
@@ -382,11 +380,11 @@ class Evaluator:
         # losing cut of A0 comes with the first response in product order
         # that leaves it, which is the first response that beats A0.
         response, defeat = self._first_set(q, s, opponents)
-        if self._holds_after(q, first & response, s, f.body):
+        if self._holds_after(first & response, s, f.body):
             options = [self._options(q, a, s) for a in self._members(opponents)]
             defeat = next(choice for kept, choice
                           in _distinct_sets(first, options)
-                          if not self._holds_after(q, kept, s, f.body))
+                          if not self._holds_after(kept, s, f.body))
         return Verdict(False,
                        refutation_choice=self._choice(opponents, defeat),
                        refutation_formula=self._realize(q, opponents, defeat))
@@ -402,12 +400,12 @@ class Evaluator:
 
         The memo, the extents, the characteristic formulas and the realized
         parts read the valuation, so they are dropped, each in one step. The
-        restrictions, views, option lists, choice sets and named state sets
-        are structure only, by the lemma of `model._refine_masks`: a group's
+        restrictions, option lists, choice sets and named state sets are
+        structure only, by the lemma of `model._refine_masks`: a group's
         truth masks induce one partition of the states, so they refine
         every kept mask alike; they are kept. Every later read of the
-        valuation goes through `_truth`: atoms, `K x p`, the refinement of a
-        new restriction and the characteristic formulas. A certifying
+        valuation goes through `_truth`: atoms, the refinement of a new
+        restriction and the characteristic formulas. A certifying
         evaluator is refused: its certificates belong to one valuation."""
         if self.certify:
             raise ValueError("a certifying evaluator cannot be revalued")
@@ -419,19 +417,20 @@ class Evaluator:
 
     def _realize(self, q: _Quotient, group, choice: tuple) -> Formula:
         """The announcement formula of a choice on the restriction: the
-        conjunction of the members' parts (`_Quotient.part`), each realized
-        once per restriction, agent and union. A part whose realization
-        raises `ModelError` is not stored: every choice that needs it
-        raises, and `_certify` records each."""
-        parts = []
-        for agent, mask in zip(self._members(group), choice):
-            key = (q.kept, agent, mask)
-            part = self._parts.get(key)
-            if part is None:
-                part = self._parts[key] = q.part(self._char_table(q), agent,
-                                                 mask)
-            parts.append(part)
-        return conjoin(parts)
+        conjunction of the members' parts (`_part`)."""
+        return conjoin([self._part(q, agent, mask)
+                        for agent, mask in zip(self._members(group), choice)])
+
+    def _part(self, q: _Quotient, agent: str, mask: int) -> Formula:
+        """One member's announcement on the restriction (`_Quotient.part`),
+        realized once per restriction, agent and union. A part whose
+        realization raises `ModelError` is not stored: every choice that
+        needs it raises, and `_certify` records each."""
+        key = (q.kept, agent, mask)
+        part = self._parts.get(key)
+        if part is None:
+            part = self._parts[key] = q.part(self._char_table(q), agent, mask)
+        return part
 
     def _char_table(self, q: _Quotient) -> dict:
         """The restriction's characteristic formulas. The whole quotient's
@@ -482,13 +481,15 @@ class Evaluator:
                     kept))
         return q
 
-    def _where(self, q: _Quotient, f: Formula) -> int:
-        """The kept states of the restriction at which the formula holds:
-        its extent, computed a set at a time, node by node, memoised per
-        (kept, formula). `K a phi` keeps a's root classes, cut to the kept
-        states, inside phi's extent; an announcement reads its body on the
-        child restricted to its extent; a quantifier that one set decides
-        (`_deciding_group`) reads its body on the child of each first set,
+    def _where(self, kept: int, f: Formula) -> int:
+        """The kept states at which the formula holds on the restriction to
+        `kept`: its extent, computed a set at a time, node by node, memoised
+        per (kept, formula). It reads the restriction itself, uncontracted,
+        so `kept` may be any set of states: `K a phi` keeps a's root
+        classes, cut to the kept states, inside phi's extent, and an
+        announcement reads its body on its own extent. Only a quantifier
+        fetches the contracted restriction (`_restriction`). One that one
+        set decides (`_deciding_group`) reads its body on each first set,
         and the first sets partition the kept states. Any other quantifier
         is read by `_eval` at each block's rep, and so, under `certify`, is
         every node that is not purely epistemic: a connective read a set at
@@ -496,85 +497,72 @@ class Evaluator:
         that the per-state reads never reach."""
         cls = f.__class__
         if cls is Not:
-            return q.kept & ~self._where(q, f.body)
+            return kept & ~self._where(kept, f.body)
         if cls is Atom:
-            return self._truth[f.name] & q.kept
+            return self._truth[f.name] & kept
         if cls is Top:
-            return q.kept
+            return kept
         if cls is Bot:
             return 0
-        key = (q.kept, f)
+        key = (kept, f)
         out = self._extents.get(key)
         if out is not None:
             return out
         if self.certify and not f._epistemic:
             pass  # read per block, below
         elif cls is And:
-            out = self._where(q, f.left)
+            out = self._where(kept, f.left)
             if out:
-                out &= self._where(q, f.right)
+                out &= self._where(kept, f.right)
         elif cls is Or:
-            out = self._where(q, f.left)
-            if out != q.kept:
-                out |= self._where(q, f.right)
+            out = self._where(kept, f.left)
+            if out != kept:
+                out |= self._where(kept, f.right)
         elif cls is Imp:
-            out = q.kept & ~self._where(q, f.left)
-            if out != q.kept:
-                out |= self._where(q, f.right)
+            out = kept & ~self._where(kept, f.left)
+            if out != kept:
+                out |= self._where(kept, f.right)
         elif cls is Iff:
-            out = ~(self._where(q, f.left) ^ self._where(q, f.right)) & q.kept
+            out = ~(self._where(kept, f.left)
+                    ^ self._where(kept, f.right)) & kept
         elif cls is Know:
-            body = self._where(q, f.body)
+            body = self._where(kept, f.body)
             out = 0
             for c in self._root._class_masks[f.agent]:
-                cut = c & q.kept
+                cut = c & kept
                 if cut & body == cut:
                     out |= cut
         elif cls is PaDia or cls is PaBox:
-            told = self._where(q, f.announce)
-            out = told and self._where(self._child(q, told, f.body), f.body)
+            told = self._where(kept, f.announce)
+            out = told and self._where(told, f.body)
             if cls is PaBox:
-                out |= q.kept & ~told
+                out |= kept & ~told
         else:
             decider = self._deciding_group(f)
             if decider is not None:
-                firsts, left, out = q.first_sets(decider), q.kept, 0
+                firsts, left, out = (
+                    self._restriction(kept).first_sets(decider), kept, 0)
                 while left:
                     # the lowest state left is its block's rep
                     first = firsts[(left & -left).bit_length() - 1]
-                    out |= self._where(self._child(q, first, f.body), f.body)
+                    out |= self._where(first, f.body)
                     left &= ~first
         if out is None:
-            out = 0
+            q, out = self._restriction(kept), 0
             for rep, block in q.blocks:
                 if self._eval(q, rep, f):
                     out |= block
         self._extents[key] = out
         return out
 
-    def _holds_after(self, q: _Quotient, kept: int, state: int,
-                     body: Formula) -> bool:
-        """Truth of the body at the state after restricting to `kept`, a
-        union of the restriction's blocks containing the state: on the
-        child's quotient when one is built, or when the body quantifies or
-        announces; else on a view of q (`_Quotient.view`), at the state."""
-        child = self._child(q, kept, body)
+    def _holds_after(self, kept: int, state: int, body: Formula) -> bool:
+        """Truth of the body at the state after restricting to `kept`: a bit
+        of its extent when it is purely epistemic, else read at the state's
+        rep in the restriction's quotient."""
+        if body._epistemic:
+            return self._where(kept, body) >> state & 1 == 1
+        child = self._restriction(kept)
         return self._eval(child, child.rep_of[state], body)
-
-    def _child(self, q: _Quotient, kept: int, body: Formula) -> _Quotient:
-        """The restriction to `kept`, a union of q's blocks, on which to read
-        the body: its quotient when the body quantifies or announces; else
-        the one kept in `_views` for `kept`, on first reach the quotient if
-        one is built (its reps merge more) or a view of q. A view serves
-        every parent that reaches `kept`: its `rep_of` maps each kept state
-        to a bisimilar kept one."""
-        if not body._epistemic:
-            return self._restriction(kept)
-        child = self._views.get(kept)
-        if child is None:
-            child = self._views[kept] = (self._quotients.get(kept)
-                                         or q.view(kept))
-        return child
 
     def _options(self, q: _Quotient, agent: str, rep: int) -> list:
         """The agent's class unions containing the state's class, by size (a
@@ -667,7 +655,7 @@ class Evaluator:
             decider = self._deciding_group(f)
             if decider is not None:
                 first = q.first_sets(decider)[state]
-                return self._holds_after(q, first, state, f.body)
+                return self._holds_after(first, state, f.body)
         won = self._winner(q, state, f)
         return (won is not None) == isinstance(f, (GroupDia, CoalDia))
 
@@ -712,15 +700,11 @@ class Evaluator:
             responses = None
         owns = self._choice_sets(q, state, f.group)
         body = f.body
-        children = self._views if body._epistemic else self._quotients
         verdicts = {}
-        # `_holds_after`, inlined behind the table in the three loops below,
-        # with `_child`'s lookup: they are the evaluator's hottest
         if owns.rest is not None and first != q.kept:
             for trace, _ in _distinct_sets(first, owns.options):
-                child = children.get(trace) or self._child(q, trace, body)
                 won = verdicts[trace] = (
-                    self._eval(child, child.rep_of[state], body) == goal)
+                    self._holds_after(trace, state, body) == goal)
                 if won:
                     break
             else:
@@ -729,9 +713,8 @@ class Evaluator:
             trace = own & first
             won = verdicts.get(trace)
             if won is None:
-                child = children.get(trace) or self._child(q, trace, body)
                 won = verdicts[trace] = (
-                    self._eval(child, child.rep_of[state], body) == goal)
+                    self._holds_after(trace, state, body) == goal)
             if not won:
                 continue
             if responses is None:
@@ -739,9 +722,8 @@ class Evaluator:
             for kept, _ in responses.meet(own):
                 won = verdicts.get(kept)
                 if won is None:
-                    child = children.get(kept) or self._child(q, kept, body)
                     won = verdicts[kept] = (
-                        self._eval(child, child.rep_of[state], body) == goal)
+                        self._holds_after(kept, state, body) == goal)
                 if not won:
                     break
             else:
@@ -750,17 +732,19 @@ class Evaluator:
 
     def _certify(self, q: _Quotient, group: frozenset, choice: tuple) -> None:
         """Check that the formula realizing the choice holds exactly on the
-        choice's set; record a mismatch, or a realization that fails."""
+        choice's set, the intersection of its parts' extents (`_part`);
+        record a mismatch, or a realization that fails."""
         key = (q.kept, group, choice)
         if key in self._cert_seen:
             return
         self._cert_seen.add(key)
         self.certificates.checked += 1
-        expected = q.kept
+        expected = got = q.kept
         for part in choice:
             expected &= part
         try:
-            got = self._where(q, self._realize(q, group, choice))
+            for agent, mask in zip(self._members(group), choice):
+                got &= self._where(q.kept, self._part(q, agent, mask))
         except ModelError as exc:
             problem = f"realization failed: {exc}"
         else:
@@ -775,9 +759,10 @@ class Evaluator:
         """Truth of the formula at a rep of the restriction. Dispatch is on
         the node's class by `is`, in order of how often a suite pass meets
         each class. Atoms, top, bottom and negations cost less to compute
-        than to look up, so they bypass the memo, and knowledge of an atom
-        is not stored in it; every other node is memoised per (restriction,
-        rep, formula). A negation adds no frame of its own."""
+        than to look up, so they bypass the memo, and a negation adds no
+        frame of its own. Any other purely epistemic node is one bit of its
+        extent on the kept states (`_where`); every other node is memoised
+        per (restriction, rep, formula)."""
         cls = f.__class__
         if cls is Not:
             return not self._eval(q, state, f.body)
@@ -787,6 +772,8 @@ class Evaluator:
             return True
         if cls is Bot:
             return False
+        if f._epistemic:
+            return self._where(q.kept, f) >> state & 1 == 1
         memo = self._memo
         key = (q.kept, state, f)
         hit = memo.get(key)
@@ -802,19 +789,12 @@ class Evaluator:
             # the agent's class in the restriction: its root class, cut
             # down to the kept states
             seen = self._class_at[f.agent][state] & q.kept
-            body = f.body
-            if body.__class__ is Atom:
-                # one mask test, cheaper than the memo entry it would take:
-                # every kept state of the class satisfies the atom. Tested
-                # here, not before the lookup, where every other node would
-                # pay for the test
-                return not seen & ~self._truth[body.name]
             # the reps of the blocks the class meets
             peers = q.reps_meeting(seen)
             hit = True
             while peers:
                 low = peers & -peers
-                if not self._eval(q, low.bit_length() - 1, body):
+                if not self._eval(q, low.bit_length() - 1, f.body):
                     hit = False
                     break
                 peers ^= low
@@ -823,7 +803,7 @@ class Evaluator:
             hit = self._quantify(q, state, f)
         elif cls is PaDia or cls is PaBox:
             if self._eval(q, state, f.announce):
-                hit = self._holds_after(q, self._where(q, f.announce),
+                hit = self._holds_after(self._where(q.kept, f.announce),
                                         state, f.body)
             else:
                 hit = cls is PaBox

@@ -4,12 +4,14 @@ Subcommands: check a formula on a model, run the axiom suite, search for a
 countermodel, contract a model, export DOT, translate announcement formulas.
 Exit codes: 0 success/true, 1 false or countermodel-dependent negative,
 2 usage or input error, or an internal error (reported, never a traceback).
+A reader that closes stdout early changes no exit code (`_print`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checker import BindingError, Evaluator
@@ -22,6 +24,16 @@ from .translate import translate
 _EXIT_TRUE = 0
 _EXIT_FALSE = 1
 _EXIT_ERROR = 2
+
+
+def _print(*args, **kwargs) -> None:
+    """`print` to stdout, flushed. Once the reader has closed the pipe,
+    stdout is pointed at devnull: the command goes on to its own exit code,
+    and the interpreter's last flush finds no broken pipe to report."""
+    try:
+        print(*args, **kwargs, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _split_names(raw: str) -> tuple:
@@ -118,19 +130,19 @@ def _cmd_check(args) -> int:
         doc = verdict.to_doc()
         doc["formula"] = render(formula)
         doc["point"] = point
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(f"formula: {render(formula)}")
-        print(f"point: {point}")
-        print(f"truth: {'true' if verdict.truth else 'false'}")
+        _print(f"formula: {render(formula)}")
+        _print(f"point: {point}")
+        _print(f"truth: {'true' if verdict.truth else 'false'}")
         if verdict.witness_choice is not None:
-            print("witness choice: " + _choice_text(verdict.witness_choice))
-            print(f"witness announcement: {render(verdict.witness_formula)}")
+            _print("witness choice: " + _choice_text(verdict.witness_choice))
+            _print(f"witness announcement: {render(verdict.witness_formula)}")
         if verdict.refutation_choice is not None:
-            print("refuting opponent choice: "
-                  + _choice_text(verdict.refutation_choice))
-            print("refuting announcement: "
-                  + render(verdict.refutation_formula))
+            _print("refuting opponent choice: "
+                   + _choice_text(verdict.refutation_choice))
+            _print("refuting announcement: "
+                   + render(verdict.refutation_formula))
     return _EXIT_TRUE if verdict.truth else _EXIT_FALSE
 
 
@@ -148,9 +160,9 @@ def _cmd_suite(args) -> int:
     items = None if args.items is None else _split_names(args.items)
     report = axiom_suite(params, items=items, certify=args.certify)
     if args.json:
-        print(json.dumps(report.to_doc(), indent=2, sort_keys=True))
+        _print(json.dumps(report.to_doc(), indent=2, sort_keys=True))
     else:
-        print(report.to_text(), end="")
+        _print(report.to_text(), end="")
     return _EXIT_TRUE if report.passed else _EXIT_FALSE
 
 
@@ -163,13 +175,13 @@ def _cmd_search(args) -> int:
     schematic = _split_names(args.schematic)
     hit = find_countermodel(formula, params, schematic=schematic)
     if hit is None:
-        print("no countermodel within bounds")
+        _print("no countermodel within bounds")
         return _EXIT_FALSE
     save_model(args.out, hit.pointed.model, designated=hit.pointed.point)
-    print(f"countermodel written to {args.out} (false at state "
-          f"{hit.pointed.point})")
+    _print(f"countermodel written to {args.out} (false at state "
+           f"{hit.pointed.point})")
     for atom in schematic:
-        print(f"{atom} := {render(hit.assignment[atom])}")
+        _print(f"{atom} := {render(hit.assignment[atom])}")
     return _EXIT_TRUE
 
 
@@ -177,19 +189,19 @@ def _cmd_contract(args) -> int:
     model, designated = load_model(args.model)
     cm = bisim_contract(model)
     mapped = cm.mapping[designated] if designated is not None else None
-    print(json.dumps(cm.contracted.to_doc(designated=mapped), indent=2))
+    _print(json.dumps(cm.contracted.to_doc(designated=mapped), indent=2))
     return _EXIT_TRUE
 
 
 def _cmd_dot(args) -> int:
     model, _ = load_model(args.model)
-    print(to_dot(model), end="")
+    _print(to_dot(model), end="")
     return _EXIT_TRUE
 
 
 def _cmd_translate(args) -> int:
     formula = parse(args.formula)
-    print(render(resugar(translate(formula))))
+    _print(render(resugar(translate(formula))))
     return _EXIT_TRUE
 
 

@@ -139,8 +139,7 @@ def _constructor(cls, names: tuple):
     setter, blank, get = object.__setattr__, object.__new__, _TABLE.get
     kind = _VOCAB_FIELDS.get(names[0]) if names else None
     # whether the node's `_epistemic` follows its subnodes': not for an
-    # announcement or a quantifier (false in the class), nor a necessity
-    # form (none)
+    # announcement, a quantifier or a necessity form (false in the class)
     derived = getattr(cls, "_epistemic", False)
     role = "proposition" if kind == _PROP else "agent"
     shape = (len(names), kind is not None)
@@ -269,8 +268,9 @@ def _node(cls):
     agent or group, computed once when the node is built. `_epistemic` is
     whether the node is purely epistemic, with no announcement and no
     quantifier in it: true in `Formula`, false in the classes of
-    announcements and quantifiers, and stored false on a node built over a
-    subnode that is not, so the many purely epistemic nodes store nothing.
+    announcements, quantifiers and necessity forms, and stored false on a
+    node built over a subnode that is not, so the many purely epistemic
+    nodes store nothing.
     Nodes pickle and copy through their constructor (`_node_reduce`), so
     an unpickled or copied node is the interned one, with facts rebuilt in
     the receiving process."""
@@ -625,6 +625,7 @@ class NecessityForm:
     """Formula context with exactly one hole, closed under implication tails,
     knowledge operators, and announcement prefixes."""
 
+    _epistemic = False  # not a formula: `Evaluator._eval` rejects it
     __repr__ = Formula.__repr__
     __setattr__ = Formula.__setattr__
     __delattr__ = Formula.__delattr__

@@ -527,8 +527,6 @@ class _Quotient:
     `chars` reads the truth masks it is given, `decode` the valuation of the
     model it is given.
     `firsts` caches `first_sets` per group: structure too, so shared alike.
-    A view (`view`) is a `_Quotient` that holds only `kept`, `reps` and
-    `rep_of`, borrowed from a larger quotient.
     """
 
     __slots__ = ("kept", "levels", "blocks", "reps", "rep_of", "classes",
@@ -556,29 +554,6 @@ class _Quotient:
         out = 0
         for i in _bits(mask):
             out |= 1 << self.rep_of[i]
-        return out
-
-    def view(self, kept: int) -> "_Quotient":
-        """The restriction to `kept`, a union of this quotient's blocks,
-        read through them: a `_Quotient` that holds only `kept`, `reps`
-        (this quotient's reps inside `kept`) and `rep_of` (this quotient's
-        list), with no refinement run and no classes, so no quantifier can
-        enumerate on it. It is of this type, not one of its own, so that
-        the evaluator's attribute reads see one type.
-
-        Lemma: this quotient's block relation, cut down to `kept`, is a
-        bisimulation of the restriction to `kept`. Proof: take s and s' in
-        one block, both kept, and t kept in s's class of some agent. The
-        block relation is a bisimulation of the larger restriction, so some
-        t' in s''s class shares t's block; `kept` is a union of blocks, so
-        t' is kept. Truth is invariant under bisimulation, so a formula that
-        restricts nothing has the same truth at a rep of the view as at
-        every kept state of its block, in the restriction to `kept` and in
-        that restriction's contraction."""
-        out = _Quotient.__new__(_Quotient)
-        out.kept = kept
-        out.reps = self.reps & kept
-        out.rep_of = self.rep_of
         return out
 
     def first_sets(self, group: frozenset) -> list:

@@ -388,7 +388,7 @@ def find_countermodel(f: Formula, params: GenParams, *,
         whole = ev._root_quotient
         for assignment, g in instances:
             _check_bound(ev.model, g)
-            failing = whole.kept & ~ev._where(whole, g)
+            failing = whole.kept & ~ev._where(whole.kept, g)
             if failing:
                 return assignment, ev.model.states[
                     (failing & -failing).bit_length() - 1]

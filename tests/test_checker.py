@@ -382,11 +382,11 @@ class TestSweepCounts:
         reads, misses = Counter(), Counter()
         inner = Evaluator._where
 
-        def counted(self, q, g):
+        def counted(self, kept, g):
             if g is f.announce:
-                reads[q.kept] += 1
-                misses[q.kept] += (q.kept, g) not in self._extents
-            return inner(self, q, g)
+                reads[kept] += 1
+                misses[kept] += (kept, g) not in self._extents
+            return inner(self, kept, g)
 
         monkeypatch.setattr(Evaluator, "_where", counted)
         ev = Evaluator(model)
@@ -397,9 +397,10 @@ class TestSweepCounts:
         # recomputed its extent per state would compute it more than once
         assert len(told) > 1 and len(root.blocks) > 1
         assert any(truths) and not all(truths)
-        # read at each state where the announcement holds, and by
-        # `extension`; computed once
-        assert reads == {root.kept: len(told) + 1}
+        # read where the announcement is tested, at each state (one bit of
+        # its extent), again where it holds, and by `extension`; computed
+        # once
+        assert reads == {root.kept: len(model.states) + len(told) + 1}
         assert misses == {root.kept: 1}
 
     def test_each_member_announcement_is_realized_once(self, monkeypatch):
@@ -954,9 +955,10 @@ class TestRecontraction:
 
 
 class TestViews:
-    """A restriction whose body is purely epistemic is read on a view of the
-    parent's quotient (`_Quotient.view`); only where a quantifier enumerates,
-    or a body announces, is the restriction contracted."""
+    """A purely epistemic body is read only as its extent on the kept
+    states (`Evaluator._where`), with no quotient of its own; only where a
+    quantifier enumerates, or a body announces, is the restriction
+    contracted."""
 
     EPISTEMIC_BODIES = ["<{a,b}> (K c p & ~K a q)", "<{a,b}> K c p",
                         "<[{a}]> (K b p & ~K c q)", "[<{b,c}>] ~K a s",
@@ -964,31 +966,32 @@ class TestViews:
 
     @pytest.mark.parametrize("certify", [False, True])
     def test_epistemic_bodies_contract_only_the_root(self, certify):
+        def quotients():
+            # every `_Quotient` alive, however it was made
+            return [o for o in gc.get_objects()
+                    if type(o) is cogal.model._Quotient]
+
+        # held, so that no id of theirs is reused
+        before = quotients()
+        old = {id(o) for o in before}
         model = exact_model(random.Random(12), 12, {"a": 5, "b": 4, "c": 4})
         assert len(bisim_contract(model).contracted.states) == 12
         ev = Evaluator(model, certify=certify)
-        contracting = oracle.Evaluator(model)
-        for text in self.EPISTEMIC_BODIES:
-            f = parse(text)
-            truths = [ev.eval(s, f) for s in model.states]
-            assert any(truths) and not all(truths), text
-            assert truths == [contracting.eval(s, f) for s in model.states]
-        # the whole model is contracted; no restriction is
+        truths = {text: [ev.eval(s, parse(text)) for s in model.states]
+                  for text in self.EPISTEMIC_BODIES}
+        # the whole model is contracted; no restriction is, and no other
+        # quotient exists
+        assert [o for o in quotients() if id(o) not in old] \
+            == [ev._root_quotient]
         assert list(ev._quotients) == [ev._root_quotient.kept]
+        contracting = oracle.Evaluator(model)
+        for text, got in truths.items():
+            assert any(got) and not all(got), text
+            assert got == [contracting.eval(s, parse(text))
+                           for s in model.states]
         if certify:
             assert ev.certificates.checked > 0
             assert ev.certificates.mismatches == []
-
-    def test_existing_quotient_is_reused(self):
-        # once a restriction is contracted, an epistemic body is read on
-        # it too, at its own reps
-        model = TestRecontraction._model()
-        ev = Evaluator(model)
-        kept = 0b01111
-        child = ev._restriction(kept)
-        assert ev._holds_after(ev._root_quotient, kept, 1, parse("K b ~p")) \
-            is False
-        assert {key[:2] for key in ev._memo} == {(kept, child.rep_of[1])}
 
 
 class TestEdgeGroups:

@@ -321,6 +321,34 @@ class TestContractDotTranslate:
         assert done.stderr.startswith(err)
 
 
+class TestClosedStdout:
+    """A reader that closes stdout before the output is written changes no
+    exit code, whatever the timing: the output is dropped, and nothing is
+    written to stderr."""
+
+    PROP4 = str(Path(__file__).resolve().parents[1] / "models" / "prop4.json")
+    GOAL = "K b (p & q & r) & ~K a (p & q & r) & ~K c (p & q & r)"
+
+    @pytest.mark.parametrize("args, code", [
+        (["check", PROP4, f"<[{{a,b}}]> ({GOAL})"], 0),
+        (["check", PROP4, f"<[{{a}}]> <[{{b}}]> ({GOAL})"], 1),
+        (["suite", "--models", "3"], 0),
+    ], ids=["check-true", "check-false", "suite"])
+    def test_closed_stdout_keeps_the_exit_code(self, args, code):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cogal.__file__).resolve().parents[1]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "cogal"] + args,
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert done.stderr == b""
+        assert done.returncode == code
+
+
 class TestMalformedModel:
     def test_unhashable_state_entries_exit_two(self, tmp_path, capsys):
         model, _ = train_model()

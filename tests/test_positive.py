@@ -264,7 +264,7 @@ class TestOneSetDecides:
         for s in model.states:
             rep = root.rep_of[model._position[s]]
             first = ev._first_set(root, rep, f.group)
-            if not ev._holds_after(root, first[0], rep, f.body):
+            if not ev._holds_after(first[0], rep, f.body):
                 continue
             assert ev.eval(s, f)
             return ev._choice_set_cache[root.kept, rep, f.group], first

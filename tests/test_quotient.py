@@ -174,16 +174,16 @@ def test_evidence_and_certificates_build_no_model(monkeypatch):
     assert built == []
 
 
-def test_view_reads_as_the_contracted_restriction():
-    """A view of a parent quotient against the contracted restriction: on
-    300 seeded models of up to 5 states, parents that are the whole model or a
-    random restriction, children that are random unions of the parent's
-    blocks, and epistemic pool and random formulas, the truth at each of the
-    parent's reps in the child equals the truth at its rep in the child's
-    quotient. Separate evaluators, so no memo entry crosses over."""
-    rng = random.Random("views")
+def test_extent_is_the_oracle_extension_on_the_restriction():
+    """`Evaluator._where(kept, f)` reads the restriction to `kept` itself,
+    with no quotient: on 300 seeded models of up to 5 states, random kept
+    masks, many of them no union of the model's blocks, and epistemic pool
+    and random formulas, the extent is the frozenset oracle's extension on
+    `model.update` of the kept states. One evaluator per model, so the
+    kept masks share its memo."""
+    rng = random.Random("extents")
     params = GenParams(max_states=5, seed=21)
-    checked = merged = 0
+    checked = split = 0
     for i in range(300):
         model = random_model(params, i)
         n = len(model.states)
@@ -192,28 +192,16 @@ def test_view_reads_as_the_contracted_restriction():
             random_formula(rng, model.agents, model.props,
                            frag=Fragment.EL, max_depth=3)
             for _ in range(4)]
-        parents = [(1 << n) - 1, rng.randint(1, (1 << n) - 1)]
-        for kept in parents:
-            parent = _Quotient(model, kept, _refine(model, kept))
-            blocks = [block for _, block in parent.blocks]
-            for _ in range(3):
-                picked = [b for b in blocks if rng.random() < 0.6]
-                child = 0
-                for block in picked or blocks[:1]:
-                    child |= block
-                view = parent.view(child)
-                quotient = _Quotient(model, child, _refine(model, child))
-                reps = _bits(parent.reps & child)
-                merged += len(quotient.blocks) < len(reps)
-                on_view, on_quotient = Evaluator(model), Evaluator(model)
-                for f in formulas:
-                    for r in reps:
-                        assert view.rep_of[r] == r
-                        assert on_view._eval(view, r, f) == \
-                            on_quotient._eval(quotient, quotient.rep_of[r], f), \
-                            (model.to_doc(), kept, child, r, f)
-                        checked += 1
-    # children whose contraction merges some of the parent's blocks, so the
-    # view reads more states than the quotient has
-    assert merged >= 40
-    assert checked > 30000
+        blocks = [block for _, block in model._whole_quotient.blocks]
+        ev = Evaluator(model)
+        for kept in [(1 << n) - 1] + [rng.randint(1, (1 << n) - 1)
+                                      for _ in range(3)]:
+            # a mask that splits a block of bisimilar states
+            split += any(b & kept not in (0, b) for b in blocks)
+            restricted = oracle.Evaluator(model.update(model._named(kept)))
+            for f in formulas:
+                assert ev._states(ev._where(kept, f)) == \
+                    restricted.extension(f), (model.to_doc(), kept, f)
+                checked += 1
+    assert split >= 100
+    assert checked == 300 * 4 * 16

@@ -396,16 +396,18 @@ class Evaluator:
         truth masks (checked, per proposition in model order), which must
         refine every kept mask as the root's do: the exhaustive search
         evaluates all candidates of one refinement group on one evaluator
-        (`search._group_evaluators`).
+        (`search._group_evaluators`), and a later search over the same
+        vocabulary reads the same evaluators again.
 
         The memo, the extents, the characteristic formulas and the realized
         parts read the valuation, so they are dropped, each in one step. The
         restrictions, option lists, choice sets and named state sets are
         structure only, by the lemma of `model._refine_masks`: a group's
         truth masks induce one partition of the states, so they refine
-        every kept mask alike; they are kept. Every later read of the
-        valuation goes through `_truth`: atoms, the refinement of a new
-        restriction and the characteristic formulas. A certifying
+        every kept mask alike; they read no formula either, so they are
+        kept, for the next candidate and the next search. Every later read
+        of the valuation goes through `_truth`: atoms, the refinement of a
+        new restriction and the characteristic formulas. A certifying
         evaluator is refused: its certificates belong to one valuation."""
         if self.certify:
             raise ValueError("a certifying evaluator cannot be revalued")

@@ -189,19 +189,19 @@ def _builder(agents: tuple, props: tuple, n: int,
     return build
 
 
-def _group_evaluators(agents: tuple, props: tuple,
-                      n: int) -> Iterator[tuple]:
+def _groups(agents: tuple, props: tuple, n: int,
+            found: list) -> Iterator[tuple]:
     """Each candidate of `_classes(n, ...)`, in order, as (parts, masks,
-    ev): `ev` is the one evaluator of the candidate's refinement group,
-    its truth masks swapped in (`Evaluator._revalue`).
+    ev, truth), appended to `found` as it is yielded: `ev` is the one
+    evaluator of the candidate's refinement group, `truth` the candidate's
+    truth masks, for the reader to swap in.
 
     A group's first candidate gets a validated model (`_builder`), the
     group's whole quotient, built from the shared refinement, and an
     evaluator of it; the group's later candidates get no model. Every
     candidate's truth masks pass the checks a model's pass
     (`KripkeModel._checked_truth`), once per valuation of n states, before
-    any group reads them. The candidates of a part triple switch between
-    its groups, so each group's evaluator lives until its parts are done."""
+    any group reads them."""
     partitions = _mask_partitions(n)
     build = _builder(agents, props, n, partitions)
     whole = (1 << n) - 1
@@ -222,8 +222,34 @@ def _group_evaluators(agents: tuple, props: tuple,
             model = build(parts, masks)
             vars(model)["_whole_quotient"] = _Quotient(model, whole, refined)
             ev = evaluators[id(refined)] = Evaluator(model)
-        ev._revalue(truths[masks])
+        found.append((parts, masks, ev, truths[masks]))
+        yield found[-1]
+
+
+def _group_evaluators(agents: tuple, props: tuple, n: int,
+                      walks: dict) -> Iterator[tuple]:
+    """Each candidate of `_groups(agents, props, n, ...)`, in order, as
+    (parts, masks, ev), its truth masks swapped into `ev`
+    (`Evaluator._revalue`). The walk is memoised per n in `walks`, as
+    `checker._ChoiceSets` memoises choice sets: the candidates built so
+    far and the suspended generator that builds the rest. A later read
+    replays the one and resumes the other, so a walk builds its frames,
+    models, whole quotients and evaluators once, and each evaluator keeps
+    its structure for every later read."""
+    if n not in walks:
+        found = []
+        walks[n] = found, _groups(agents, props, n, found)
+    found, rest = walks[n]
+    # `found` is read to its end before `rest` appends to it
+    for parts, masks, ev, truth in itertools.chain(found, rest):
+        ev._revalue(truth)
         yield parts, masks, ev
+
+
+# the exhaustive search's walks of the last _KEPT vocabularies (agents,
+# props) searched, least recently searched first (`find_countermodel`)
+_WALKS: Dict[tuple, dict] = {}
+_KEPT = 4
 
 
 def enumerate_models(agents, props, max_states: int) -> Iterator[KripkeModel]:
@@ -345,7 +371,11 @@ def find_countermodel(f: Formula, params: GenParams, *,
     The candidates of one refinement group (part triple and level-0
     partition) are evaluated on one evaluator, which swaps in each one's
     truth masks, checked once per valuation (`_group_evaluators`); a model
-    is built for each group's evaluator and for the hit. Among the
+    is built for each group's evaluator and for the hit. The walk depends
+    only on the widened vocabulary, so the searches over it share it: a
+    search checks it out of `_WALKS` and puts it back when it returns, hit
+    or none. One that raises drops it, so no walk cut short is read, and
+    a search running at the same time builds its own. Among the
     orbit-least candidates, which come in order of state count, that skips
     exactly the ones whose class came earlier:
     - contracted implies new: two contracted models with isomorphic
@@ -372,7 +402,9 @@ def find_countermodel(f: Formula, params: GenParams, *,
         agents_of(f).union(*map(agents_of, given)) - set(params.agents)))
     concrete_atoms = (atoms(f) - set(schematic)).union(*map(atoms, given))
     props = tuple(params.props) + tuple(sorted(concrete_atoms - set(params.props)))
-    pool = given if pool is not None else instantiation_pool(agents, props)
+    # the default pool is built only for schematic atoms to read
+    pool = (given if pool is not None or not schematic
+            else instantiation_pool(agents, props))
     if schematic and not pool:
         raise ValueError("schematic atoms need at least one pool formula")
     assignments = ([{}] if not schematic else
@@ -398,6 +430,16 @@ def find_countermodel(f: Formula, params: GenParams, *,
         assignment, state = found
         return SearchHit(PointedModel(model, state), dict(assignment))
 
+    def first_hit(walks: dict) -> Optional[SearchHit]:
+        """The exhaustive search, on the candidates of `walks`."""
+        for n in range(1, params.max_states + 1):
+            for parts, masks, ev in _group_evaluators(agents, props, n, walks):
+                found = refuted(ev)
+                if found is not None:
+                    build = _builder(agents, props, n, _mask_partitions(n))
+                    return hit(build(parts, masks), found)
+        return None
+
     if params.max_states > 3:
         gen = replace(params, agents=agents, props=props)
         held = set()
@@ -411,10 +453,11 @@ def find_countermodel(f: Formula, params: GenParams, *,
                 return hit(model, found)
             held.add(key)
         return None
-    for n in range(1, params.max_states + 1):
-        for parts, masks, ev in _group_evaluators(agents, props, n):
-            found = refuted(ev)
-            if found is not None:
-                build = _builder(agents, props, n, _mask_partitions(n))
-                return hit(build(parts, masks), found)
-    return None
+
+    # checked out until the search returns, hit or none (see above)
+    walks = _WALKS.pop((agents, props), {})
+    found = first_hit(walks)
+    _WALKS[agents, props] = walks
+    for older in list(_WALKS)[:-_KEPT]:  # pop: a search at once may too
+        _WALKS.pop(older, None)
+    return found

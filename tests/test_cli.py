@@ -70,6 +70,49 @@ class TestCheck:
         ffile.write_text("[~p] K c ~p\n", encoding="utf-8")
         assert main(["check", train_file, "--formula-file", str(ffile)]) == 0
 
+    @staticmethod
+    def outcome(args, capsys) -> tuple:
+        """(exit code, stdout, stderr) of `main`; a usage error exits."""
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("options", [["--json"], ["--at", "w"],
+                                         ["--at", "w", "--json"]])
+    @pytest.mark.parametrize("formula", ["[~p] K c ~p",
+                                         "<[{a,c}]> (~K c ~p & ~K c p)"])
+    def test_options_may_come_before_between_or_after_the_formula(
+            self, train_file, capsys, options, formula):
+        expected = self.outcome(["check", train_file, formula] + options,
+                                capsys)
+        assert expected[0] in (0, 1) and expected[2] == ""
+        for args in (options + [train_file, formula],
+                     [train_file] + options + [formula],
+                     [train_file, formula] + options):
+            assert self.outcome(["check"] + args, capsys) == expected
+
+    @pytest.mark.parametrize("args", [["p", "q"], ["--json", "p", "q"],
+                                      ["p", "--at", "w", "q"]])
+    def test_two_formulas_are_a_usage_error(self, train_file, capsys, args):
+        code, out, err = self.outcome(["check", train_file] + args, capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: q" in err
+
+    @pytest.mark.parametrize("args", [["--formula-file", "F", "p"],
+                                      ["p", "--formula-file", "F"],
+                                      ["--json", "p", "--formula-file", "F"]])
+    def test_a_formula_and_a_formula_file_exit_two(
+            self, train_file, tmp_path, capsys, args):
+        ffile = tmp_path / "f.cogal"
+        ffile.write_text("p\n", encoding="utf-8")
+        args = [str(ffile) if arg == "F" else arg for arg in args]
+        assert self.outcome(["check", train_file] + args, capsys) == (
+            2, "", "error: provide exactly one of a formula argument or "
+                   "--formula-file\n")
+
     def test_parse_error_exits_two(self, train_file, capsys):
         assert main(["check", train_file, "p ->"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -85,7 +85,7 @@ def test_group_evaluators_agree_with_each_candidates_own():
     count = 0
     for n in (1, 2, 3):
         build = _builder(agents, props, n, _mask_partitions(n))
-        for parts, masks, ev in _group_evaluators(agents, props, n):
+        for parts, masks, ev in _group_evaluators(agents, props, n, {}):
             model = build(parts, masks)
             for f in fs:
                 assert ev.extension(f) == per_state(model, f), (parts, masks, f)

@@ -15,7 +15,10 @@ contracted ones are exactly the first of each class. The candidates of one
 swaps in each one's truth masks (`Evaluator._revalue`); the tests hold
 every restriction it keeps to the candidate's own, and every verdict,
 witness and characteristic formula it gives to those of a fresh evaluator
-of the candidate's own model."""
+of the candidate's own model. Searches over one vocabulary share its walk
+(`search._WALKS`); the tests hold a sequence of searches sharing it to the
+same sequence run cold, and the count pins each to a cold walk
+(`cold_walks`) or a warm one."""
 
 import itertools
 import random
@@ -387,7 +390,16 @@ def hit_doc(hit):
 
 
 @pytest.fixture()
-def constructed(monkeypatch):
+def cold_walks():
+    """Clears the walks the searches share before and after the test, so a
+    count it pins is the one of a cold walk, whatever ran before."""
+    search._WALKS.clear()
+    yield
+    search._WALKS.clear()
+
+
+@pytest.fixture()
+def constructed(monkeypatch, cold_walks):
     """Counts the `KripkeModel`s constructed: from names, from masks or on a
     shared frame (`_from_frame`), each construction ends in `_init_masks`,
     the truth checks."""
@@ -403,7 +415,7 @@ def constructed(monkeypatch):
 
 
 @pytest.fixture()
-def frames(monkeypatch):
+def frames(monkeypatch, cold_walks):
     """Counts the frames validated (`KripkeModel._frame`), as the part
     triples they were validated for: (state count, class masks)."""
     checked = []
@@ -433,7 +445,7 @@ def truth_checks(monkeypatch):
 
 
 @pytest.fixture()
-def evaluators(monkeypatch):
+def evaluators(monkeypatch, cold_walks):
     """Keeps the evaluators `find_countermodel` builds."""
     built = []
 
@@ -447,7 +459,7 @@ def evaluators(monkeypatch):
 
 
 @pytest.fixture()
-def revalued(monkeypatch):
+def revalued(monkeypatch, cold_walks):
     """Records each candidate evaluated on a group's evaluator, as the
     (evaluator, truth masks) of its `Evaluator._revalue`."""
     swapped = []
@@ -480,6 +492,7 @@ THREE_STATES = "~(~K a ~(p & q) & ~K a ~(p & ~q) & ~K a p)"
 RANDOM = GenParams(max_states=4, agents=AGENTS, props=PROPS, seed=3, count=300)
 
 
+@pytest.mark.usefixtures("cold_walks")
 class TestAgainstPlainLoop:
     @pytest.mark.parametrize("text", [A11, C4])
     def test_valid_instances(self, text, evaluators, revalued):
@@ -622,7 +635,8 @@ def group_candidates(agents=AGENTS, props=PROPS, max_states=3):
     next candidate may swap other truth masks into the same evaluator."""
     for n in range(1, max_states + 1):
         build = _builder(agents, props, n, _mask_partitions(n))
-        for parts, masks, ev in search._group_evaluators(agents, props, n):
+        for parts, masks, ev in search._group_evaluators(agents, props, n,
+                                                         {}):
             yield ev, build(parts, masks)
 
 
@@ -703,6 +717,7 @@ def evidence_docs(ev):
             for state in ev.model.states for text in EVIDENCE]
 
 
+@pytest.mark.usefixtures("cold_walks")
 class TestSharedQuotients:
     def test_a_sweep_builds_a_quotient_per_group(
             self, constructed, evaluators, quotients_built):
@@ -864,3 +879,114 @@ class TestRevalue:
             KripkeModel._checked_truth(PROPS, 2, truth, states)
         assert str(by_search.value) == str(by_model.value)
         assert "unknown" in str(by_model.value)
+
+
+def shared_walk_searches() -> list:
+    """Searches over one vocabulary and two wider ones, as (formula, kwargs):
+    valid instances, hits at 1, 2 and 3 states, a schematic search with a
+    pool, and the first vocabulary again."""
+    pool = (Atom("p"), Know("c", Atom("q")), parse("p & ~q"))
+    return [(parse(A11), {}), (parse("p -> q"), {}),
+            (parse("p -> K a p"), {}), (parse(THREE_STATES), {}),
+            (parse("K a x -> K b x"), {"schematic": ("x",), "pool": pool}),
+            (parse("r -> K a r"), {}), (parse("p -> K d p"), {}),
+            (parse(C4), {}), (parse(A11), {})]
+
+
+@pytest.mark.usefixtures("cold_walks")
+class TestSharedWalk:
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_shared_walks_give_the_cold_searches_hits(self, order):
+        searches = shared_walk_searches()[::order]
+        shared = [hit_doc(find_countermodel(f, EXHAUSTIVE, **kwargs))
+                  for f, kwargs in searches]
+        assert len(search._WALKS) == 3
+        cold = []
+        for f, kwargs in searches:
+            search._WALKS.clear()
+            cold.append(hit_doc(find_countermodel(f, EXHAUSTIVE, **kwargs)))
+        assert shared == cold
+        assert [doc is None for doc in cold] == [
+            f in (parse(A11), parse(C4)) for f, _ in searches]
+        assert {len(doc[0]["states"]) for doc in cold if doc} == {1, 2, 3}
+
+    def test_a_warm_sweep_builds_nothing(self, constructed, evaluators,
+                                         frames, quotients_built, revalued):
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert len(evaluators) == 114
+        cold = list(revalued)
+        del constructed[:], evaluators[:], frames[:], revalued[:]
+        quotients_built.update(whole=0, restriction=0)
+        # the second sweep replays the first's walk: the same candidates on
+        # the same evaluators, in the same order, and nothing built
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert (constructed, evaluators, frames) == ([], [], [])
+        assert quotients_built == {"whole": 0, "restriction": 0}
+        assert len(revalued) == 1140
+        assert revalued == cold
+
+    def test_a_walk_that_raised_is_dropped(self, monkeypatch):
+        # an early hit at 2 states leaves a partial walk; a search that
+        # extends it and raises partway through the 3-state candidates
+        # leaves no walk behind, so no later search reads a truncated one
+        assert find_countermodel(parse("p -> K a p"), EXHAUSTIVE) is not None
+        classes, raised = search._classes, []
+
+        def failing(n, *args):
+            for i, candidate in enumerate(classes(n, *args)):
+                if n == 3 and i == 100 and not raised:
+                    raised.append(n)
+                    raise RuntimeError("walk failed")
+                yield candidate
+
+        monkeypatch.setattr(search, "_classes", failing)
+        with pytest.raises(RuntimeError, match="walk failed"):
+            find_countermodel(parse(A11), EXHAUSTIVE)
+        assert raised == [3]
+        assert (AGENTS, PROPS) not in search._WALKS
+        later = hit_doc(find_countermodel(parse(THREE_STATES), EXHAUSTIVE))
+        search._WALKS.clear()
+        assert later == hit_doc(find_countermodel(parse(THREE_STATES),
+                                                  EXHAUSTIVE))
+        assert len(later[0]["states"]) == 3
+
+    def test_a_search_running_at_once_walks_its_own_evaluators(
+            self, monkeypatch):
+        # a search started while another walks the vocabulary (here, from
+        # inside the other's walk) finds the walk checked out, so no
+        # evaluator is revalued by both
+        assert find_countermodel(parse("p -> K a p"), EXHAUSTIVE) is not None
+        outer, inner, nested = [], [], []
+        revalue = Evaluator._revalue
+
+        def recording(self, truth):
+            (inner if len(nested) == 1 else outer).append(self)
+            if len(outer) == 10 and not nested:
+                nested.append(None)
+                nested.append(find_countermodel(parse(THREE_STATES),
+                                                EXHAUSTIVE))
+            revalue(self, truth)
+
+        monkeypatch.setattr(Evaluator, "_revalue", recording)
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert len(outer) == 1140 and inner
+        assert not set(map(id, outer)) & set(map(id, inner))
+        monkeypatch.undo()
+        search._WALKS.clear()
+        assert hit_doc(nested[1]) == hit_doc(
+            find_countermodel(parse(THREE_STATES), EXHAUSTIVE))
+
+    def test_the_shared_walks_stay_bounded(self):
+        def sweep(prop):
+            params = GenParams(max_states=2, agents=("a",), props=(prop,))
+            assert find_countermodel(parse(f"K a {prop} -> {prop}"),
+                                     params) is None
+            return ("a",), (prop,)
+
+        kept = [sweep(f"p{i}") for i in range(search._KEPT + 2)]
+        assert list(search._WALKS) == kept[2:]
+        # a search moves its vocabulary to the back, so the next one to go
+        # is the least recently searched
+        sweep("p2")
+        kept.append(sweep("p9"))
+        assert list(search._WALKS) == kept[4:-1] + [kept[2], kept[-1]]

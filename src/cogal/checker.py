@@ -399,19 +399,25 @@ class Evaluator:
         (`search._group_evaluators`), and a later search over the same
         vocabulary reads the same evaluators again.
 
-        The memo, the extents, the characteristic formulas and the realized
-        parts read the valuation, so they are dropped, each in one step. The
-        restrictions, option lists, choice sets and named state sets are
-        structure only, by the lemma of `model._refine_masks`: a group's
-        truth masks induce one partition of the states, so they refine
-        every kept mask alike; they read no formula either, so they are
-        kept, for the next candidate and the next search. Every later read
+        What read the valuation is dropped (`_forget`). The restrictions,
+        option lists, choice sets and named state sets are structure only,
+        by the lemma of `model._refine_masks`: a group's truth masks induce
+        one partition of the states, so they refine every kept mask alike;
+        they read no formula either, so they are kept, for the next
+        candidate and the next search. Every later read
         of the valuation goes through `_truth`: atoms, the refinement of a
         new restriction and the characteristic formulas. A certifying
         evaluator is refused: its certificates belong to one valuation."""
         if self.certify:
             raise ValueError("a certifying evaluator cannot be revalued")
         self._truth = truth
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drops what read the valuation, each in one step: the memo, the
+        extents, the characteristic formulas and the realized parts. The
+        exhaustive search drops them after each candidate too, so the
+        evaluators of a walk it keeps hold no formula's results."""
         self._memo = {}
         self._extents = {}
         self._char_tables = {}

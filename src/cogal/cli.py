@@ -40,33 +40,15 @@ def _split_names(raw: str) -> tuple:
     return tuple(x.strip() for x in raw.split(",") if x.strip())
 
 
-class _Parser(argparse.ArgumentParser):
-    """A subcommand's parser, which reads positionals between options too:
-    plain argparse gives `check`'s optional formula its default at the
-    first option (`check MODEL --json FORMULA`), and cannot intermix on
-    the parser that holds the subcommands."""
-
-    _mixing = False
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._mixing:  # the intermixed parse calls back here twice
-            return super().parse_known_args(args, namespace)
-        self._mixing = True
-        try:
-            return self.parse_known_intermixed_args(args, namespace)
-        finally:
-            self._mixing = False
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cogal",
         description="Model checker for coalition and group announcement "
                     "logic on finite S5 models.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="evaluate a formula on a model")
+    p_check = parser.check = sub.add_parser(
+        "check", help="evaluate a formula on a model")
     p_check.add_argument("model", help="model file (JSON)")
     p_check.add_argument("formula", nargs="?", help="formula text")
     p_check.add_argument("--formula-file", help="read the formula from a file")
@@ -236,8 +218,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv[:1] == ["check"]:
+            # plain parsing ends `check`'s optional formula at the first
+            # option; its own parser, which holds no subcommands, can read
+            # the formula between options too
+            args = parser.check.parse_intermixed_args(
+                argv[1:], argparse.Namespace(command="check"))
+        else:
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except OSError as exc:
         # args[0] of an OSError is its errno; report the path and the reason

@@ -189,12 +189,10 @@ def _builder(agents: tuple, props: tuple, n: int,
     return build
 
 
-def _groups(agents: tuple, props: tuple, n: int,
-            found: list) -> Iterator[tuple]:
+def _groups(agents: tuple, props: tuple, n: int) -> Iterator[tuple]:
     """Each candidate of `_classes(n, ...)`, in order, as (parts, masks,
-    ev, truth), appended to `found` as it is yielded: `ev` is the one
-    evaluator of the candidate's refinement group, `truth` the candidate's
-    truth masks, for the reader to swap in.
+    ev, truth): `ev` is the one evaluator of the candidate's refinement
+    group, `truth` the candidate's truth masks, for the reader to swap in.
 
     A group's first candidate gets a validated model (`_builder`), the
     group's whole quotient, built from the shared refinement, and an
@@ -222,34 +220,52 @@ def _groups(agents: tuple, props: tuple, n: int,
             model = build(parts, masks)
             vars(model)["_whole_quotient"] = _Quotient(model, whole, refined)
             ev = evaluators[id(refined)] = Evaluator(model)
-        found.append((parts, masks, ev, truths[masks]))
-        yield found[-1]
+        yield parts, masks, ev, truths[masks]
 
 
 def _group_evaluators(agents: tuple, props: tuple, n: int,
                       walks: dict) -> Iterator[tuple]:
-    """Each candidate of `_groups(agents, props, n, ...)`, in order, as
-    (parts, masks, ev), its truth masks swapped into `ev`
-    (`Evaluator._revalue`). The walk is memoised per n in `walks`, as
-    `checker._ChoiceSets` memoises choice sets: the candidates built so
-    far and the suspended generator that builds the rest. A later read
-    replays the one and resumes the other, so a walk builds its frames,
-    models, whole quotients and evaluators once, and each evaluator keeps
-    its structure for every later read."""
+    """Each candidate of `_groups(agents, props, n)`, in order, as (parts,
+    masks, ev), its truth masks swapped into `ev` (`Evaluator._revalue`).
+    The walk is memoised per n in `walks`, as `checker._ChoiceSets`
+    memoises choice sets: the candidates read so far and the suspended
+    generator that builds the rest. A later read replays the one and
+    resumes the other, so a walk builds its frames, models, whole
+    quotients and evaluators once, and each evaluator keeps its structure
+    for every later read. What the reader computed from a candidate's
+    valuation is dropped when it asks for the next (`Evaluator._forget`),
+    so a kept walk holds no formula's results. A walk of more than
+    `_KEPT_CANDIDATES` candidates or `_KEPT_EVALUATORS` evaluators is
+    dropped from `walks` as it passes either bound, and goes on without a
+    memo: it holds the evaluators of one part triple at a time."""
     if n not in walks:
-        found = []
-        walks[n] = found, _groups(agents, props, n, found)
-    found, rest = walks[n]
-    # `found` is read to its end before `rest` appends to it
-    for parts, masks, ev, truth in itertools.chain(found, rest):
+        walks[n] = [], set(), _groups(agents, props, n)
+    found, evaluators, rest = walks[n]
+    for parts, masks, ev, truth in found:
         ev._revalue(truth)
         yield parts, masks, ev
+        ev._forget()
+    for parts, masks, ev, truth in rest:
+        if found is not None:
+            evaluators.add(ev)
+            if (len(found) < _KEPT_CANDIDATES
+                    and len(evaluators) <= _KEPT_EVALUATORS):
+                found.append((parts, masks, ev, truth))
+            else:
+                del walks[n]
+                found = evaluators = None
+        ev._revalue(truth)
+        yield parts, masks, ev
+        ev._forget()
 
 
-# the exhaustive search's walks of the last _KEPT vocabularies (agents,
-# props) searched, least recently searched first (`find_countermodel`)
+# the exhaustive search's walks of the vocabulary (agents, props) searched
+# last, by state count (`find_countermodel`); the bounds keep the 3-state
+# walks over a, b, c and p, q (1,088 candidates, 105 evaluators), a, b, c
+# and p, q, r (9,744, 105) and a, b, c, d and p, q (5,764, 487)
 _WALKS: Dict[tuple, dict] = {}
-_KEPT = 4
+_KEPT_CANDIDATES = 10_000
+_KEPT_EVALUATORS = 512
 
 
 def enumerate_models(agents, props, max_states: int) -> Iterator[KripkeModel]:
@@ -373,9 +389,10 @@ def find_countermodel(f: Formula, params: GenParams, *,
     truth masks, checked once per valuation (`_group_evaluators`); a model
     is built for each group's evaluator and for the hit. The walk depends
     only on the widened vocabulary, so the searches over it share it: a
-    search checks it out of `_WALKS` and puts it back when it returns, hit
-    or none. One that raises drops it, so no walk cut short is read, and
-    a search running at the same time builds its own. Among the
+    search checks it out of `_WALKS`, which keeps the last vocabulary's
+    walks, and puts it back when it returns, hit or none. One that raises
+    drops it, so no walk cut short is read, and a search running at the
+    same time builds its own. Among the
     orbit-least candidates, which come in order of state count, that skips
     exactly the ones whose class came earlier:
     - contracted implies new: two contracted models with isomorphic
@@ -454,10 +471,11 @@ def find_countermodel(f: Formula, params: GenParams, *,
             held.add(key)
         return None
 
-    # checked out until the search returns, hit or none (see above)
+    # checked out until the search returns, hit or none (see above); the
+    # walks of another vocabulary are dropped
     walks = _WALKS.pop((agents, props), {})
+    _WALKS.clear()
     found = first_hit(walks)
+    _WALKS.clear()
     _WALKS[agents, props] = walks
-    for older in list(_WALKS)[:-_KEPT]:  # pop: a search at once may too
-        _WALKS.pop(older, None)
     return found

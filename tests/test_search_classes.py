@@ -16,12 +16,14 @@ swaps in each one's truth masks (`Evaluator._revalue`); the tests hold
 every restriction it keeps to the candidate's own, and every verdict,
 witness and characteristic formula it gives to those of a fresh evaluator
 of the candidate's own model. Searches over one vocabulary share its walk
-(`search._WALKS`); the tests hold a sequence of searches sharing it to the
-same sequence run cold, and the count pins each to a cold walk
-(`cold_walks`) or a warm one."""
+(`search._WALKS`, the last vocabulary's, of a bounded size); the tests hold
+a sequence of searches sharing it to the same sequence run cold, and the
+count pins each to a cold walk (`cold_walks`) or a warm one."""
 
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from typing import Iterable, Iterator
 
@@ -900,7 +902,7 @@ class TestSharedWalk:
         searches = shared_walk_searches()[::order]
         shared = [hit_doc(find_countermodel(f, EXHAUSTIVE, **kwargs))
                   for f, kwargs in searches]
-        assert len(search._WALKS) == 3
+        assert list(search._WALKS) == [(AGENTS, PROPS)]
         cold = []
         for f, kwargs in searches:
             search._WALKS.clear()
@@ -924,6 +926,19 @@ class TestSharedWalk:
         assert quotients_built == {"whole": 0, "restriction": 0}
         assert len(revalued) == 1140
         assert revalued == cold
+
+    def test_a_kept_walk_holds_no_formulas_results(self):
+        pool = (Atom("p"), Know("c", Atom("q")), parse("p & ~q"))
+        assert find_countermodel(parse("<[{a}]> x -> <{a}> [{b,c}] x"),
+                                 EXHAUSTIVE, schematic=("x",),
+                                 pool=pool) is None
+        walks = search._WALKS[AGENTS, PROPS]
+        kept = {ev for n in (1, 2, 3) for _, _, ev, _ in walks[n][0]}
+        assert len(kept) == 114
+        assert {len(ev._memo) + len(ev._extents) + len(ev._char_tables)
+                + len(ev._parts) for ev in kept} == {0}
+        # the structure stays
+        assert sum(len(ev._quotients) for ev in kept) > len(kept)
 
     def test_a_walk_that_raised_is_dropped(self, monkeypatch):
         # an early hit at 2 states leaves a partial walk; a search that
@@ -976,17 +991,57 @@ class TestSharedWalk:
         assert hit_doc(nested[1]) == hit_doc(
             find_countermodel(parse(THREE_STATES), EXHAUSTIVE))
 
-    def test_the_shared_walks_stay_bounded(self):
-        def sweep(prop):
+    def test_only_the_last_vocabularys_walks_are_kept(self, monkeypatch):
+        held = []  # the vocabularies kept while a search walks
+        revalue = Evaluator._revalue
+
+        def recording(self, truth):
+            held.append(list(search._WALKS))
+            revalue(self, truth)
+
+        monkeypatch.setattr(Evaluator, "_revalue", recording)
+        for prop in ("p", "q", "p"):
             params = GenParams(max_states=2, agents=("a",), props=(prop,))
             assert find_countermodel(parse(f"K a {prop} -> {prop}"),
                                      params) is None
-            return ("a",), (prop,)
+            assert list(search._WALKS) == [(("a",), (prop,))]
+        assert held and not any(held)
 
-        kept = [sweep(f"p{i}") for i in range(search._KEPT + 2)]
-        assert list(search._WALKS) == kept[2:]
-        # a search moves its vocabulary to the back, so the next one to go
-        # is the least recently searched
-        sweep("p2")
-        kept.append(sweep("p9"))
-        assert list(search._WALKS) == kept[4:-1] + [kept[2], kept[-1]]
+    @pytest.mark.parametrize("candidates, evaluators, kept", [
+        (1088, 105, {1, 2, 3}), (1087, 105, {1, 2}), (1088, 104, {1, 2})])
+    def test_a_walk_past_a_bound_is_not_kept(self, monkeypatch, candidates,
+                                             evaluators, kept):
+        # the 3-state walk over a, b, c and p, q has 1,088 candidates on
+        # 105 evaluators: at those bounds it is kept, below either it is
+        # dropped as it passes the bound, and its evaluators go with it
+        monkeypatch.setattr(search, "_KEPT_CANDIDATES", candidates)
+        monkeypatch.setattr(search, "_KEPT_EVALUATORS", evaluators)
+        built, order = [], []  # (state count, evaluator); candidates read
+
+        class Tracked(Evaluator):
+            def __init__(self, model, **kwargs):
+                built.append((len(model.states), weakref.ref(self)))
+                super().__init__(model, **kwargs)
+
+        revalue = Evaluator._revalue
+
+        def recording(self, truth):
+            order.append((tuple(self.model._class_masks.values()),
+                          tuple(truth.values())))
+            revalue(self, truth)
+
+        monkeypatch.setattr(search, "Evaluator", Tracked)
+        monkeypatch.setattr(Evaluator, "_revalue", recording)
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert set(search._WALKS[AGENTS, PROPS]) == kept
+        assert Counter(n for n, _ in built) == {1: 1, 2: 8, 3: 105}
+        gc.collect()
+        assert {n for n, ev in built if ev() is not None} == kept
+        # the next search replays the kept walks and walks the rest anew,
+        # in the same order
+        cold, walked = list(order), Counter(n for n, _ in built)
+        del order[:], built[:]
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert order == cold == walked_candidates()
+        assert Counter(n for n, _ in built) == Counter(
+            {n: walked[n] for n in {1, 2, 3} - kept})

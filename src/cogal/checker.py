@@ -51,10 +51,17 @@ class BindingError(ValueError):
 
 def _check_bound(model: KripkeModel, f: Formula) -> None:
     """Raise unless the model declares every name the formula mentions."""
-    if not _mask(f) & ~model._vocab:
+    if _mask(f) & ~model._vocab:
+        _check_names(f, model.agents, model.props, model._vocab)
+
+
+def _check_names(f: Formula, agents, props, vocab: int) -> None:
+    """Raise unless the agents and propositions, of which `vocab` is the
+    `_vocab_mask`, hold every name the formula mentions."""
+    if not _mask(f) & ~vocab:
         return
-    bad_agents = sorted(agents_of(f) - set(model.agents))
-    bad_props = sorted(atoms(f) - set(model.props))
+    bad_agents = sorted(agents_of(f) - set(agents))
+    bad_props = sorted(atoms(f) - set(props))
     problems = []
     if bad_agents:
         problems.append("agents " + ", ".join(bad_agents))
@@ -498,7 +505,12 @@ class Evaluator:
         announcement reads its body on its own extent. Only a quantifier
         fetches the contracted restriction (`_restriction`). One that one
         set decides (`_deciding_group`) reads its body on each first set,
-        and the first sets partition the kept states. Any other quantifier
+        and the first sets partition the kept states. The empty group's
+        first set is `kept` at every rep (`_Quotient.first_sets`), so a
+        quantifier that it decides has its body's extent on `kept`, read
+        with no quotient fetched: `[G] phi` with phi positive, `<G> phi`
+        with phi the negation of a positive formula, and the coalition
+        forms whose opponents are empty. Any other quantifier
         is read by `_eval` at each block's rep, and so, under `certify`, is
         every node that is not purely epistemic: a connective read a set at
         a time reads both operands everywhere, so it would certify choices
@@ -547,7 +559,11 @@ class Evaluator:
                 out |= kept & ~told
         else:
             decider = self._deciding_group(f)
-            if decider is not None:
+            if decider is None:
+                pass  # read per block, below
+            elif not decider:
+                out = self._where(kept, f.body)
+            else:
                 firsts, left, out = (
                     self._restriction(kept).first_sets(decider), kept, 0)
                 while left:

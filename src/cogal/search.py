@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from .checker import Evaluator, _check_bound
+from .checker import Evaluator, _check_names
 from .formula import (
     And, Atom, CoalBox, CoalDia, Formula, Fragment, GroupBox, GroupDia, Imp,
     Know, Not, Or, PaBox, PaDia, Top, agents_of, atoms, render, size,
-    substitute,
+    substitute, _vocab_mask,
 )
 from .model import (
     KripkeModel, PointedModel, _Quotient, _bisim_key, _level0, _refine_masks,
@@ -403,6 +403,26 @@ def find_countermodel(f: Formula, params: GenParams, *,
       model over the same vocabulary, so its orbit-least relabelling came
       earlier among the m-state candidates; that candidate is contracted,
       so it was evaluated, and it held, or the search would have returned.
+
+    Within a group, a candidate also skips each instance that an earlier
+    candidate of the group held under the same values of the instance's
+    atoms: the same truth masks at the positions of its atoms in the
+    widened propositions, its *shape*. The search keeps this *held record*
+    per part triple, as a set of (evaluator, shape, values) keys, and drops
+    it when the walk leaves the triple (at most 60 candidates at 3 states).
+    A candidate that the search passes held every instance, so a key says
+    that every instance of its shape held; a failing candidate ends the
+    search, so the first hit is unchanged. Proof that an instance's extent
+    on the whole model is the same for two candidates of one group with
+    equal values at its atoms: after `Evaluator._revalue`, the evaluator
+    reads the valuation only through `_truth`, in three places:
+    - at atoms, which are the instance's own;
+    - when it refines a new restriction, which depends only on the group's
+      shared level-0 partition (the lemma of `model._refine_masks`);
+    - in the characteristic formulas, which only evidence reads: `refuted`
+      builds none, and a search evaluator never certifies.
+    An instance that mentions every proposition gets no record: no two
+    candidates of one group share all their truth masks.
     """
     schematic = tuple(schematic)
     if len(set(schematic)) < len(schematic):
@@ -427,16 +447,28 @@ def find_countermodel(f: Formula, params: GenParams, *,
     assignments = ([{}] if not schematic else
                    [dict(zip(schematic, combo))
                     for combo in itertools.product(pool, repeat=len(schematic))])
-    instances = [(assignment, substitute(f, assignment))
-                 for assignment in assignments]
+    # each instance with its bindings checked once, and the positions of
+    # its atoms in `props`: None where it mentions every proposition
+    vocab = _vocab_mask(agents, props)
+    position = {p: i for i, p in enumerate(props)}
+    instances = []
+    for assignment in assignments:
+        g = substitute(f, assignment)
+        _check_names(g, agents, props, vocab)
+        shape = tuple(sorted(position[p] for p in atoms(g)))
+        instances.append((assignment, g,
+                          None if len(shape) == len(props) else shape))
+    shapes = tuple({shape for _, _, shape in instances} - {None})
 
-    def refuted(ev: Evaluator) -> Optional[tuple]:
+    def refuted(ev: Evaluator, held=()) -> Optional[tuple]:
         """The first (assignment, state) at which an instance fails: the
         lowest state, state i being bit i, outside the instance's extent on
-        the whole model (`Evaluator._where`)."""
+        the whole model (`Evaluator._where`). The instances whose shape is
+        in `held` are known to hold, and are not read."""
         whole = ev._root_quotient
-        for assignment, g in instances:
-            _check_bound(ev.model, g)
+        for assignment, g, shape in instances:
+            if shape in held:
+                continue
             failing = whole.kept & ~ev._where(whole.kept, g)
             if failing:
                 return assignment, ev.model.states[
@@ -448,10 +480,23 @@ def find_countermodel(f: Formula, params: GenParams, *,
         return SearchHit(PointedModel(model, state), dict(assignment))
 
     def first_hit(walks: dict) -> Optional[SearchHit]:
-        """The exhaustive search, on the candidates of `walks`."""
+        """The exhaustive search, on the candidates of `walks`, with the
+        held record of each part triple's groups (see above)."""
         for n in range(1, params.max_states + 1):
+            last = record = None
             for parts, masks, ev in _group_evaluators(agents, props, n, walks):
-                found = refuted(ev)
+                if parts != last:
+                    last, record = parts, set()
+                # the candidate's keys are recorded before it is read: if
+                # it fails, the search returns and reads no record again
+                held = set()
+                for shape in shapes:
+                    key = ev, shape, tuple([masks[i] for i in shape])
+                    if key in record:
+                        held.add(shape)
+                    else:
+                        record.add(key)
+                found = refuted(ev, held)
                 if found is not None:
                     build = _builder(agents, props, n, _mask_partitions(n))
                     return hit(build(parts, masks), found)

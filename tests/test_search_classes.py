@@ -18,7 +18,11 @@ witness and characteristic formula it gives to those of a fresh evaluator
 of the candidate's own model. Searches over one vocabulary share its walk
 (`search._WALKS`, the last vocabulary's, of a bounded size); the tests hold
 a sequence of searches sharing it to the same sequence run cold, and the
-count pins each to a cold walk (`cold_walks`) or a warm one."""
+count pins each to a cold walk (`cold_walks`) or a warm one. A candidate
+skips each instance that its group already held under the same values of
+the instance's atoms (the held record of `find_countermodel`); the tests
+hold the hits to the plain loop's over instances of every atom set, and
+pin how many candidates read an instance."""
 
 import gc
 import itertools
@@ -30,7 +34,7 @@ from typing import Iterable, Iterator
 import pytest
 
 import cogal.search as search
-from cogal.checker import Evaluator
+from cogal.checker import BindingError, Evaluator
 from cogal.formula import (
     Atom, CoalDia, Fragment, GroupDia, Know, agents_of, atoms, parse,
     substitute, _vocab_mask,
@@ -726,9 +730,10 @@ class TestSharedQuotients:
         assert find_countermodel(parse(A11), EXHAUSTIVE) is None
         assert len(constructed) == 114
         assert [ev.model for ev in evaluators] == constructed
-        # the instance's extent reads the consequent's first-set children
-        # also where the antecedent fails
-        assert quotients_built == {"whole": 114, "restriction": 195}
+        # the consequent's `[{b,c}] (K a p)` is decided by the empty group,
+        # whose first set is the restriction itself: its body is read on
+        # a's first sets as they are, and no restriction is contracted
+        assert quotients_built == {"whole": 114, "restriction": 0}
 
     def test_group_restrictions_are_each_candidates_own(self):
         # the lemma of `_refine_masks` for every kept mask: read through
@@ -937,8 +942,8 @@ class TestSharedWalk:
         assert len(kept) == 114
         assert {len(ev._memo) + len(ev._extents) + len(ev._char_tables)
                 + len(ev._parts) for ev in kept} == {0}
-        # the structure stays
-        assert sum(len(ev._quotients) for ev in kept) > len(kept)
+        # the structure stays: each whole quotient's first-set tables
+        assert all(ev._root_quotient.firsts for ev in kept)
 
     def test_a_walk_that_raised_is_dropped(self, monkeypatch):
         # an early hit at 2 states leaves a partial walk; a search that
@@ -1045,3 +1050,117 @@ class TestSharedWalk:
         assert order == cold == walked_candidates()
         assert Counter(n for n, _ in built) == Counter(
             {n: walked[n] for n in {1, 2, 3} - kept})
+
+
+# the `search` benchmark's A11 and C4 instances at its panel seed, 1000:
+# the first mentions p alone, the second both propositions
+PANEL_A11 = "<[{a}]> (K c ~p) -> <{a}> [{b,c}] (K c ~p)"
+BOTH_C4 = "<[{a,b}]> ((K b q) & (K b p)) -> <[{a,b}]> (K b q)"
+# instances over p alone, q alone, both and neither: valid ones, and ones
+# refuted at 1, 2 and 3 states
+HELD_RECORD_SEARCHES = [
+    ("p", 1), ("p -> K a p", 2), ("K a p -> p", None), (PANEL_A11, None),
+    ("~q", 1), ("q -> K b q", 2), ("<[{a}]> (K c ~q) -> <{a}> [{b,c}] (K c ~q)",
+                                   None),
+    (THREE_STATES, 3), ("K a p -> K b p", 2), (BOTH_C4, None),
+    ("[{a}] bot", 1), ("K a top", None), ("<{a,b}> top", None),
+]
+
+
+@pytest.fixture()
+def instance_reads(monkeypatch, cold_walks):
+    """Counts, per formula, the reads of a formula's extent on the whole
+    model (`Evaluator._where` at the root quotient's kept mask): the
+    search reads each instance it evaluates there once per candidate."""
+    reads = Counter()
+    where = Evaluator._where
+
+    def counting(self, kept, f):
+        if kept == self._root_quotient.kept:
+            reads[f] += 1
+        return where(self, kept, f)
+
+    monkeypatch.setattr(Evaluator, "_where", counting)
+    return reads
+
+
+@pytest.mark.usefixtures("cold_walks")
+class TestHeldRecord:
+    @pytest.mark.parametrize("text, states", HELD_RECORD_SEARCHES)
+    def test_hits_are_the_plain_loops(self, text, states):
+        f = parse(text)
+        hit = find_countermodel(f, EXHAUSTIVE)
+        assert hit_doc(hit) == hit_doc(plain_countermodel(f, EXHAUSTIVE))
+        assert (None if hit is None else len(hit.pointed.model.states)) \
+            == states
+
+    @pytest.mark.parametrize("text, valid", [("K a x -> x", True),
+                                             ("x -> K a x", False),
+                                             ("K a x -> K b y", False)])
+    def test_schematic_hits_over_a_mixed_pool_are_the_plain_loops(
+            self, text, valid):
+        # pool formulas over p, over q, over both and over neither
+        pool = tuple(parse(t) for t in ("top", "p", "~q", "K c (p & ~q)",
+                                        "K b p", "K a top", "p & q"))
+        assert {frozenset(atoms(g)) for g in pool} == {
+            frozenset(), frozenset("p"), frozenset("q"), frozenset("pq")}
+        f = parse(text)
+        schematic = tuple(name for name in ("x", "y") if name in atoms(f))
+        kwargs = {"schematic": schematic, "pool": pool}
+        hit = find_countermodel(f, EXHAUSTIVE, **kwargs)
+        assert (hit is None) == valid
+        assert hit_doc(hit) == hit_doc(plain_countermodel(f, EXHAUSTIVE,
+                                                          **kwargs))
+
+    @pytest.mark.parametrize("text, reads", [(PANEL_A11, 412),
+                                             (BOTH_C4, 1140)])
+    def test_a_cold_walk_reads_an_instance_once_per_new_atom_values(
+            self, text, reads, instance_reads, revalued):
+        # every candidate is revalued, but one whose group already held
+        # the instance under the same values of its atoms skips it; an
+        # instance over every proposition is read for every candidate
+        f = parse(text)
+        assert find_countermodel(f, EXHAUSTIVE) is None
+        assert len(revalued) == 1140
+        assert instance_reads[f] == reads
+
+    def test_a_kept_walk_holds_no_record(self):
+        pool = tuple(parse(t) for t in ("p", "~q", "K a top", "p & q"))
+        assert find_countermodel(parse("K a x -> x"), EXHAUSTIVE,
+                                 schematic=("x",), pool=pool) is None
+        walks = search._WALKS[AGENTS, PROPS]
+        kept = {ev for n in (1, 2, 3) for _, _, ev, _ in walks[n][0]}
+        assert len(kept) == 114
+        # the record belongs to the search: each evaluator holds what a
+        # fresh one of its model holds, and no formula's results
+        for ev in kept:
+            assert set(vars(ev)) == set(vars(Evaluator(ev.model)))
+            assert not (ev._memo or ev._extents or ev._char_tables
+                        or ev._parts)
+
+    def test_bindings_are_checked_once_per_instance(self, monkeypatch):
+        checked = []
+        check = search._check_names
+
+        def counting(f, *args):
+            checked.append(f)
+            check(f, *args)
+
+        monkeypatch.setattr(search, "_check_names", counting)
+        pool = tuple(parse(t) for t in ("p", "~q", "K a top"))
+        assert find_countermodel(parse("K a x -> K a K a x"), EXHAUSTIVE,
+                                 schematic=("x",), pool=pool) is None
+        assert checked == [parse(f"K a {t} -> K a K a {t}")
+                           for t in ("p", "~q", "K a top")]
+
+    @pytest.mark.parametrize("params", [EXHAUSTIVE, RANDOM])
+    def test_an_unbound_instance_raises_in_both_branches(self, params,
+                                                         monkeypatch):
+        # the widened vocabulary holds every instance's names, so only a
+        # broken substitution can mention another
+        monkeypatch.setattr(search, "substitute",
+                            lambda f, assignment: parse("K d z"))
+        with pytest.raises(BindingError) as err:
+            find_countermodel(parse("p"), params)
+        assert str(err.value) == \
+            "formula mentions unbound agents d and propositions z"

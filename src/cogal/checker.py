@@ -308,15 +308,15 @@ class Evaluator:
     keyed by their kept masks of root states, and the caches kept per
     restriction: the memo table, the extents computed a set at a time
     (`_where`), each agent's class unions, the choice sets, the
-    characteristic formulas, each member's realized announcement and the
-    certificates already checked. A purely epistemic formula is read only
-    as its extent on the kept states (`_where`); a restriction on which
-    any other formula is read is contracted, so the quantifier rule
+    characteristic formulas, each member's realized announcement and, when
+    certifying, the choices already certified. A purely epistemic formula
+    is read only as its extent on the kept states (`_where`); a restriction
+    on which any other formula is read is contracted, so the quantifier rule
     enumerates exactly the announcements expressible there. With
     `certify=True` every distinct announcement choice enumerated by the
     quantifier rule is checked against its realizing formula. The
     valuation is read only through the truth masks `_truth`, which
-    `_revalue` swaps for the exhaustive search.
+    `_revalue` swaps for each candidate of the exhaustive search.
     """
 
     def __init__(self, model: KripkeModel, *, certify: bool = False):
@@ -337,7 +337,7 @@ class Evaluator:
         self._names = {}
         self.certify = certify
         self.certificates = CertificateLog()
-        self._cert_seen = set()
+        self._cert_seen = set() if certify else frozenset()
 
     @property
     def model(self) -> KripkeModel:
@@ -403,28 +403,29 @@ class Evaluator:
         truth masks (checked, per proposition in model order), which must
         refine every kept mask as the root's do: the exhaustive search
         evaluates all candidates of one refinement group on one evaluator
-        (`search._group_evaluators`), and a later search over the same
+        (`search.find_countermodel`), and a later search over the same
         vocabulary reads the same evaluators again.
 
-        What read the valuation is dropped (`_forget`). The restrictions,
-        option lists, choice sets and named state sets are structure only,
-        by the lemma of `model._refine_masks`: a group's truth masks induce
-        one partition of the states, so they refine every kept mask alike;
-        they read no formula either, so they are kept, for the next
-        candidate and the next search. Every later read
-        of the valuation goes through `_truth`: atoms, the refinement of a
-        new restriction and the characteristic formulas. A certifying
-        evaluator is refused: its certificates belong to one valuation."""
+        What an earlier reading left is dropped (`_forget`). The restrictions,
+        option lists, choice sets and named state sets are structure only, by
+        the lemma of `model._refine_masks`: a group's truth masks induce one
+        partition of the states, so they refine every kept mask alike; they
+        read no formula either, so they are kept, for the next candidate and
+        the next search. Every later read of the valuation goes through
+        `_truth`: atoms, the refinement of a new restriction and the
+        characteristic formulas. A certifying evaluator is refused: its
+        certificates belong to one valuation."""
         if self.certify:
             raise ValueError("a certifying evaluator cannot be revalued")
         self._truth = truth
-        self._forget()
+        if self._memo or self._extents or self._char_tables or self._parts:
+            self._forget()
 
     def _forget(self) -> None:
         """Drops what read the valuation, each in one step: the memo, the
         extents, the characteristic formulas and the realized parts. The
-        exhaustive search drops them after each candidate too, so the
-        evaluators of a walk it keeps hold no formula's results."""
+        exhaustive search drops them once per candidate, after reading it,
+        so the evaluators of a walk it keeps hold no formula's results."""
         self._memo = {}
         self._extents = {}
         self._char_tables = {}

@@ -61,7 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--models", type=int, default=100,
                          help="number of random models (default 100)")
-    p_suite.add_argument("--max-states", type=int, default=4)
+    p_suite.add_argument("--max-states", type=int, default=4,
+                         help="states per random model; at most 64, as "
+                              "checks are exponential in it")
     p_suite.add_argument("--agents", default="a,b,c")
     p_suite.add_argument("--props", default="p,q")
     p_suite.add_argument("--items", help="comma-separated item names "
@@ -77,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--count", type=int, default=500,
                           help="random models to try when max-states > 3")
     p_search.add_argument("--max-states", type=int, default=3,
-                          help="exhaustive up to 3 states, sampled beyond")
+                          help="exhaustive up to 3 states, sampled beyond; "
+                               "at most 64, as checks are exponential in it")
     p_search.add_argument("--agents", default="a,b,c")
     p_search.add_argument("--props", default="p,q")
     p_search.add_argument("--schematic", default="",

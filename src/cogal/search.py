@@ -36,8 +36,8 @@ class GenParams:
     count: int = 200
 
     def __post_init__(self):
-        if self.max_states < 1:
-            raise ValueError("max_states must be at least 1")
+        if not 1 <= self.max_states <= 64:
+            raise ValueError("max_states must be between 1 and 64")
         if not self.agents or not self.props:
             raise ValueError("agents and props must be non-empty")
         if not 0 <= self.seed < 2 ** 64:
@@ -223,42 +223,6 @@ def _groups(agents: tuple, props: tuple, n: int) -> Iterator[tuple]:
         yield parts, masks, ev, truths[masks]
 
 
-def _group_evaluators(agents: tuple, props: tuple, n: int,
-                      walks: dict) -> Iterator[tuple]:
-    """Each candidate of `_groups(agents, props, n)`, in order, as (parts,
-    masks, ev), its truth masks swapped into `ev` (`Evaluator._revalue`).
-    The walk is memoised per n in `walks`, as `checker._ChoiceSets`
-    memoises choice sets: the candidates read so far and the suspended
-    generator that builds the rest. A later read replays the one and
-    resumes the other, so a walk builds its frames, models, whole
-    quotients and evaluators once, and each evaluator keeps its structure
-    for every later read. What the reader computed from a candidate's
-    valuation is dropped when it asks for the next (`Evaluator._forget`),
-    so a kept walk holds no formula's results. A walk of more than
-    `_KEPT_CANDIDATES` candidates or `_KEPT_EVALUATORS` evaluators is
-    dropped from `walks` as it passes either bound, and goes on without a
-    memo: it holds the evaluators of one part triple at a time."""
-    if n not in walks:
-        walks[n] = [], set(), _groups(agents, props, n)
-    found, evaluators, rest = walks[n]
-    for parts, masks, ev, truth in found:
-        ev._revalue(truth)
-        yield parts, masks, ev
-        ev._forget()
-    for parts, masks, ev, truth in rest:
-        if found is not None:
-            evaluators.add(ev)
-            if (len(found) < _KEPT_CANDIDATES
-                    and len(evaluators) <= _KEPT_EVALUATORS):
-                found.append((parts, masks, ev, truth))
-            else:
-                del walks[n]
-                found = evaluators = None
-        ev._revalue(truth)
-        yield parts, masks, ev
-        ev._forget()
-
-
 # the exhaustive search's walks of the vocabulary (agents, props) searched
 # last, by state count (`find_countermodel`); the bounds keep the 3-state
 # walks over a, b, c and p, q (1,088 candidates, 105 evaluators), a, b, c
@@ -385,16 +349,19 @@ def find_countermodel(f: Formula, params: GenParams, *,
     the raw candidates that are orbit-least (no relabelling came earlier)
     and contracted, each with its refinement, and it evaluates only those.
     The candidates of one refinement group (part triple and level-0
-    partition) are evaluated on one evaluator, which swaps in each one's
-    truth masks, checked once per valuation (`_group_evaluators`); a model
-    is built for each group's evaluator and for the hit. The walk depends
-    only on the widened vocabulary, so the searches over it share it: a
-    search checks it out of `_WALKS`, which keeps the last vocabulary's
-    walks, and puts it back when it returns, hit or none. One that raises
-    drops it, so no walk cut short is read, and a search running at the
-    same time builds its own. Among the
-    orbit-least candidates, which come in order of state count, that skips
-    exactly the ones whose class came earlier:
+    partition) share one evaluator (`_groups`); a model is built for each
+    group's evaluator and for the hit. Each candidate is swapped in
+    (`Evaluator._revalue`), read and dropped (`Evaluator._forget`). The
+    walk depends only on the widened vocabulary, so the searches over it
+    share it: per state count, the candidates read so far, which a later
+    search replays, and the suspended `_groups` that builds the rest, which
+    it resumes, up to `_KEPT_CANDIDATES` candidates and `_KEPT_EVALUATORS`
+    evaluators. A search checks the walks out of `_WALKS`, which keeps the
+    last vocabulary's, and puts them back when it returns, hit or none. One
+    that raises drops them, so no walk cut short is read, and a search
+    running at the same time builds its own. Among the orbit-least
+    candidates, which come in order of state count, that skips exactly the
+    ones whose class came earlier:
     - contracted implies new: two contracted models with isomorphic
       quotients are isomorphic, so an earlier candidate of the class would
       lie in this one's relabelling orbit, and only the first candidate of
@@ -480,11 +447,23 @@ def find_countermodel(f: Formula, params: GenParams, *,
         return SearchHit(PointedModel(model, state), dict(assignment))
 
     def first_hit(walks: dict) -> Optional[SearchHit]:
-        """The exhaustive search, on the candidates of `walks`, with the
-        held record of each part triple's groups (see above)."""
+        """The exhaustive search on `walks`, each state count's walk
+        replayed and resumed, with each part triple's held record."""
         for n in range(1, params.max_states + 1):
+            if n not in walks:
+                walks[n] = [], set(), _groups(agents, props, n)
+            read, evaluators, rest = walks[n]
             last = record = None
-            for parts, masks, ev in _group_evaluators(agents, props, n, walks):
+            for index, candidate in enumerate(itertools.chain(read, rest)):
+                parts, masks, ev, truth = candidate
+                if read is not None and index == len(read):
+                    evaluators.add(ev)
+                    if (len(read) < _KEPT_CANDIDATES
+                            and len(evaluators) <= _KEPT_EVALUATORS):
+                        read.append(candidate)
+                    else:
+                        del walks[n]
+                        read = evaluators = None
                 if parts != last:
                     last, record = parts, set()
                 # the candidate's keys are recorded before it is read: if
@@ -496,7 +475,9 @@ def find_countermodel(f: Formula, params: GenParams, *,
                         held.add(shape)
                     else:
                         record.add(key)
+                ev._revalue(truth)
                 found = refuted(ev, held)
+                ev._forget()
                 if found is not None:
                     build = _builder(agents, props, n, _mask_partitions(n))
                     return hit(build(parts, masks), found)

@@ -175,6 +175,12 @@ class TestSuite:
     def test_bad_params_exit_two(self, capsys):
         assert main(["suite", "--max-states", "0"]) == 2
 
+    def test_a_state_bound_past_the_limit_exits_two(self, capsys):
+        assert main(["suite", "--max-states", "65", "--models", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: max_states must be between 1 and 64\n"
+        assert captured.out == ""
+
     def test_no_items_exits_two(self, capsys):
         assert main(self.ARGS + ["--items", ","]) == 2
         captured = capsys.readouterr()
@@ -266,6 +272,15 @@ class TestSearch:
 
     def test_parse_error_exits_two(self, tmp_path):
         assert main(["search", "p &", "--out", str(tmp_path / "x.json")]) == 2
+
+    def test_a_state_bound_past_the_limit_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["search", "p", "--max-states", "65", "--count", "1",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: max_states must be between 1 and 64\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_sampled_search_without_models_exits_two(self, tmp_path, capsys):
         code = main(["search", "<{a}> p", "--max-states", "4", "--count", "0",

@@ -11,7 +11,7 @@ import frozenset_engine as oracle
 from cogal.checker import Evaluator
 from cogal.formula import And, Fragment, Know, Not, Or, PaBox, parse
 from cogal.harness import GenParams, random_formula, random_model
-from cogal.search import _builder, _group_evaluators, _mask_partitions
+from cogal.search import _builder, _groups, _mask_partitions
 
 # announcements inside quantifier bodies, quantifiers inside announcements,
 # and bodies of mixed polarity, which no one set decides (`_winner`)
@@ -85,7 +85,8 @@ def test_group_evaluators_agree_with_each_candidates_own():
     count = 0
     for n in (1, 2, 3):
         build = _builder(agents, props, n, _mask_partitions(n))
-        for parts, masks, ev in _group_evaluators(agents, props, n, {}):
+        for parts, masks, ev, truth in _groups(agents, props, n):
+            ev._revalue(truth)
             model = build(parts, masks)
             for f in fs:
                 assert ev.extension(f) == per_state(model, f), (parts, masks, f)

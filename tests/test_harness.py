@@ -31,6 +31,14 @@ class TestGenParams:
         with pytest.raises(ValueError):
             GenParams(seed=-1)
 
+    @pytest.mark.parametrize("max_states", [65, 10 ** 20])
+    def test_state_bound_has_a_limit(self, max_states):
+        # a random model has up to max_states states, each named, so an
+        # unbounded value would exhaust memory before any check ran
+        assert GenParams(max_states=64).max_states == 64
+        with pytest.raises(ValueError, match="between 1 and 64"):
+            GenParams(max_states=max_states)
+
 
 class TestRandomModels:
     def test_deterministic(self):

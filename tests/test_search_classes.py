@@ -636,13 +636,14 @@ def group_key(model):
 def group_candidates(agents=AGENTS, props=PROPS, max_states=3):
     """Every candidate of `_classes`, in order, as (ev, model): `ev` the
     evaluator of its refinement group with its truth masks swapped in
-    (`search._group_evaluators`, as the search reads it), `model` the
-    candidate's own validated model. Use each pair before the next: the
-    next candidate may swap other truth masks into the same evaluator."""
+    (`search._groups` and `Evaluator._revalue`, as the search reads it),
+    `model` the candidate's own validated model. Use each pair before the
+    next: the next candidate may swap other truth masks into the same
+    evaluator."""
     for n in range(1, max_states + 1):
         build = _builder(agents, props, n, _mask_partitions(n))
-        for parts, masks, ev in search._group_evaluators(agents, props, n,
-                                                         {}):
+        for parts, masks, ev, truth in search._groups(agents, props, n):
+            ev._revalue(truth)
             yield ev, build(parts, masks)
 
 
@@ -931,6 +932,45 @@ class TestSharedWalk:
         assert quotients_built == {"whole": 0, "restriction": 0}
         assert len(revalued) == 1140
         assert revalued == cold
+
+    def test_a_walk_cut_short_by_a_hit_is_resumed(self, evaluators):
+        # the hit stops the 3-state walk partway; the next search replays
+        # the candidates read and builds only the rest of the walk
+        hit = hit_doc(find_countermodel(parse(THREE_STATES), EXHAUSTIVE))
+        assert len(hit[0]["states"]) == 3
+        assert len(evaluators) == 92
+        # the hit candidate is dropped too: the kept walk holds no results
+        assert not any(ev._memo or ev._extents or ev._char_tables
+                       or ev._parts for ev in evaluators)
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        assert len(evaluators) == 114
+        assert hit_doc(find_countermodel(parse(THREE_STATES),
+                                         EXHAUSTIVE)) == hit
+        assert len(evaluators) == 114
+        # the cold searches agree
+        search._WALKS.clear()
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        search._WALKS.clear()
+        assert hit_doc(find_countermodel(parse(THREE_STATES),
+                                         EXHAUSTIVE)) == hit
+
+    def test_each_candidate_is_swapped_in_and_dropped_once(
+            self, monkeypatch, revalued):
+        # one `_revalue` and one `_forget` per candidate, in that order,
+        # on a cold sweep and on a warm one
+        forgotten = []
+        forget = Evaluator._forget
+
+        def counting(self):
+            forgotten.append(self)
+            forget(self)
+
+        monkeypatch.setattr(Evaluator, "_forget", counting)
+        for walk in ("cold", "warm"):
+            del revalued[:], forgotten[:]
+            assert find_countermodel(parse(A11), EXHAUSTIVE) is None, walk
+            assert len(revalued) == len(forgotten) == 1140, walk
+            assert [ev for ev, _ in revalued] == forgotten, walk
 
     def test_a_kept_walk_holds_no_formulas_results(self):
         pool = (Atom("p"), Know("c", Atom("q")), parse("p & ~q"))

@@ -364,7 +364,7 @@ class Evaluator:
             return _TRUE if self.eval(state, f) else _FALSE
         q = self._root_quotient
         s = self._start(state, f)
-        if self.certify or self._deciding_group(f) is None:
+        if self._deciding_group(f) is None:
             # the scan that decides the truth also finds the witness
             won = self._winner(q, s, f)
         elif not self._eval(q, s, f):
@@ -380,7 +380,7 @@ class Evaluator:
                            witness_formula=self._realize(q, f.group, won))
         if isinstance(f, GroupDia):
             return _FALSE
-        first = self._first_set(q, s, f.group)[0]
+        first = q.first_sets(f.group)[s]
         opponents = self._agent_set - f.group
         # The opponents' first set is their first response, read off their
         # own classes with no enumeration of their unions. Past it, the first
@@ -388,9 +388,8 @@ class Evaluator:
         # that leaves it, which is the first response that beats A0.
         response, defeat = self._first_set(q, s, opponents)
         if self._holds_after(first & response, s, f.body):
-            options = [self._options(q, a, s) for a in self._members(opponents)]
             defeat = next(choice for kept, choice
-                          in _distinct_sets(first, options)
+                          in self._choice_sets(q, s, opponents).meet(first)
                           if not self._holds_after(kept, s, f.body))
         return Verdict(False,
                        refutation_choice=self._choice(opponents, defeat),
@@ -605,18 +604,17 @@ class Evaluator:
         return found
 
     def _first_set(self, q: _Quotient, state: int, group: frozenset):
-        """The group's first choice set at the state and its representative:
-        each member announces its own class, so the set is the intersection
-        of the members' classes (the whole restriction for the empty group).
-        Every choice set of the group at the state contains it."""
-        kept, choice = q.kept, []
+        """The group's first choice set at the rep and its representative:
+        each member announces its own class, so the set is the rep's entry
+        of `_Quotient.first_sets` and the choice is the members' own
+        classes. Every choice set of the group at the rep contains it."""
+        choice = []
         for agent in self._members(group):
             for own in q.classes[agent]:
                 if own >> state & 1:
                     break
-            kept &= own
             choice.append(own)
-        return kept, tuple(choice)
+        return q.first_sets(group)[state], tuple(choice)
 
     def _choice_sets(self, q: _Quotient, state: int, group: frozenset):
         """Distinct update sets achievable by the group at the state, each with
@@ -638,7 +636,8 @@ class Evaluator:
 
     def _deciding_group(self, f: Formula) -> Optional[frozenset]:
         """The group whose first set alone decides the quantifier, when its
-        body is positive or the negation of a positive formula; else None.
+        body is positive or the negation of a positive formula; else None,
+        as always under `certify`, so that `_winner` certifies every set.
 
         By `_positive`, a positive body that holds after a set holds after
         every smaller set containing the state. Every choice set of a group
@@ -652,6 +651,8 @@ class Evaluator:
         the quantifier's truth is the body's truth after that one set. The
         rule is stored on the node, as `_positive` is, and the opponents,
         the one group that depends on the model, as `_OPPONENTS`."""
+        if self.certify:
+            return None
         try:
             rule = f._decider
         except AttributeError:
@@ -670,20 +671,6 @@ class Evaluator:
             return self._agent_set - f.group
         return rule
 
-    def _quantify(self, q: _Quotient, state: int, f: Formula) -> bool:
-        """The one rule for group and coalition quantifiers, a box being the
-        dual of its diamond. Over a positive or negative body one set
-        decides (`_deciding_group`); otherwise the group's choice sets are
-        scanned (`_winner`). `certify` always scans, so that every set is
-        certified."""
-        if not self.certify:
-            decider = self._deciding_group(f)
-            if decider is not None:
-                first = q.first_sets(decider)[state]
-                return self._holds_after(first, state, f.body)
-        won = self._winner(q, state, f)
-        return (won is not None) == isinstance(f, (GroupDia, CoalDia))
-
     def _winner(self, q: _Quotient, state: int, f: Formula):
         """The representative choice of the group's first set that wins:
         under every response of the opponents, the body takes the goal value
@@ -697,7 +684,7 @@ class Evaluator:
         that was not built already. Each set reached keeps its verdict in a
         table for the call. The first of them is the *trace* A & B0, where
         B0, the opponents' first set, has each opponent announce its own
-        class; an own set whose trace lost is dropped at one lookup.
+        class (`_Quotient.first_sets`); a set whose trace lost is dropped.
 
         Lemma: if the body misses the goal after every trace, every own set
         loses. Proof: B0 is a response, and it defeats each own set. The
@@ -715,14 +702,12 @@ class Evaluator:
         repeats. So under `certify`, where `_choice_sets` builds and
         certifies both groups' sets, the certificates are that scan's."""
         goal = isinstance(f, (GroupDia, CoalDia))
-        first = q.kept
         if isinstance(f, (CoalBox, CoalDia)):
-            responses = self._choice_sets(q, state, self._agent_set - f.group)
-            # B0, `_first_set`: each option list starts with the own class
-            for member_options in responses.options:
-                first &= member_options[0]
+            opponents = self._agent_set - f.group
+            responses = self._choice_sets(q, state, opponents)
+            first = q.first_sets(opponents)[state]
         else:
-            responses = None
+            responses, first = None, q.kept
         owns = self._choice_sets(q, state, f.group)
         body = f.body
         verdicts = {}
@@ -787,7 +772,8 @@ class Evaluator:
         than to look up, so they bypass the memo, and a negation adds no
         frame of its own. Any other purely epistemic node is one bit of its
         extent on the kept states (`_where`); every other node is memoised
-        per (restriction, rep, formula)."""
+        per (restriction, rep, formula). A quantifier reads its body after
+        the one set that decides it (`_deciding_group`), or else `_winner`."""
         cls = f.__class__
         if cls is Not:
             return not self._eval(q, state, f.body)
@@ -825,7 +811,13 @@ class Evaluator:
                 peers ^= low
         elif (cls is CoalDia or cls is GroupBox or cls is CoalBox
               or cls is GroupDia):
-            hit = self._quantify(q, state, f)
+            decider = self._deciding_group(f)
+            if decider is not None:
+                hit = self._holds_after(q.first_sets(decider)[state], state,
+                                        f.body)
+            else:
+                hit = ((self._winner(q, state, f) is not None)
+                       == (cls is GroupDia or cls is CoalDia))
         elif cls is PaDia or cls is PaBox:
             if self._eval(q, state, f.announce):
                 hit = self._holds_after(self._where(q.kept, f.announce),

@@ -79,8 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--count", type=int, default=500,
                           help="random models to try when max-states > 3")
     p_search.add_argument("--max-states", type=int, default=3,
-                          help="exhaustive up to 3 states, sampled beyond; "
-                               "at most 64, as checks are exponential in it")
+                          help="exhaustive up to 3 states, sampled beyond, "
+                               "so a larger bound can miss a countermodel "
+                               "that 3 finds; at most 64, as checks are "
+                               "exponential in it")
     p_search.add_argument("--agents", default="a,b,c")
     p_search.add_argument("--props", default="p,q")
     p_search.add_argument("--schematic", default="",

@@ -691,49 +691,28 @@ class _Token:
     column: int
 
 
-_SYMBOLS = {"~", "&", "|", "(", ")", "[", "]", "<", ">", "{", "}", ",", "K"}
+_TOKEN_RE = re.compile(rf"[^\S\n]*(?:(\n)|(<->|->|[~&|()\[\]<>{{}},K])"
+                       rf"|({_IDENT_RE.pattern})|(\S))")
 
 
 def _tokenize(text: str) -> list:
+    """One scan of `_TOKEN_RE`, each match any whitespace but a newline and
+    then a newline, an operator or bracket (its own kind), a name ("ident"
+    unless reserved) or an unknown character. Columns count from 1."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            line, start = line + 1, m.end()
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(_Token("<->", "<->", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = word if word in _RESERVED else "ident"
-            tokens.append(_Token(kind, word, line, col))
-            i += len(word)
-            col += len(word)
-            continue
-        raise ParseError(f"unknown operator or character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+        value, column = m[group], m.start(group) - start + 1
+        if group == 4:
+            raise ParseError(f"unknown operator or character {value!r}",
+                             line, column)
+        kind = "ident" if group == 3 and value not in _RESERVED else value
+        tokens.append(_Token(kind, value, line, column))
+    tokens.append(_Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 

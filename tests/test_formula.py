@@ -73,6 +73,23 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown operator"):
             parse("p $ q")
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("p &\n\u3000q $", "unknown operator or character '$'", 2, 4),
+        ("p ->\n", "unexpected end of input", 2, 1),
+        ("p\t\r-> q q", "unexpected trailing 'q'", 1, 9),
+        ("K a\n\n  (p\x85& q", "unexpected end of input", 3, 9),
+    ], ids=["ideographic-space", "newline-last", "tab-return", "next-line"])
+    def test_error_position_across_lines_and_unicode_space(
+            self, text, message, line, column):
+        """A newline starts a line; any other whitespace, an ideographic
+        space, a carriage return or a next-line character among them, is
+        one column."""
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value).startswith(
+            f"{message} at line {line}, column {column}")
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
             parse("p q")

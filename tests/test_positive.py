@@ -209,6 +209,28 @@ class TestOneSetDecides:
         assert decided + undecided == 4 * 8 * 510 * 2
         assert decided and undecided
 
+    def test_certifying_evaluator_decides_nothing_by_one_set(self):
+        """Under `certify` every quantifier is scanned, so that every choice
+        set is certified: over every group of a, b, c, with each pool
+        formula and its negation as body, no quantifier has a deciding
+        group, though a plain evaluator of the same model decides some."""
+        pool = instantiation_pool("abc", "pq")
+        groups = [frozenset(g) for n in range(4)
+                  for g in itertools.combinations("abc", n)]
+        model = exact_model(random.Random("decider"), 2,
+                            dict.fromkeys("abc", 1))
+        certifying, plain = (Evaluator(model, certify=True),
+                             Evaluator(model))
+        decided = 0
+        for kind in (GroupBox, GroupDia, CoalBox, CoalDia):
+            for group in groups:
+                for g in pool:
+                    for body in (g, Not(g)):
+                        f = kind(group, body)
+                        decided += plain._deciding_group(f) is not None
+                        assert certifying._deciding_group(f) is None
+        assert decided
+
     def test_positive_diamond_builds_few_restrictions(self):
         """`<{a,b}> K c p` at every state of a 32-state model: one
         restriction per state at most, where enumerating the choice sets

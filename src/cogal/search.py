@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from .checker import Evaluator, _check_names
 from .formula import (
@@ -88,31 +88,18 @@ def _mask_partitions(n: int) -> list:
             for part in set_partitions(tuple(range(n)))]
 
 
-def _raw_models(n_agents: int, n_props: int, max_states: int) -> Iterator[tuple]:
-    """Every model of 1..max_states states over `n_agents` agents and
-    `n_props` propositions, as raw masks: per state count n, one
-    (n, partitions, candidates) triple. `partitions` is
-    `_mask_partitions(n)`. `candidates` yields (parts, masks) pairs in
-    enumeration order, lexicographic in parts + masks: `parts` holds each
-    agent's partition as an index into `partitions`, `masks` each
-    proposition's truth mask."""
-    for n in range(1, max_states + 1):
-        partitions = _mask_partitions(n)
-        yield n, partitions, itertools.product(
-            itertools.product(range(len(partitions)), repeat=n_agents),
-            itertools.product(range(1 << n), repeat=n_props))
-
-
 def _classes(n: int, partitions: list, n_agents: int,
              n_props: int) -> Iterator[tuple]:
-    """One raw n-state candidate of `_raw_models` per class of contracted
-    n-state models, with its refinement: the contracted candidates that no
-    non-identity permutation of the states maps to a lexicographically
-    smaller (parts, masks), in enumeration order, as (parts, masks,
-    refined), `refined` being `_refine_masks` of the candidate over all n
-    states. A permuted candidate is itself a candidate, and an isomorphic
-    one, so these are the first candidate of each relabelling orbit that
-    are contracted.
+    """One raw n-state candidate per class of contracted n-state models,
+    with its refinement. A raw candidate (parts, masks) holds each agent's
+    partition as an index into `partitions` and each proposition's truth
+    mask; `enumerate_models` is lexicographic in parts + masks. Yielded, in
+    that order, are the contracted candidates that no non-identity
+    permutation of the states maps to a smaller (parts, masks), as (parts,
+    masks, refined), `refined` being `_refine_masks` of the candidate over
+    all n states. A permuted candidate is itself a candidate, and an
+    isomorphic one, so these are the first candidate of each relabelling
+    orbit that are contracted.
 
     Parts first: a permutation that maps the agents' parts to smaller parts
     prunes every valuation of them unseen; one that maps them to larger
@@ -169,55 +156,38 @@ def _classes(n: int, partitions: list, n_agents: int,
                     yield parts, masks, refined
 
 
-def _builder(agents: tuple, props: tuple, n: int,
-             partitions: list) -> Callable[[tuple, tuple], KripkeModel]:
-    """Builds the validated model of a raw n-state candidate of
-    `_raw_models` straight from its masks, states named s0, s1, ... in
-    order. Candidates come grouped by parts, so the frame of their parts is
-    validated when the parts change and shared until then (`_from_frame`)."""
-    states = tuple(f"s{i}" for i in range(n))
-    last = frame = None  # the last candidate's parts and their frame
-
-    def build(parts: tuple, masks: tuple) -> KripkeModel:
-        nonlocal last, frame
-        if parts != last:
-            last, frame = parts, KripkeModel._frame(
-                states, agents, props,
-                dict(zip(agents, [partitions[i] for i in parts])), states)
-        return KripkeModel._from_frame(frame, dict(zip(props, masks)))
-
-    return build
-
-
 def _groups(agents: tuple, props: tuple, n: int) -> Iterator[tuple]:
     """Each candidate of `_classes(n, ...)`, in order, as (parts, masks,
     ev, truth): `ev` is the one evaluator of the candidate's refinement
     group, `truth` the candidate's truth masks, for the reader to swap in.
 
-    A group's first candidate gets a validated model (`_builder`), the
-    group's whole quotient, built from the shared refinement, and an
-    evaluator of it; the group's later candidates get no model. Every
-    candidate's truth masks pass the checks a model's pass
-    (`KripkeModel._checked_truth`), once per valuation of n states, before
-    any group reads them."""
+    When the parts change, their frame is validated (`KripkeModel._frame`)
+    and shared by their groups' models (`KripkeModel._from_frame`). A
+    group's first candidate gets a model on it, the group's whole quotient,
+    built from the shared refinement, and an evaluator of it; the group's
+    later candidates get no model. Every candidate's truth masks pass the
+    checks a model's pass (`KripkeModel._checked_truth`), once per
+    valuation of n states, before any group reads them."""
     partitions = _mask_partitions(n)
-    build = _builder(agents, props, n, partitions)
     whole = (1 << n) - 1
     states = tuple(f"s{i}" for i in range(n))
     truths = {masks: KripkeModel._checked_truth(
                   props, n, dict(zip(props, masks)), states)
               for masks in itertools.product(range(1 << n),
                                              repeat=len(props))}
-    last = evaluators = None  # the last parts and their groups' evaluators
+    last = None  # the parts that `frame` and `evaluators` belong to
     for parts, masks, refined in _classes(n, partitions, len(agents),
                                           len(props)):
         if parts != last:
             # keyed by identity: a group's refinement is one object, alive
             # until its parts are done
             last, evaluators = parts, {}
+            frame = KripkeModel._frame(
+                states, agents, props,
+                dict(zip(agents, [partitions[i] for i in parts])), states)
         ev = evaluators.get(id(refined))
         if ev is None:
-            model = build(parts, masks)
+            model = KripkeModel._from_frame(frame, truths[masks])
             vars(model)["_whole_quotient"] = _Quotient(model, whole, refined)
             ev = evaluators[id(refined)] = Evaluator(model)
         yield parts, masks, ev, truths[masks]
@@ -237,15 +207,19 @@ def enumerate_models(agents, props, max_states: int) -> Iterator[KripkeModel]:
     s0, s1, ... in order. Models are not identified up to renaming: each is
     yielded once per labelling, so an isomorphism class of n-state models
     appears up to n! times (`find_countermodel` walks the same order but
-    meets only one contracted candidate per class). Intended for small
-    exhaustive sweeps (max_states <= 3)."""
+    meets only one contracted candidate per class). Each tuple of the
+    agents' partitions gets one frame (`KripkeModel._frame`), which its
+    models share. Intended for small exhaustive sweeps (max_states <= 3)."""
     agents = tuple(agents)
     props = tuple(props)
-    for n, partitions, candidates in _raw_models(len(agents), len(props),
-                                                 max_states):
-        build = _builder(agents, props, n, partitions)
-        for parts, masks in candidates:
-            yield build(parts, masks)
+    for n in range(1, max_states + 1):
+        states = tuple(f"s{i}" for i in range(n))
+        for parts in itertools.product(_mask_partitions(n),
+                                       repeat=len(agents)):
+            frame = KripkeModel._frame(states, agents, props,
+                                       dict(zip(agents, parts)), states)
+            for masks in itertools.product(range(1 << n), repeat=len(props)):
+                yield KripkeModel._from_frame(frame, dict(zip(props, masks)))
 
 
 _BINARY = {"and": And, "or": Or, "imp": Imp, "pabox": PaBox, "padia": PaDia}
@@ -350,7 +324,8 @@ def find_countermodel(f: Formula, params: GenParams, *,
     and contracted, each with its refinement, and it evaluates only those.
     The candidates of one refinement group (part triple and level-0
     partition) share one evaluator (`_groups`); a model is built for each
-    group's evaluator and for the hit. Each candidate is swapped in
+    group's evaluator and, from that model's class masks and the candidate's
+    truth masks, for the hit. Each candidate is swapped in
     (`Evaluator._revalue`), read and dropped (`Evaluator._forget`). The
     walk depends only on the widened vocabulary, so the searches over it
     share it: per state count, the candidates read so far, which a later
@@ -479,8 +454,9 @@ def find_countermodel(f: Formula, params: GenParams, *,
                 found = refuted(ev, held)
                 ev._forget()
                 if found is not None:
-                    build = _builder(agents, props, n, _mask_partitions(n))
-                    return hit(build(parts, masks), found)
+                    return hit(KripkeModel._from_masks(
+                        ev.model.states, agents, props,
+                        ev.model._class_masks, truth), found)
         return None
 
     if params.max_states > 3:

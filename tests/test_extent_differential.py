@@ -11,7 +11,8 @@ import frozenset_engine as oracle
 from cogal.checker import Evaluator
 from cogal.formula import And, Fragment, Know, Not, Or, PaBox, parse
 from cogal.harness import GenParams, random_formula, random_model
-from cogal.search import _builder, _groups, _mask_partitions
+from cogal.model import KripkeModel
+from cogal.search import _groups, _mask_partitions
 
 # announcements inside quantifier bodies, quantifiers inside announcements,
 # and bodies of mixed polarity, which no one set decides (`_winner`)
@@ -84,10 +85,15 @@ def test_group_evaluators_agree_with_each_candidates_own():
     fs = [parse(text) for text in texts] + shared()[:2]
     count = 0
     for n in (1, 2, 3):
-        build = _builder(agents, props, n, _mask_partitions(n))
+        states = tuple(f"s{i}" for i in range(n))
+        partitions = _mask_partitions(n)
         for parts, masks, ev, truth in _groups(agents, props, n):
             ev._revalue(truth)
-            model = build(parts, masks)
+            # the candidate's own model, on a frame of its own
+            model = KripkeModel._from_masks(
+                states, agents, props,
+                dict(zip(agents, [partitions[i] for i in parts])),
+                dict(zip(props, masks)))
             for f in fs:
                 assert ev.extension(f) == per_state(model, f), (parts, masks, f)
             count += 1

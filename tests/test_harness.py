@@ -17,7 +17,10 @@ from cogal.harness import (
     find_countermodel, instantiation_pool, prop4_countermodel, prop4_formula,
     prop4_verifies, random_formula, random_model, set_partitions, train_model,
 )
-from cogal.harness import _announcements, _prop4_candidate, _subsets
+from cogal.harness import (
+    _Failure, _announcements, _prop4_candidate, _prop4_parts, _rule_item,
+    _subsets,
+)
 from cogal.model import bisim_contract, realize_choice, validate
 from frozenset_engine import choice_intersection, group_choices
 
@@ -220,23 +223,29 @@ class TestProp4:
         assert render(goal) == ("K b (p & q & r) & ~K a (p & q & r) "
                                 "& ~K c (p & q & r)")
 
-    def test_failing_construction_is_reported_not_raised(
-            self, monkeypatch, capsys):
-        """The item's own evaluation is the construction's check: a model on
-        which the combined announcement cannot reach the goal is a suite
-        failure (exit 1), not an internal error (exit 2)."""
-        one_state = validate({
+    @pytest.mark.parametrize("name, replacement", [
+        # the combined announcement cannot reach the goal on one state
+        ("_prop4_candidate", lambda: (validate({
             "agents": ["a", "b", "c"], "props": ["p", "q", "r"],
             "states": ["w"],
             "partitions": {"a": [["w"]], "b": [["w"]], "c": [["w"]]},
-            "valuation": {},
-        })
-        monkeypatch.setattr(harness, "_prop4_candidate",
-                            lambda: (one_state, "w"))
+            "valuation": {}}), "w")),
+        # the split announcements reach a consequent that always holds
+        ("_prop4_parts", lambda: (_prop4_parts()[0], Top())),
+    ], ids=["joint-fails", "split-succeeds"])
+    def test_failing_construction_is_reported_not_raised(
+            self, monkeypatch, capsys, name, replacement):
+        """The item's own evaluation is the construction's check: a model on
+        which the combined announcement cannot reach the goal, or the split
+        ones can, is a suite failure (exit 1), not an internal error
+        (exit 2); `prop4_countermodel` raises instead."""
+        monkeypatch.setattr(harness, name, replacement)
         assert main(["suite", "--models", "2", "--items", "prop4"]) == 1
         out = capsys.readouterr().out
         assert re.search(r"^prop4 +2 +1 +FAIL ", out, re.M), out
         assert out.endswith("suite: FAIL\n")
+        with pytest.raises(RuntimeError, match="fails its check"):
+            prop4_countermodel()
 
     def test_split_fails_while_joint_succeeds(self):
         model, state = prop4_countermodel()
@@ -246,6 +255,45 @@ class TestProp4:
         ev = Evaluator(model)
         assert ev.eval(state, joint) is True
         assert ev.eval(state, split) is False
+
+
+def mixed_p_cases(model, ev, rng, pool):
+    """Rule cases with one conclusion, `p`, on a model where p holds at some
+    states but not at all of them."""
+    truth = model._truth_masks["p"]
+    if 0 < truth < (1 << len(model.states)) - 1:
+        yield Atom("p"), "p on a mixed model"
+
+
+class TestRuleItem:
+    PARAMS = GenParams(max_states=3, agents=("a", "b", "c"), props=("p", "q"),
+                       seed=5, count=6)
+
+    def test_a_failing_conclusion_is_one_failure_at_its_first_state(self):
+        # p holds at s0 only: the conclusion fails at s1 and s2, and counts
+        # as one instance with one failure, at s1
+        model = validate({
+            "agents": ["a"], "props": ["p"], "states": ["s0", "s1", "s2"],
+            "partitions": {"a": [["s0", "s1", "s2"]]},
+            "valuation": {"p": ["s0"]}})
+        run = _rule_item(mixed_p_cases)
+        assert run(model, Evaluator(model), random.Random(0), (), 0) == (
+            1, [_Failure("s1", Atom("p"), "p on a mixed model")], None)
+
+    def test_the_suite_reports_the_first_failing_state(self, monkeypatch):
+        item = harness._ITEMS["R1"]
+        monkeypatch.setitem(harness._ITEMS, "R1", harness._Item(
+            item.name, item.label, item.kind, _rule_item(mixed_p_cases)))
+        report = axiom_suite(self.PARAMS, items=("R1",))
+        [r1] = report.items
+        assert not report.passed and r1.status == "FAIL"
+        assert r1.instances == r1.failures > 0
+        # the first model, of 3 states, has p at s0 and s1 only
+        model = random_model(self.PARAMS, 0)
+        assert model._truth_masks["p"] == 0b011
+        assert r1.countermodel == {"model": model.to_doc(), "state": "s2",
+                                   "formula": "p",
+                                   "note": "p on a mixed model"}
 
 
 class TestSuite:

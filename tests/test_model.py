@@ -516,6 +516,10 @@ class TestOwnership:
 INPUT_ERRORS = [
     pytest.param(lambda doc, model: validate([]), ModelError,
                  "model document must be a JSON object", id="doc-list"),
+    pytest.param(lambda doc, model: validate(dict(doc, partitions=[])),
+                 ModelError,
+                 "field 'partitions' must map agents to block lists",
+                 id="partitions-list"),
     pytest.param(lambda doc, model: validate(dict(doc, valuation=[["v"]])),
                  ModelError,
                  "field 'valuation' must map propositions to state lists",

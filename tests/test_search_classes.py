@@ -25,6 +25,7 @@ hold the hits to the plain loop's over instances of every atom set, and
 pin how many candidates read an instance."""
 
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -45,8 +46,7 @@ from cogal.model import (
     realize_choice, validate,
 )
 from cogal.search import (
-    GenParams, _builder, _classes, _mask_partitions, _raw_models,
-    enumerate_models, find_countermodel, instantiation_pool, random_formula,
+    GenParams, _classes, _mask_partitions, enumerate_models, find_countermodel, instantiation_pool, random_formula,
     random_model, set_partitions,
 )
 
@@ -113,12 +113,34 @@ def labelled_models(agents, props, max_states):
                                   dict(zip(agents, combo)), valuation)
 
 
+def raw_models(agents, props, max_states):
+    """Per state count n, (n, partitions, candidates): `partitions` is
+    `_mask_partitions(n)`, `candidates` every raw (parts, masks) pair in the
+    order of `enumerate_models`, `parts` holding each agent's partition as
+    an index into `partitions`, `masks` each proposition's truth mask."""
+    for n in range(1, max_states + 1):
+        partitions = _mask_partitions(n)
+        yield n, partitions, itertools.product(
+            itertools.product(range(len(partitions)), repeat=len(agents)),
+            itertools.product(range(1 << n), repeat=len(props)))
+
+
 def raw_candidates(agents, props, max_states):
     """(n, partitions, parts, masks) for every raw candidate, in order."""
-    for n, partitions, candidates in _raw_models(len(agents), len(props),
-                                                 max_states):
+    for n, partitions, candidates in raw_models(agents, props, max_states):
         for parts, masks in candidates:
             yield n, partitions, parts, masks
+
+
+def candidate_model(agents, props, n, parts, masks):
+    """The validated model of a raw n-state candidate, built from its masks
+    on a frame of its own, states named s0, s1, ... in order."""
+    states = tuple(f"s{i}" for i in range(n))
+    partitions = _mask_partitions(n)
+    return KripkeModel._from_masks(
+        states, agents, props,
+        dict(zip(agents, [partitions[i] for i in parts])),
+        dict(zip(props, masks)))
 
 
 def bits(mask):
@@ -217,8 +239,7 @@ def _least_of_orbits(n: int, partitions: list,
 def orbit_walk(agents, props, max_states):
     """(n, parts, masks, refined) for each candidate the orbit test keeps,
     in order, with its refinement over all n states."""
-    for n, partitions, candidates in _raw_models(len(agents), len(props),
-                                                 max_states):
+    for n, partitions, candidates in raw_models(agents, props, max_states):
         for parts, masks in _least_of_orbits(n, partitions, candidates):
             yield n, parts, masks, _refine_masks(
                 [partitions[i] for i in parts], masks, (1 << n) - 1)
@@ -286,14 +307,11 @@ class TestRawCandidates:
 
     def test_refinement_matches_the_built_model(self):
         count = 0
-        builders = {}
         for n, partitions, parts, masks in raw_candidates(AGENTS, PROPS, 3):
-            if n not in builders:
-                builders[n] = _builder(AGENTS, PROPS, n, partitions)
             whole = (1 << n) - 1
             refined = _refine_masks([partitions[i] for i in parts], masks,
                                     whole)
-            model = builders[n](parts, masks)
+            model = candidate_model(AGENTS, PROPS, n, parts, masks)
             assert refined == _refine(model, whole)
             count += 1
         assert count == 8132
@@ -316,11 +334,8 @@ class TestRawCandidates:
         # started by an earlier contracted one
         keys = set()
         count = 0
-        builders = {}
         for n, parts, masks, refined in orbit_walk(AGENTS, PROPS, 3):
-            if n not in builders:
-                builders[n] = _builder(AGENTS, PROPS, n, _mask_partitions(n))
-            model = builders[n](parts, masks)
+            model = candidate_model(AGENTS, PROPS, n, parts, masks)
             contracted = len(refined[0][-1]) == n
             assert contracted == is_contracted(model)
             key = _bisim_key(model)
@@ -342,11 +357,26 @@ class TestRawCandidates:
                           if len(refined[0][-1]) == n]
         assert len(walked) == 1140
 
-    @pytest.mark.parametrize("n, count", [(1, 4), (2, 48), (3, 1088),
-                                          (4, 30105)])
-    def test_classes_per_state_count(self, n, count):
-        assert sum(1 for _ in _classes(n, _mask_partitions(n), len(AGENTS),
-                                       len(PROPS))) == count
+    @pytest.mark.parametrize("n, count, digest", [
+        (1, 4, "5fd1d595b46b235ebe7e46e3a1efc442c9720ac23028b5f59e334b3d42726c21"),
+        (2, 48, "3cff92f7ae0448e918dc544b455499246d76d81ac8adc43dddb0a3aa3aa30592"),
+        (3, 1088,
+         "e8bf3b5537cd542689488a9637ff51b1038d1cd8cda631716380bbd34a6f52ef"),
+        (4, 30105,
+         "2ee8204de3c73da260ad53d196ea67acf69f286ec1a0fb4cafd3a2882329394b")],
+        ids=["1-4", "2-48", "3-1088", "4-30105"])
+    def test_classes_per_state_count(self, n, count, digest):
+        # the walk's order is pinned candidate for candidate, as the sha256
+        # of each candidate's `repr((parts, masks))` in order: a search's
+        # first hit follows it, so a rewrite of `_classes` keeps it or
+        # re-pins it with the reason recorded
+        sha, walked = hashlib.sha256(), 0
+        for parts, masks, _ in _classes(n, _mask_partitions(n), len(AGENTS),
+                                        len(PROPS)):
+            sha.update(repr((parts, masks)).encode())
+            walked += 1
+        assert walked == count
+        assert sha.hexdigest() == digest
 
     def test_orbit_test_keeps_the_first_of_each_relabelling_class(self):
         first = {}
@@ -641,10 +671,9 @@ def group_candidates(agents=AGENTS, props=PROPS, max_states=3):
     next: the next candidate may swap other truth masks into the same
     evaluator."""
     for n in range(1, max_states + 1):
-        build = _builder(agents, props, n, _mask_partitions(n))
         for parts, masks, ev, truth in search._groups(agents, props, n):
             ev._revalue(truth)
-            yield ev, build(parts, masks)
+            yield ev, candidate_model(agents, props, n, parts, masks)
 
 
 def unshared(pairs) -> int:
@@ -669,12 +698,10 @@ def parts_grouped(agents, props, max_states):
     evaluator per parts alone, not per (parts, level-0 partition): a
     grouping the lemma of `_refine_masks` does not allow."""
     for n in range(1, max_states + 1):
-        partitions = _mask_partitions(n)
-        build = _builder(agents, props, n, partitions)
         evaluators = {}
-        for parts, masks, _ in _classes(n, partitions, len(agents),
+        for parts, masks, _ in _classes(n, _mask_partitions(n), len(agents),
                                         len(props)):
-            model = build(parts, masks)
+            model = candidate_model(agents, props, n, parts, masks)
             ev = evaluators.get(parts)
             if ev is None:
                 ev = evaluators[parts] = Evaluator(model)

@@ -307,16 +307,22 @@ class Evaluator:
     Holds the contracted restrictions reached so far, as `model._Quotient`s
     keyed by their kept masks of root states, and the caches kept per
     restriction: the memo table, the extents computed a set at a time
-    (`_where`), each agent's class unions, the choice sets, the
-    characteristic formulas, each member's realized announcement and, when
-    certifying, the choices already certified. A purely epistemic formula
-    is read only as its extent on the kept states (`_where`); a restriction
-    on which any other formula is read is contracted, so the quantifier rule
-    enumerates exactly the announcements expressible there. With
-    `certify=True` every distinct announcement choice enumerated by the
-    quantifier rule is checked against its realizing formula. The
-    valuation is read only through the truth masks `_truth`, which
-    `_revalue` swaps for each candidate of the exhaustive search.
+    (`_where`), the choice sets, the characteristic formulas, each
+    member's realized announcement and, when certifying, the choices
+    already certified. Each agent's class unions live on the quotient
+    (`_Quotient.unions`), with its first sets. What the whole model's
+    quotient realizes under the model's own valuation lives with the
+    model, for every evaluator of it: the characteristic formulas
+    (`KripkeModel._chars`) and the members' announcements
+    (`KripkeModel._parts`); the names of state sets live with the frame.
+    A purely epistemic formula is read only as its extent on the kept
+    states (`_where`); a restriction on which any other formula is read is
+    contracted, so the quantifier rule enumerates exactly the announcements
+    expressible there. With `certify=True` every distinct announcement
+    choice enumerated by the quantifier rule is checked against its
+    realizing formula. The valuation is read only through the truth masks
+    `_truth`, which `_revalue` swaps for each candidate of the exhaustive
+    search.
     """
 
     def __init__(self, model: KripkeModel, *, certify: bool = False):
@@ -324,17 +330,16 @@ class Evaluator:
         self._truth = model._truth_masks
         self._class_at = model._class_at
         self._agent_set = frozenset(model.agents)
-        # the whole model's quotient is shared with every evaluator of it
+        # the whole model's quotient is shared with every evaluator of it,
+        # and with it its first sets and option lists
         self._root_quotient = model._whole_quotient
         self._quotients: Dict[int, _Quotient] = {
             self._root_quotient.kept: self._root_quotient}
         self._memo = {}
-        self._option_cache = {}
         self._choice_set_cache = {}
         self._char_tables = {}
         self._extents = {}
         self._parts = {}
-        self._names = {}
         self.certify = certify
         self.certificates = CertificateLog()
         self._cert_seen = set() if certify else frozenset()
@@ -406,14 +411,17 @@ class Evaluator:
         vocabulary reads the same evaluators again.
 
         What an earlier reading left is dropped (`_forget`). The restrictions,
-        option lists, choice sets and named state sets are structure only, by
-        the lemma of `model._refine_masks`: a group's truth masks induce one
-        partition of the states, so they refine every kept mask alike; they
-        read no formula either, so they are kept, for the next candidate and
-        the next search. Every later read of the valuation goes through
-        `_truth`: atoms, the refinement of a new restriction and the
-        characteristic formulas. A certifying evaluator is refused: its
-        certificates belong to one valuation."""
+        with their option lists (`_Quotient.unions`), and the choice sets are
+        structure only, by the lemma of `model._refine_masks`: a group's
+        truth masks induce one partition of the states, so they refine every
+        kept mask alike; they read no formula either, so they are kept, for
+        the next candidate and the next search. Every later read of the
+        valuation goes through `_truth`: atoms, the refinement of a new
+        restriction, the characteristic formulas and the realized parts.
+        Those of the whole quotient are the model's only while `_truth` is
+        the model's own masks (`_reads_model`), so a revalued evaluator
+        writes none of the model's tables. A certifying evaluator is
+        refused: its certificates belong to one valuation."""
         if self.certify:
             raise ValueError("a certifying evaluator cannot be revalued")
         self._truth = truth
@@ -438,32 +446,45 @@ class Evaluator:
 
     def _part(self, q: _Quotient, agent: str, mask: int) -> Formula:
         """One member's announcement on the restriction (`_Quotient.part`),
-        realized once per restriction, agent and union. A part whose
-        realization raises `ModelError` is not stored: every choice that
-        needs it raises, and `_certify` records each."""
-        key = (q.kept, agent, mask)
-        part = self._parts.get(key)
+        realized once per restriction, agent and union; the whole
+        quotient's are the model's table (`KripkeModel._parts`) while the
+        evaluator reads the model's own truth masks (`_reads_model`). A
+        part whose realization raises `ModelError` is not stored: every
+        choice that needs it raises, and `_certify` records each."""
+        parts = self._parts.get(q.kept)
+        if parts is None:
+            parts = self._parts[q.kept] = (
+                self._root._parts if self._reads_model(q) else {})
+        part = parts.get((agent, mask))
         if part is None:
-            part = self._parts[key] = q.part(self._char_table(q), agent, mask)
+            part = parts[agent, mask] = q.part(self._char_table(q), agent,
+                                               mask)
         return part
 
     def _char_table(self, q: _Quotient) -> dict:
         """The restriction's characteristic formulas. The whole quotient's
-        are the model's cached ones while the evaluator reads the model's
-        own truth masks."""
+        are the model's cached ones (`KripkeModel._chars`) while the
+        evaluator reads the model's own truth masks (`_reads_model`)."""
         chars = self._char_tables.get(q.kept)
         if chars is None:
             chars = self._char_tables[q.kept] = (
-                self._root._chars if (q is self._root_quotient and
-                                      self._truth is self._root._truth_masks)
+                self._root._chars if self._reads_model(q)
                 else q.chars(self._truth))
         return chars
 
+    def _reads_model(self, q: _Quotient) -> bool:
+        """Whether the restriction is the whole model read under the
+        model's own valuation, so that what it realizes is the model's."""
+        return (q is self._root_quotient
+                and self._truth is self._root._truth_masks)
+
     def _states(self, mask: int) -> frozenset:
-        """The names of the states in a mask, named once per mask."""
-        names = self._names.get(mask)
+        """The names of the states in a mask, named once per mask and frame
+        (the model's `_named_sets`)."""
+        named = self._root._named_sets
+        names = named.get(mask)
         if names is None:
-            names = self._names[mask] = self._root._named(mask)
+            names = named[mask] = self._root._named(mask)
         return names
 
     def _members(self, group: frozenset) -> tuple:
@@ -591,16 +612,18 @@ class Evaluator:
     def _options(self, q: _Quotient, agent: str, rep: int) -> list:
         """The agent's class unions containing the state's class, by size (a
         class weighs its number of blocks), ties broken by class positions
-        (`_unions`); computed once per restriction and class."""
+        (`_unions`); computed once per quotient, agent and class, and kept
+        on the quotient (`_Quotient.unions`), so every evaluator that holds
+        it reads them."""
         classes = q.classes[agent]
         k = 0
         while not classes[k] >> rep & 1:
             k += 1
-        key = (q.kept, agent, k)
-        found = self._option_cache.get(key)
+        key = (agent, k)
+        found = q.unions.get(key)
         if found is None:
             sizes = [(c & q.reps).bit_count() for c in classes]
-            found = self._option_cache[key] = _unions(classes, sizes, k)
+            found = q.unions[key] = _unions(classes, sizes, k)
         return found
 
     def _first_set(self, q: _Quotient, state: int, group: frozenset):

@@ -158,7 +158,9 @@ class KripkeModel:
         return {"states": states, "agents": agents, "props": props,
                 "_position": position, "_class_masks": ordered,
                 "_class_at": class_at, "_vocab": _vocab_mask(agents, props),
-                "_member_lists": {}}  # per group (`Evaluator._members`)
+                # per group (`Evaluator._members`) and per mask
+                # (`Evaluator._states`)
+                "_member_lists": {}, "_named_sets": {}}
 
     def _init_masks(self, frame: dict, truth_masks: Mapping[str, int],
                     names: Sequence[str]) -> None:
@@ -225,6 +227,12 @@ class KripkeModel:
     def _chars(self) -> dict:
         """The whole quotient's characteristic formulas (`_Quotient.chars`)."""
         return self._whole_quotient.chars(self._truth_masks)
+
+    @cached_property
+    def _parts(self) -> dict:
+        """The whole quotient's realized announcements (`_Quotient.part`
+        on `_chars`), per (agent, union), as `Evaluator._part` fills it."""
+        return {}
 
     def _named(self, mask: int) -> frozenset:
         """The names of the states in a mask."""
@@ -526,11 +534,13 @@ class _Quotient:
     It holds no valuation, so models that refine `kept` alike may share it;
     `chars` reads the truth masks it is given, `decode` the valuation of the
     model it is given.
-    `firsts` caches `first_sets` per group: structure too, so shared alike.
+    `firsts` caches `first_sets` per group and `unions` each agent's class
+    unions per (agent, class position) (`Evaluator._options`): structure
+    too, so shared alike, by every evaluator that holds the quotient.
     """
 
     __slots__ = ("kept", "levels", "blocks", "reps", "rep_of", "classes",
-                 "firsts")
+                 "firsts", "unions")
 
     def __init__(self, model: KripkeModel, kept: int, refined: tuple):
         levels, classes = refined
@@ -546,6 +556,7 @@ class _Quotient:
                 self.rep_of[i] = rep
         self.classes = dict(zip(model.agents, classes))
         self.firsts = {}
+        self.unions = {}
 
     def reps_meeting(self, mask: int) -> int:
         """Reps of the blocks that meet a mask of kept states."""

@@ -172,7 +172,7 @@ class TestFrameConstructor:
         assert first.to_doc() == from_masks().to_doc()
         assert second.to_doc() == from_masks(truth_masks={"p": 0b01}).to_doc()
         for name in ("states", "agents", "props", "_position", "_class_masks",
-                     "_class_at", "_vocab", "_member_lists"):
+                     "_class_at", "_vocab", "_member_lists", "_named_sets"):
             assert getattr(first, name) is getattr(second, name) is frame[name]
         assert first._truth_masks == {"p": 0b10}
         assert second._truth_masks == {"p": 0b01}

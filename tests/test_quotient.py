@@ -131,6 +131,7 @@ def general_quotient(model, kept, refined):
             quotient.rep_of[i] = rep
     quotient.classes = dict(zip(model.agents, classes))
     quotient.firsts = {}
+    quotient.unions = {}
     return quotient
 
 

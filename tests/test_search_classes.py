@@ -1012,6 +1012,41 @@ class TestSharedWalk:
         # the structure stays: each whole quotient's first-set tables
         assert all(ev._root_quotient.firsts for ev in kept)
 
+    def test_a_kept_walks_models_hold_only_their_own_realizations(self):
+        # every candidate's evidence is read on its group's evaluator, under
+        # the candidate's valuation, and a second sweep revalues each again;
+        # each group model's shared tables then hold what a fresh evaluator
+        # of a copy of it realizes, and the evaluators hold no results
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        walks = search._WALKS[AGENTS, PROPS]
+        candidates = [c for n in (1, 2, 3) for c in walks[n][0]]
+        assert len(candidates) == 1140
+        for _, _, ev, truth in candidates:
+            ev._revalue(truth)
+            evidence_docs(ev)
+            ev._forget()
+        assert find_countermodel(parse(A11), EXHAUSTIVE) is None
+        kept = {ev for _, _, ev, _ in candidates}
+        assert len(kept) == 114
+        realized = 0
+        for ev in kept:
+            model, own = ev.model, validate(ev.model.to_doc())
+            assert not ev._parts and not ev._char_tables
+            assert evidence_docs(Evaluator(model)) == evidence_docs(
+                Evaluator(own))
+            assert model._parts == own._parts
+            assert model._chars == own._chars
+            # the option lists the group's candidates read on the shared
+            # whole quotient are the copy's
+            q, own_q = ev._root_quotient, own._whole_quotient
+            fresh = Evaluator(own)
+            for (agent, k), options in q.unions.items():
+                rep = (q.classes[agent][k] & -q.classes[agent][k]
+                       ).bit_length() - 1
+                assert fresh._options(own_q, agent, rep) == options
+            realized += len(model._parts)
+        assert realized == 673
+
     def test_a_walk_that_raised_is_dropped(self, monkeypatch):
         # an early hit at 2 states leaves a partial walk; a search that
         # extends it and raises partway through the 3-state candidates
